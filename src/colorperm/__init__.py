@@ -11,122 +11,25 @@ All three must agree exactly; the properties module and the ``colorperm
 check`` command verify that and the structural facts (the decomposition
 exc = r*exc_A + csum, the palindromic exc distribution with its
 complementing involution, log-concavity of the exc_A distribution).
+
+The package exports the seven names below; everything else is imported
+from its submodule.
 """
 
-from .closed import (
-    D_closed,
-    Eq2Report,
-    IntPolynomial,
-    check_eq2,
-    d_explicit,
-    mass_at_one,
-    stirling2,
-)
-from .dist import (
-    InitialConditionDiagnostic,
-    eulerian_row,
-    excA_dist,
-    exc_dist,
-    exc_joint,
-    exc_row_from_table,
-    initial_condition_diagnostic,
-    initial_condition_formula,
-    iter_joint_tables,
-    joint_table,
-)
-from .oracle import (
-    FEASIBILITY_LIMIT,
-    OracleReport,
-    TableDiff,
-    brute_tables,
-    compare,
-)
-from .perm import (
-    ColoredLetter,
-    ColoredPermutation,
-    ColorOutOfRangeError,
-    DuplicateValueError,
-    GroupParams,
-    MalformedTokenError,
-    ParamsMismatchError,
-    ValueOutOfRangeError,
-    WindowParseError,
-    apply_extended,
-    compare_letters,
-    enumerate_group,
-    format_window,
-    identity,
-    inverse,
-    iter_alphabet,
-    multiply,
-    parse_window,
-)
-from .properties import (
-    PropertyVerdict,
-    check_exc_complement,
-    check_involution,
-    check_symmetry_dist,
-    is_log_concave,
-    is_unimodal,
-    symmetry_map,
-)
-from .stats import StatSummary, csum, exc, exc_A, summarize
-from .tables import JointTable
+from .closed import D_closed
+from .dist import excA_dist, joint_table
+from .oracle import brute_tables, compare
+from .perm import parse_window
+from .stats import summarize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColoredLetter",
-    "ColoredPermutation",
-    "ColorOutOfRangeError",
     "D_closed",
-    "DuplicateValueError",
-    "Eq2Report",
-    "FEASIBILITY_LIMIT",
-    "GroupParams",
-    "InitialConditionDiagnostic",
-    "IntPolynomial",
-    "JointTable",
-    "MalformedTokenError",
-    "OracleReport",
-    "ParamsMismatchError",
-    "PropertyVerdict",
-    "StatSummary",
-    "TableDiff",
-    "ValueOutOfRangeError",
-    "WindowParseError",
-    "apply_extended",
     "brute_tables",
-    "check_eq2",
-    "check_exc_complement",
-    "check_involution",
-    "check_symmetry_dist",
     "compare",
-    "compare_letters",
-    "csum",
-    "d_explicit",
-    "enumerate_group",
-    "eulerian_row",
-    "exc",
-    "exc_A",
     "excA_dist",
-    "exc_dist",
-    "exc_joint",
-    "exc_row_from_table",
-    "format_window",
-    "identity",
-    "initial_condition_diagnostic",
-    "initial_condition_formula",
-    "inverse",
-    "is_log_concave",
-    "is_unimodal",
-    "iter_alphabet",
-    "iter_joint_tables",
     "joint_table",
-    "mass_at_one",
-    "multiply",
     "parse_window",
-    "stirling2",
     "summarize",
-    "symmetry_map",
 ]

@@ -21,11 +21,12 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 from . import closed, dist, oracle, properties
 from .perm import (
     GroupParams,
-    WindowParseError,
+    check_params,
     enumerate_group,
     format_window,
     parse_window,
@@ -40,67 +41,36 @@ ELEMENTWISE_SUITE_CAP = 10**5
 SUITE_NAMES = ("lemma", "recursion", "closed", "eq2", "symmetry", "logconcave")
 
 
-class UsageError(Exception):
-    """A bad flag combination; reported on stderr with exit status 2."""
+# Every cmd_* returns (exit status, JSON object, CSV rows, text); main
+# renders the one that --format asks for.  CSV rows of None mean the text
+# is already CSV.  A ValueError from a cmd_* is a usage error (exit 2).
 
 
-def _emit(args, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _key_value(obj: dict):
+    """CSV rows and text for a flat record; list values join with ';' or ','."""
+
+    def flat(value, sep):
+        return sep.join(map(str, value)) if isinstance(value, list) else value
+
+    rows = [("stat", "value")] + [(key, flat(value, ";")) for key, value in obj.items()]
+    text = "".join(f"{key}: {flat(value, ',')}\n" for key, value in obj.items())
+    return rows, text
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _kv_text(pairs) -> str:
-    return "".join(f"{key}: {value}\n" for key, value in pairs)
-
-
-def _kv_csv(pairs) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["stat", "value"])
-    for key, value in pairs:
-        writer.writerow([key, value])
-    return buf.getvalue()
-
-
-def cmd_stats(args) -> int:
+def cmd_stats(args):
     p = parse_window(args.window, args.r)
     s = summarize(p)
-    letters = ",".join(str(x) for x in sorted(s.exc_set))
-    positions = ",".join(str(i) for i in sorted(s.exc_A_set))
-    if args.format == "json":
-        obj = {
-            "window": format_window(p),
-            "r": p.r,
-            "n": p.n,
-            "exc": s.exc,
-            "exc_A": s.exc_A,
-            "csum": s.csum,
-            "exc_letters": [str(x) for x in sorted(s.exc_set)],
-            "exc_A_positions": sorted(s.exc_A_set),
-        }
-        _emit(args, _json_text(obj))
-        return 0
-    pairs = [
-        ("window", format_window(p)),
-        ("r", p.r),
-        ("n", p.n),
-        ("exc", s.exc),
-        ("exc_A", s.exc_A),
-        ("csum", s.csum),
-        ("exc_letters", letters if args.format == "text" else letters.replace(",", ";")),
-        ("exc_A_positions", positions if args.format == "text" else positions.replace(",", ";")),
-    ]
-    _emit(args, _kv_text(pairs) if args.format == "text" else _kv_csv(pairs))
-    return 0
+    obj = {
+        "window": format_window(p),
+        "r": p.r,
+        "n": p.n,
+        "exc": s.exc,
+        "exc_A": s.exc_A,
+        "csum": s.csum,
+        "exc_letters": [str(x) for x in sorted(s.exc_set)],
+        "exc_A_positions": sorted(s.exc_A_set),
+    }
+    return (0, obj, *_key_value(obj))
 
 
 def _dist_row(args) -> list[int]:
@@ -120,78 +90,49 @@ def _dist_row(args) -> list[int]:
     return [closed.d_explicit(r, n, k) for k in range(n)]
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args):
     if args.method in ("closed", "explicit") and args.target == "exc":
-        raise UsageError(
+        raise ValueError(
             f"method {args.method!r} computes the exc_A distribution only; "
             "use --target excA"
         )
     row = _dist_row(args)
-    if args.format == "json":
-        obj = {
-            "r": args.r,
-            "n": args.n,
-            "target": args.target,
-            "method": args.method,
-            "counts": [str(c) for c in row],
-        }
-        _emit(args, _json_text(obj))
-    elif args.format == "csv":
-        lines = ["k,count"] + [f"{k},{c}" for k, c in enumerate(row)]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, ",".join(str(c) for c in row) + "\n")
-    return 0
+    obj = {
+        "r": args.r,
+        "n": args.n,
+        "target": args.target,
+        "method": args.method,
+        "counts": [str(c) for c in row],
+    }
+    return 0, obj, [("k", "count"), *enumerate(row)], ",".join(map(str, row)) + "\n"
 
 
-def cmd_joint(args) -> int:
+def cmd_joint(args):
     if args.method == "brute":
         table = oracle.brute_tables(args.r, args.n, workers=args.threads).joint_by_csum
     else:
         table = dist.joint_table(args.r, args.n)
-    if args.format == "json":
-        _emit(args, table.to_json())
-    else:
-        _emit(args, table.to_csv())
-    return 0
+    return 0, table.to_json_obj(), None, table.to_csv()
 
 
-def cmd_poly(args) -> int:
+def cmd_poly(args):
     poly = closed.D_closed(args.r, args.n)
-    if args.format == "json":
-        obj = {
-            "r": args.r,
-            "n": args.n,
-            "coefficients": [str(poly.coeff(k)) for k in range(args.n)],
-        }
-        _emit(args, _json_text(obj))
-    elif args.format == "csv":
-        lines = ["k,coefficient"] + [
-            f"{k},{poly.coeff(k)}" for k in range(args.n)
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, poly.render() + "\n")
-    return 0
+    coeffs = [poly.coeff(k) for k in range(args.n)]
+    obj = {"r": args.r, "n": args.n, "coefficients": [str(c) for c in coeffs]}
+    return 0, obj, [("k", "coefficient"), *enumerate(coeffs)], poly.render() + "\n"
 
 
-def cmd_bijection(args) -> int:
+def cmd_bijection(args):
     p = parse_window(args.window, args.r)
     q = properties.symmetry_map(p)
-    pairs = [
-        ("window", format_window(p)),
-        ("image", format_window(q)),
-        ("exc", summarize(p).exc),
-        ("image_exc", summarize(q).exc),
-        ("expected_sum", p.r * p.n - 1),
-    ]
-    if args.format == "json":
-        _emit(args, _json_text(dict(pairs)))
-    elif args.format == "csv":
-        _emit(args, _kv_csv(pairs))
-    else:
-        _emit(args, _kv_text(pairs))
-    return 0
+    obj = {
+        "window": format_window(p),
+        "image": format_window(q),
+        "exc": summarize(p).exc,
+        "image_exc": summarize(q).exc,
+        "expected_sum": p.r * p.n - 1,
+    }
+    return (0, obj, *_key_value(obj))
 
 
 def _sweep(r_max: int, n_max: int):
@@ -347,15 +288,7 @@ def suite_logconcave(r_max, n_max, workers=None) -> list:
             properties.is_log_concave(row, r, n),
             properties.is_unimodal(row, r, n),
         ):
-            verdicts.append(
-                properties.PropertyVerdict(
-                    name=f"excA_{verdict.name}{suffix}",
-                    passed=verdict.passed,
-                    r=r,
-                    n=n,
-                    counterexample=verdict.counterexample,
-                )
-            )
+            verdicts.append(replace(verdict, name=f"excA_{verdict.name}{suffix}"))
     return verdicts
 
 
@@ -377,50 +310,48 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     return verdicts
 
 
-def cmd_check(args) -> int:
+def _verdict_line(v) -> str:
+    line = ("PASS " if v.passed else "FAIL ") + v.name
+    if v.r is not None:
+        line += f" r={v.r}"
+    if v.n is not None:
+        line += f" n={v.n}"
+    if not v.passed and v.counterexample:
+        line += f": {v.counterexample}"
+    return line
+
+
+def cmd_check(args):
+    check_params(args.r_max, args.n_max)
     verdicts = run_suites(args.suite, args.r_max, args.n_max, workers=args.threads)
     failed = [v for v in verdicts if not v.passed]
-    if args.format == "json":
-        obj = {
-            "suite": args.suite,
-            "r_max": args.r_max,
-            "n_max": args.n_max,
-            "verdicts": [v.to_json_obj() for v in verdicts],
-            "pass": not failed,
-        }
-        _emit(args, _json_text(obj))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["property", "r", "n", "pass", "counterexample"])
-        for v in verdicts:
-            writer.writerow(
-                [
-                    v.name,
-                    "" if v.r is None else v.r,
-                    "" if v.n is None else v.n,
-                    "true" if v.passed else "false",
-                    v.counterexample or "",
-                ]
-            )
-        _emit(args, buf.getvalue())
-    else:
-        lines = []
-        for v in verdicts:
-            line = ("PASS " if v.passed else "FAIL ") + v.name
-            if v.r is not None:
-                line += f" r={v.r}"
-            if v.n is not None:
-                line += f" n={v.n}"
-            if not v.passed and v.counterexample:
-                line += f": {v.counterexample}"
-            lines.append(line)
-        lines.append(
-            f"{len(verdicts)} checks, {len(verdicts) - len(failed)} passed, "
-            f"{len(failed)} failed"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 1 if failed else 0
+    obj = {
+        "suite": args.suite,
+        "r_max": args.r_max,
+        "n_max": args.n_max,
+        "verdicts": [v.to_json_obj() for v in verdicts],
+        "pass": not failed,
+    }
+    # The csv module writes None as an empty field.
+    rows = [("property", "r", "n", "pass", "counterexample")] + [
+        (v.name, v.r, v.n, "true" if v.passed else "false", v.counterexample)
+        for v in verdicts
+    ]
+    lines = [_verdict_line(v) for v in verdicts] + [
+        f"{len(verdicts)} checks, {len(verdicts) - len(failed)} passed, "
+        f"{len(failed)} failed"
+    ]
+    return (1 if failed else 0), obj, rows, "\n".join(lines) + "\n"
+
+
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {text!r}")
+    return count
 
 
 def _add_output_options(parser):
@@ -461,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="dp",
         help="brute enumeration, insertion recursions, closed form or explicit sum",
     )
-    p.add_argument("--threads", type=int, help="worker processes for brute enumeration")
+    p.add_argument(
+        "--threads", type=_worker_count, help="worker processes for brute enumeration"
+    )
     _add_output_options(p)
     p.set_defaults(func=cmd_dist)
 
@@ -474,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="dp",
         help="brute enumeration or insertion recursions",
     )
-    p.add_argument("--threads", type=int, help="worker processes for brute enumeration")
+    p.add_argument(
+        "--threads", type=_worker_count, help="worker processes for brute enumeration"
+    )
     _add_output_options(p)
     p.set_defaults(func=cmd_joint)
 
@@ -499,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run (default all)",
     )
-    p.add_argument("--threads", type=int, help="worker processes for brute enumeration")
+    p.add_argument(
+        "--threads", type=_worker_count, help="worker processes for brute enumeration"
+    )
     _add_output_options(p)
     p.set_defaults(func=cmd_check)
 
@@ -507,13 +444,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (WindowParseError, UsageError, ValueError) as exc:
+        code, obj, rows, text = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        text = json.dumps(obj, indent=2) + "\n"
+    elif args.format == "csv" and rows is not None:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        text = buf.getvalue()
+    try:
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 def run():

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
 
+from .perm import check_params
+
 
 @cache
 def stirling2(n: int, j: int) -> int:
@@ -181,16 +183,9 @@ class IntPolynomial:
 T = IntPolynomial((0, 1))
 
 
-def _check_params(r: int, n: int):
-    if not (isinstance(r, int) and r >= 1):
-        raise ValueError(f"number of colors r must be an integer >= 1, got {r!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"degree n must be an integer >= 1, got {n!r}")
-
-
 def D_closed(r: int, n: int) -> IntPolynomial:
     """Generating polynomial of exc_A over Z_r wr S_n, by the Stirling form."""
-    _check_params(r, n)
+    check_params(r, n)
     down_powers = [IntPolynomial((1,))]  # (1 - t)^e for e = 0..n-1
     for _ in range(n - 1):
         down_powers.append(down_powers[-1] * (1 - T))
@@ -208,7 +203,7 @@ def d_explicit(r: int, n: int, k: int) -> int:
     The sum has massive cancellation; the result is asserted nonnegative
     before being returned.
     """
-    _check_params(r, n)
+    check_params(r, n)
     if not (isinstance(k, int) and 0 <= k <= n - 1):
         raise ValueError(f"k must be an integer in 0..{n - 1}, got {k!r}")
     total = 0
@@ -240,7 +235,7 @@ def check_eq2(r: int, n_max: int) -> Eq2Report:
     Checks n = 2..n_max with exact arithmetic and reports the first
     failure, if any.
     """
-    _check_params(r, n_max)
+    check_params(r, n_max)
     prev = D_closed(r, 1)
     for n in range(2, n_max + 1):
         lhs = D_closed(r, n)
@@ -255,8 +250,3 @@ def check_eq2(r: int, n_max: int) -> Eq2Report:
             )
         prev = lhs
     return Eq2Report(r=r, n_max=n_max, passed=True)
-
-
-def mass_at_one(r: int, n: int) -> int:
-    """D_{r,n}(1), which must equal the group order r**n * n!."""
-    return D_closed(r, n)(1)

@@ -22,16 +22,8 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterator
 
+from .perm import check_params
 from .tables import JointTable
-
-_SEMANTICS = ("colored-count", "csum")
-
-
-def _check_params(r: int, n: int):
-    if not (isinstance(r, int) and r >= 1):
-        raise ValueError(f"number of colors r must be an integer >= 1, got {r!r}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"degree n must be an integer >= 1, got {n!r}")
 
 
 def _insertion_weights(m: int, k: int) -> tuple[int, int]:
@@ -66,7 +58,7 @@ def eulerian_row(n: int) -> list[int]:
 
 def iter_joint_tables(r: int, n_max: int) -> Iterator[JointTable]:
     """Yield the joint (csum, exc_A) tables for n = 1, 2, ..., n_max."""
-    _check_params(r, n_max)
+    check_params(r, n_max)
     table = JointTable(r, 1)
     for i in range(r):
         table.set(i, 0, 1)
@@ -92,21 +84,6 @@ def joint_table(r: int, n: int) -> JointTable:
     return table
 
 
-def exc_joint(r: int, n: int) -> dict[tuple[int, int], int]:
-    """Nonzero counts of elements by (csum, exc), keyed (i, k).
-
-    An element with color sum i and exc_A = a has exc = i + r*a, so the
-    (i, k) cell is populated from the joint table cell (i, (k - i) / r)
-    and is zero unless k >= i, r divides k - i and (k - i) / r <= n - 1.
-    """
-    table = joint_table(r, n)
-    out = {}
-    for (i, a), count in table.items():
-        if count:
-            out[(i, i + r * a)] = count
-    return out
-
-
 def exc_row_from_table(table: JointTable) -> list[int]:
     """Distribution of exc (length r*n) read off a joint (csum, exc_A) table."""
     r, n = table.r, table.n
@@ -119,7 +96,7 @@ def exc_row_from_table(table: JointTable) -> list[int]:
 
 def exc_dist(r: int, n: int) -> list[int]:
     """Distribution of exc over Z_r wr S_n: counts for exc = 0..r*n-1."""
-    _check_params(r, n)
+    check_params(r, n)
     return exc_row_from_table(joint_table(r, n))
 
 
@@ -135,7 +112,7 @@ def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
     with d(r, 1, 0) = r; method "sum-joint" sums the joint table over the
     color statistic.  The two must agree.
     """
-    _check_params(r, n)
+    check_params(r, n)
     if method == "sum-joint":
         return joint_table(r, n).d_row()
     if method != "recurrence":
@@ -156,9 +133,7 @@ def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
     return row
 
 
-def initial_condition_formula(
-    r: int, n: int, i: int, semantics: str = "colored-count"
-) -> int:
+def initial_condition_formula(r: int, n: int, i: int) -> int:
     """Closed form for the k = 0 column of a joint table:
 
         i! (r-1)^i  *  sum over 1 <= t_1 < ... < t_i <= n of
@@ -167,18 +142,14 @@ def initial_condition_formula(
     with t_0 = 0.  For i > n the sum is empty and the value 0; i = 0
     gives 1.
 
-    ``semantics`` names the column the caller intends to compare against,
-    "colored-count" (elements counted by the number of nonzero colors) or
-    "csum" (by color sum); the formula's value does not depend on it.
-    Which column the formula actually reproduces is an empirical question
-    answered by initial_condition_diagnostic: both coincide for r <= 2,
-    and for r >= 3 the formula matches the colored-count column only.
+    Which k = 0 column the formula reproduces, by color sum or by number
+    of nonzero colors, is an empirical question answered by
+    initial_condition_diagnostic: both coincide for r <= 2, and for
+    r >= 3 the formula matches the colored-count column only.
     """
-    _check_params(r, n)
+    check_params(r, n)
     if not (isinstance(i, int) and i >= 0):
         raise ValueError(f"statistic value i must be an integer >= 0, got {i!r}")
-    if semantics not in _SEMANTICS:
-        raise ValueError(f"unknown semantics {semantics!r}; use one of {_SEMANTICS}")
     if i > n:
         return 0
     prefix = factorial(i) * (r - 1) ** i
@@ -221,7 +192,7 @@ def initial_condition_diagnostic(
     colors.  The diagnostic also checks that the formula values sum to
     the total number of exc_A-free elements, d(r, n, 0).
     """
-    _check_params(r, n)
+    check_params(r, n)
     if report is None:
         from .oracle import brute_tables
 

@@ -27,6 +27,7 @@ source position; see ``ColoredPermutation.z_vector``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -66,6 +67,13 @@ class ParamsMismatchError(ValueError):
     """Two elements from different groups were combined."""
 
 
+def check_params(r: int, n: int = 1) -> None:
+    """Raise ValueError unless r and n are integers >= 1 (bool does not count)."""
+    for label, value in (("number of colors r", r), ("degree n", n)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{label} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Parameters (r, n) of the colored permutation group Z_r wr S_n."""
@@ -74,10 +82,7 @@ class GroupParams:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.r, int) and self.r >= 1):
-            raise ValueError(f"number of colors r must be an integer >= 1, got {self.r!r}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"degree n must be an integer >= 1, got {self.n!r}")
+        check_params(self.r, self.n)
 
     @property
     def size(self) -> int:
@@ -85,6 +90,7 @@ class GroupParams:
         return self.r**self.n * factorial(self.n)
 
 
+@functools.total_ordering
 class ColoredLetter:
     """A letter j^b of the extended alphabet: value j with color b."""
 
@@ -112,27 +118,9 @@ class ColoredLetter:
 
     # Order: higher color first, then ascending value.
     def __lt__(self, other):
+        if not isinstance(other, ColoredLetter):
+            return NotImplemented
         return (-self.color, self.value) < (-other.color, other.value)
-
-    def __le__(self, other):
-        return (-self.color, self.value) <= (-other.color, other.value)
-
-    def __gt__(self, other):
-        return (-self.color, self.value) > (-other.color, other.value)
-
-    def __ge__(self, other):
-        return (-self.color, self.value) >= (-other.color, other.value)
-
-
-def compare_letters(x: ColoredLetter, y: ColoredLetter) -> int:
-    """Three-way comparison of letters: -1, 0 or 1 as x <, ==, > y."""
-    kx = (-x.color, x.value)
-    ky = (-y.color, y.value)
-    if kx < ky:
-        return -1
-    if kx > ky:
-        return 1
-    return 0
 
 
 def iter_alphabet(params: GroupParams) -> Iterator[ColoredLetter]:
@@ -156,8 +144,7 @@ class ColoredPermutation:
         values = tuple(values)
         colors = tuple(colors)
         n = len(values)
-        if not (isinstance(r, int) and r >= 1):
-            raise ValueError(f"number of colors r must be an integer >= 1, got {r!r}")
+        check_params(r)
         if n == 0:
             raise ValueError("window must contain at least one letter")
         if sorted(values) != list(range(1, n + 1)):
@@ -298,8 +285,7 @@ def parse_window(text: str, r: int) -> ColoredPermutation:
     ``v^c`` with 1 <= v <= n and 0 <= c <= r-1; omitted colors are 0.
     Raises a subclass of WindowParseError naming the offending token.
     """
-    if not (isinstance(r, int) and r >= 1):
-        raise ValueError(f"number of colors r must be an integer >= 1, got {r!r}")
+    check_params(r)
     tokens = [t.strip() for t in text.split(",")]
     n = len(tokens)
     values = []

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import json
 
+from .perm import check_params
+
 
 class JointTable:
     __slots__ = ("r", "n", "_rows")
 
     def __init__(self, r: int, n: int):
-        if not (isinstance(r, int) and r >= 1):
-            raise ValueError(f"number of colors r must be an integer >= 1, got {r!r}")
-        if not (isinstance(n, int) and n >= 1):
-            raise ValueError(f"degree n must be an integer >= 1, got {n!r}")
+        check_params(r, n)
         self.r = r
         self.n = n
         self._rows = [[0] * n for _ in range((r - 1) * n + 1)]

@@ -1,10 +1,15 @@
 """Command line behavior: outputs, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from colorperm.cli import main
+
+#: Exit status and stdout of every subcommand in every format at small
+#: points; any change to these bytes is a change to the CLI's output.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +227,12 @@ class TestCheck:
         assert lines[0] == "property,r,n,pass,counterexample"
         assert all(",true," in line for line in lines[1:])
 
+    @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
+    def test_empty_sweep_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "check", flag, "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_threads_flag_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -232,6 +243,26 @@ class TestCheck:
 
 
 class TestOutputPlumbing:
+    @pytest.mark.parametrize(
+        "case", GOLDEN, ids=[" ".join(case["argv"]) for case in GOLDEN]
+    )
+    def test_golden_bytes(self, capsys, case):
+        assert run_cli(capsys, *case["argv"]) == (case["exit"], case["stdout"], "")
+
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "poly.txt"
+        code, out, err = run_cli(
+            capsys, "poly", "--r", "2", "--n", "2", "--out", str(target)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_threads_below_one_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["dist", "--r", "2", "--n", "2", "--target", "exc", "--threads", "-5"])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run_cli(capsys, "poly", "--r", "2", "--n", "5")
         target = tmp_path / "poly.txt"

@@ -11,7 +11,6 @@ from colorperm.closed import (
     T,
     check_eq2,
     d_explicit,
-    mass_at_one,
     stirling2,
 )
 from colorperm.dist import eulerian_row, excA_dist
@@ -143,7 +142,7 @@ class TestDClosed:
     def test_mass_at_one(self):
         for r in range(1, 5):
             for n in range(1, 11):
-                assert mass_at_one(r, n) == r**n * factorial(n)
+                assert D_closed(r, n)(1) == r**n * factorial(n)
 
 
 class TestDExplicit:

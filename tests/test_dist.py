@@ -9,7 +9,6 @@ from colorperm.dist import (
     eulerian_row,
     excA_dist,
     exc_dist,
-    exc_joint,
     exc_row_from_table,
     initial_condition_diagnostic,
     initial_condition_formula,
@@ -135,28 +134,11 @@ class TestMarginals:
         table = joint_table(3, 4)
         assert exc_row_from_table(table) == exc_dist(3, 4)
 
-    def test_exc_joint_frozen(self):
-        assert exc_joint(2, 2) == {
-            (0, 0): 1,
-            (0, 2): 1,
-            (1, 1): 3,
-            (1, 3): 1,
-            (2, 2): 2,
-        }
-
-    def test_exc_joint_support(self):
-        # Nonzero entries sit on k = i + r*a with 0 <= a <= n-1 only.
-        for r, n in [(2, 4), (3, 3), (4, 2)]:
-            for (i, k), count in exc_joint(r, n).items():
-                assert count > 0
-                assert k >= i
-                assert (k - i) % r == 0
-                assert (k - i) // r <= n - 1
-                assert 0 <= k <= r * n - 1
-
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             joint_table(0, 2)
+        with pytest.raises(ValueError):
+            joint_table(True, 2)
         with pytest.raises(ValueError):
             exc_dist(2, 0)
 
@@ -172,17 +154,9 @@ class TestInitialCondition:
         assert initial_condition_formula(3, 2, 5) == 0  # i > n
         assert initial_condition_formula(1, 4, 2) == 0  # no nonzero colors
 
-    def test_semantics_label_does_not_change_value(self):
-        for i in range(4):
-            assert initial_condition_formula(3, 3, i, semantics="csum") == (
-                initial_condition_formula(3, 3, i, semantics="colored-count")
-            )
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             initial_condition_formula(2, 2, -1)
-        with pytest.raises(ValueError):
-            initial_condition_formula(2, 2, 1, semantics="sideways")
 
     def test_matches_two_color_k0_column(self):
         # For two colors the color sum counts the colored positions, so

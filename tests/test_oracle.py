@@ -1,6 +1,8 @@
 """Brute-force enumeration tallies and table comparison."""
 
+import ast
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +121,25 @@ class TestCompare:
             compare(JointTable(2, 2), JointTable(2, 3))
         with pytest.raises(ValueError):
             compare(JointTable(2, 2), JointTable(3, 2))
+
+
+class TestRouteIndependence:
+    def test_oracle_reaches_neither_dist_nor_closed(self):
+        # Follow the package-relative imports of each module's source,
+        # starting from oracle, without importing anything.
+        package = Path(oracle.__file__).parent
+        reached, pending = set(), ["oracle"]
+        while pending:
+            name = pending.pop()
+            if name in reached:
+                continue
+            reached.add(name)
+            tree = ast.parse((package / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    if node.module:
+                        pending.append(node.module)
+                    else:
+                        pending.extend(alias.name for alias in node.names)
+        assert "perm" in reached
+        assert not reached & {"dist", "closed"}

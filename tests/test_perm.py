@@ -15,7 +15,6 @@ from colorperm.perm import (
     ParamsMismatchError,
     ValueOutOfRangeError,
     apply_extended,
-    compare_letters,
     enumerate_group,
     format_window,
     identity,
@@ -37,7 +36,9 @@ class TestGroupParams:
         assert GroupParams(3, 5).size == 29160
         assert GroupParams(2, 8).size == 10321920
 
-    @pytest.mark.parametrize("r,n", [(0, 2), (-1, 2), (2, 0), (2, -3)])
+    @pytest.mark.parametrize(
+        "r,n", [(0, 2), (-1, 2), (2, 0), (2, -3), (True, 2), (2, True)]
+    )
     def test_rejects_bad_params(self, r, n):
         with pytest.raises(ValueError):
             GroupParams(r, n)
@@ -49,9 +50,8 @@ class TestLetterOrder:
         letters = list(iter_alphabet(GroupParams(3, 2)))
         assert [str(x) for x in letters] == chain
         for a, b in zip(letters, letters[1:]):
-            assert a < b
-            assert compare_letters(a, b) == -1
-            assert compare_letters(b, a) == 1
+            assert a < b and a <= b and b > a and b >= a
+            assert not b < a and a != b
 
     def test_extremes(self):
         letters = list(iter_alphabet(GroupParams(4, 3)))
@@ -59,7 +59,9 @@ class TestLetterOrder:
         assert max(letters) == ColoredLetter(3, 0)
 
     def test_compare_equal(self):
-        assert compare_letters(ColoredLetter(2, 1), ColoredLetter(2, 1)) == 0
+        a, b = ColoredLetter(2, 1), ColoredLetter(2, 1)
+        assert a == b and a <= b and a >= b
+        assert not a < b and not a > b
 
     def test_sorted_matches_compare(self):
         letters = list(iter_alphabet(GroupParams(3, 3)))

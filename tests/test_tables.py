@@ -40,6 +40,8 @@ class TestBoxSemantics:
             JointTable(0, 2)
         with pytest.raises(ValueError):
             JointTable(2, 0)
+        with pytest.raises(ValueError):
+            JointTable(True, 2)
 
     def test_add_accumulates(self):
         table = JointTable(2, 2)
