@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 from . import closed, dist, oracle, properties
 from .perm import (
@@ -141,38 +142,72 @@ def _sweep(r_max: int, n_max: int):
             yield r, n
 
 
+class Skip(NamedTuple):
+    """A sweep point left unchecked because its group is above a size cap."""
+
+    name: str
+    r: int
+    n: int
+    size: int
+    cap: int
+
+    def reason(self) -> str:
+        return f"{self.size} elements above the cap {self.cap}"
+
+
+def _over_cap(name: str, r: int, n: int, cap: int) -> list:
+    """[Skip] when Z_r wr S_n has more than cap elements, else []."""
+    size = GroupParams(r, n).size
+    return [Skip(name, r, n, size, cap)] if size > cap else []
+
+
+def _run_points(name: str, points, check) -> list:
+    """Concatenate check(r, n) over the points, turning a crash into a FAIL.
+
+    An AssertionError is an invariant violated inside the code under
+    test; it becomes a FAIL verdict named ``name`` for that point, with
+    the message as the counterexample, and the sweep goes on.
+    """
+    entries = []
+    for r, n in points:
+        try:
+            entries.extend(check(r, n))
+        except AssertionError as exc:
+            entries.append(
+                properties.PropertyVerdict(
+                    name=name, passed=False, r=r, n=n, counterexample=str(exc)
+                )
+            )
+    return entries
+
+
+def _per_r(r_max: int):
+    return ((r, None) for r in range(1, r_max + 1))
+
+
 def suite_lemma(r_max, n_max, workers=None) -> list:
     """exc = r*exc_A + csum on every element of every feasible group."""
-    verdicts = []
-    for r, n in _sweep(r_max, n_max):
-        params = GroupParams(r, n)
-        if params.size > BRUTE_SUITE_CAP:
-            continue
-        failure = None
-        for p in enumerate_group(params):
-            try:
-                summarize(p)
-            except AssertionError as exc:
-                failure = str(exc)
-                break
-        verdicts.append(
-            properties.PropertyVerdict(
-                name="lemma_exc_decomposition",
-                passed=failure is None,
-                r=r,
-                n=n,
-                counterexample=failure,
-            )
-        )
-    return verdicts
+    name = "lemma_exc_decomposition"
+
+    def check(r, n):
+        skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
+        if skipped:
+            return skipped
+        for p in enumerate_group(GroupParams(r, n)):
+            summarize(p)
+        return [properties.PropertyVerdict(name=name, passed=True, r=r, n=n)]
+
+    return _run_points(name, _sweep(r_max, n_max), check)
 
 
 def suite_recursion(r_max, n_max, workers=None) -> list:
     """DP joint table and exc row against full enumeration."""
-    verdicts = []
-    for r, n in _sweep(r_max, n_max):
-        if GroupParams(r, n).size > BRUTE_SUITE_CAP:
-            continue
+    name = "dp_matches_enumeration"
+
+    def check(r, n):
+        skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
+        if skipped:
+            return skipped
         report = oracle.brute_tables(r, n, workers=workers)
         diffs = oracle.compare(dist.joint_table(r, n), report.joint_by_csum)
         counterexample = None
@@ -181,14 +216,12 @@ def suite_recursion(r_max, n_max, workers=None) -> list:
             counterexample = (
                 f"cell (i={d.i}, k={d.k}): dp={d.left} enumeration={d.right}"
             )
-        verdicts.append(
-            properties.PropertyVerdict(
-                name="dp_joint_matches_enumeration",
-                passed=not diffs,
-                r=r,
-                n=n,
-                counterexample=counterexample,
-            )
+        joint = properties.PropertyVerdict(
+            name="dp_joint_matches_enumeration",
+            passed=not diffs,
+            r=r,
+            n=n,
+            counterexample=counterexample,
         )
         dp_exc = dist.exc_dist(r, n)
         counterexample = None
@@ -199,22 +232,24 @@ def suite_recursion(r_max, n_max, workers=None) -> list:
             counterexample = (
                 f"exc={k}: dp={dp_exc[k]} enumeration={report.exc_row[k]}"
             )
-        verdicts.append(
-            properties.PropertyVerdict(
-                name="dp_exc_matches_enumeration",
-                passed=counterexample is None,
-                r=r,
-                n=n,
-                counterexample=counterexample,
-            )
+        exc = properties.PropertyVerdict(
+            name="dp_exc_matches_enumeration",
+            passed=counterexample is None,
+            r=r,
+            n=n,
+            counterexample=counterexample,
         )
-    return verdicts
+        return [joint, exc]
+
+    return _run_points(name, _sweep(r_max, n_max), check)
 
 
 def suite_closed(r_max, n_max, workers=None) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
-    verdicts = []
-    for r in range(1, r_max + 1):
+    name = "excA_distribution_agreement"
+
+    def check(r, _):
+        verdicts = []
         for n, table in zip(
             range(1, n_max + 1), dist.iter_joint_tables(r, n_max)
         ):
@@ -226,11 +261,11 @@ def suite_closed(r_max, n_max, workers=None) -> list:
             }
             baseline = rows["recurrence"]
             bad = next(
-                (name for name, row in rows.items() if row != baseline), None
+                (method for method, row in rows.items() if row != baseline), None
             )
             verdicts.append(
                 properties.PropertyVerdict(
-                    name="excA_distribution_agreement",
+                    name=name,
                     passed=bad is None,
                     r=r,
                     n=n,
@@ -241,37 +276,45 @@ def suite_closed(r_max, n_max, workers=None) -> list:
                     ),
                 )
             )
-    return verdicts
+        return verdicts
+
+    return _run_points(name, _per_r(r_max), check)
 
 
 def suite_eq2(r_max, n_max, workers=None) -> list:
     """Derivative recurrence for the generating polynomial."""
-    verdicts = []
-    for r in range(1, r_max + 1):
+    name = "polynomial_derivative_recurrence"
+
+    def check(r, _):
         report = closed.check_eq2(r, max(n_max, 2))
-        verdicts.append(
+        return [
             properties.PropertyVerdict(
-                name="polynomial_derivative_recurrence",
+                name=name,
                 passed=report.passed,
                 r=r,
                 n=report.first_failure_n if not report.passed else report.n_max,
                 counterexample=report.detail,
             )
-        )
-    return verdicts
+        ]
+
+    return _run_points(name, _per_r(r_max), check)
 
 
 def suite_symmetry(r_max, n_max, workers=None) -> list:
     """Palindromic exc distribution, plus the involution elementwise."""
-    verdicts = []
-    for r, n in _sweep(r_max, n_max):
-        row = dist.exc_dist(r, n)
-        verdict = properties.check_symmetry_dist(row, r, n)
-        verdicts.append(verdict)
-        if GroupParams(r, n).size <= ELEMENTWISE_SUITE_CAP:
-            verdicts.append(properties.check_exc_complement(r, n))
-            verdicts.append(properties.check_involution(r, n))
-    return verdicts
+    name = "exc_complement_and_involution"
+
+    def check(r, n):
+        verdicts = [properties.check_symmetry_dist(dist.exc_dist(r, n), r, n)]
+        skipped = _over_cap(name, r, n, ELEMENTWISE_SUITE_CAP)
+        if skipped:
+            return verdicts + skipped
+        return verdicts + [
+            properties.check_exc_complement(r, n),
+            properties.check_involution(r, n),
+        ]
+
+    return _run_points(name, _sweep(r_max, n_max), check)
 
 
 def suite_logconcave(r_max, n_max, workers=None) -> list:
@@ -280,16 +323,19 @@ def suite_logconcave(r_max, n_max, workers=None) -> list:
     For r <= 2 this always holds; for larger r the verdicts carry an
     "empirical" suffix because they only certify the swept range.
     """
-    verdicts = []
-    for r, n in _sweep(r_max, n_max):
+
+    def check(r, n):
         row = dist.excA_dist(r, n)
         suffix = "" if r <= 2 else "_empirical"
-        for verdict in (
-            properties.is_log_concave(row, r, n),
-            properties.is_unimodal(row, r, n),
-        ):
-            verdicts.append(replace(verdict, name=f"excA_{verdict.name}{suffix}"))
-    return verdicts
+        return [
+            replace(verdict, name=f"excA_{verdict.name}{suffix}")
+            for verdict in (
+                properties.is_log_concave(row, r, n),
+                properties.is_unimodal(row, r, n),
+            )
+        ]
+
+    return _run_points("excA_shape", _sweep(r_max, n_max), check)
 
 
 _SUITES = {
@@ -303,44 +349,66 @@ _SUITES = {
 
 
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
+    """Verdicts and Skip entries of the named suite (or all), in sweep order."""
     names = SUITE_NAMES if suite == "all" else (suite,)
-    verdicts = []
+    entries = []
     for name in names:
-        verdicts.extend(_SUITES[name](r_max, n_max, workers=workers))
-    return verdicts
+        entries.extend(_SUITES[name](r_max, n_max, workers=workers))
+    return entries
 
 
-def _verdict_line(v) -> str:
-    line = ("PASS " if v.passed else "FAIL ") + v.name
-    if v.r is not None:
-        line += f" r={v.r}"
-    if v.n is not None:
-        line += f" n={v.n}"
-    if not v.passed and v.counterexample:
-        line += f": {v.counterexample}"
+def _entry_line(e) -> str:
+    if isinstance(e, Skip):
+        return f"SKIP {e.name} r={e.r} n={e.n}: {e.reason()}"
+    line = ("PASS " if e.passed else "FAIL ") + e.name
+    if e.r is not None:
+        line += f" r={e.r}"
+    if e.n is not None:
+        line += f" n={e.n}"
+    if not e.passed and e.counterexample:
+        line += f": {e.counterexample}"
     return line
 
 
 def cmd_check(args):
     check_params(args.r_max, args.n_max)
-    verdicts = run_suites(args.suite, args.r_max, args.n_max, workers=args.threads)
+    entries = run_suites(args.suite, args.r_max, args.n_max, workers=args.threads)
+    verdicts = [e for e in entries if not isinstance(e, Skip)]
+    skips = [e for e in entries if isinstance(e, Skip)]
     failed = [v for v in verdicts if not v.passed]
     obj = {
         "suite": args.suite,
         "r_max": args.r_max,
         "n_max": args.n_max,
         "verdicts": [v.to_json_obj() for v in verdicts],
-        "pass": not failed,
     }
+    if skips:
+        # Group orders outgrow JSON's exact integers, so they go as strings.
+        obj["skipped"] = [
+            {
+                "property": e.name,
+                "r": e.r,
+                "n": e.n,
+                "elements": str(e.size),
+                "cap": e.cap,
+            }
+            for e in skips
+        ]
+    obj["pass"] = not failed
     # The csv module writes None as an empty field.
     rows = [("property", "r", "n", "pass", "counterexample")] + [
-        (v.name, v.r, v.n, "true" if v.passed else "false", v.counterexample)
-        for v in verdicts
+        (e.name, e.r, e.n, "skip", e.reason())
+        if isinstance(e, Skip)
+        else (e.name, e.r, e.n, "true" if e.passed else "false", e.counterexample)
+        for e in entries
     ]
-    lines = [_verdict_line(v) for v in verdicts] + [
+    summary = (
         f"{len(verdicts)} checks, {len(verdicts) - len(failed)} passed, "
         f"{len(failed)} failed"
-    ]
+    )
+    if skips:
+        summary += f", {len(skips)} skipped"
+    lines = [_entry_line(e) for e in entries] + [summary]
     return (1 if failed else 0), obj, rows, "\n".join(lines) + "\n"
 
 

@@ -1,17 +1,31 @@
-"""Brute-force oracle: count statistics by enumerating whole groups.
+"""Brute-force oracle: count statistics by walking whole groups.
 
-This module never touches the recursion code.  It enumerates every
-element of Z_r wr S_n, computes each statistic from its definition
-(through stats.summarize, which re-asserts the decomposition identity on
-every element) and tallies exact counts:
+This module never touches the recursion code.  It visits every element
+of Z_r wr S_n, computes each statistic from its definition and tallies
+exact counts:
 
 * joint table of (color sum, exc_A),
 * joint table of (number of nonzero colors, exc_A),
 * the distribution of exc, tallied directly rather than derived.
 
-Work can be split across processes: the enumeration order groups
-elements by the first window value, so the n slices are disjoint,
-cover the group, and merge by plain addition.
+For each underlying permutation tau the r**n color words are walked in
+reflected Gray-code order, so consecutive elements differ in one
+position's color by +-1 and every statistic changes by an O(1) update:
+
+* exc from a per-position table that counts, by the letter order itself,
+  how many of the letters i^0, ..., i^(r-1) are exceeded by their images
+  when position i holds tau(i) with color c;
+* exc_A from its per-position indicator (c_i = 0, tau(i) > i, i < n);
+* csum and the nonzero-color count from the color that changed.
+
+Every element is checked against the decomposition identity
+exc = r*exc_A + csum and the range bounds, and at the all-zero color
+word of each tau the walk's three statistics must equal those of
+stats.summarize, which scans all r*n letters.  Any disagreement raises
+AssertionError.
+
+Work can be split across processes: slices by the first window value
+are disjoint, cover the group, and merge by plain addition.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .perm import GroupParams, enumerate_group
+from .perm import ColoredLetter, ColoredPermutation, GroupParams, value_words
 from .stats import summarize
 from .tables import JointTable
 
@@ -52,21 +66,121 @@ class TableDiff(NamedTuple):
     right: int
 
 
+def _gray_walk(r: int, n: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """Reflected Gray code on n digits in base r, as a list of steps.
+
+    Step (i, old, new, word) changes digit i from old to new = old +- 1
+    and arrives at word.  From the all-zero word, the r**n - 1 steps visit
+    every word of {0..r-1}^n exactly once (Knuth, TAOCP 4A, 7.2.1.1).
+    Digit 0 changes fastest.
+    """
+    moves: list[tuple[int, int]] = []
+    for position in range(n):
+        # Raise the new digit 0 -> r-1, walking the lower digits backwards
+        # and forwards in turn between its moves.
+        back = [(i, -d) for i, d in reversed(moves)]
+        walk = list(moves)
+        for value in range(1, r):
+            walk.append((position, 1))
+            walk.extend(back if value % 2 else moves)
+        moves = walk
+    word = [0] * n
+    steps = []
+    for i, d in moves:
+        old = word[i]
+        word[i] = old + d
+        steps.append((i, old, old + d, tuple(word)))
+    return steps
+
+
+def _position_table(r: int, n: int) -> list[list[tuple[int, ...]]]:
+    """table[i][v - 1][c]: exceeded letters at position i + 1.
+
+    Counts the letters x = (i+1)^b, b in 0..r-1, with pi(x) > x in the
+    letter order when the window holds v^c at position i + 1, so that
+    pi(x) = v^((c + b) mod r).
+    """
+    # rank[v][c]: place of the letter v^c in the letter order.
+    rank = [[0] * r for _ in range(n + 1)]
+    letters = (ColoredLetter(v, c) for v in range(1, n + 1) for c in range(r))
+    for place, x in enumerate(sorted(letters)):
+        rank[x.value][x.color] = place
+    table = []
+    for i in range(1, n + 1):
+        rows = []
+        for v in range(1, n + 1):
+            row = [0] * r
+            for b, x in enumerate(rank[i]):
+                # The image of i^b is v^d where d = (c + b) mod r.
+                for d, image in enumerate(rank[v]):
+                    if image > x:
+                        row[(d - b) % r] += 1
+            rows.append(tuple(row))
+        table.append(rows)
+    return table
+
+
 def _count_slice(r: int, n: int, first_value: int | None):
-    """Tally one enumeration slice; returns plain dicts and a list."""
-    by_csum: dict[tuple[int, int], int] = {}
-    by_colored: dict[tuple[int, int], int] = {}
+    """Tally one first-value slice (or the whole group for None).
+
+    Returns flat lists: by_csum[csum*n + exc_A], by_colored[colored*n +
+    exc_A] and exc_row[exc].
+    """
+    steps = _gray_walk(r, n)
+    table = _position_table(r, n)
+    exc_max, excA_max, csum_max = r * n - 1, n - 1, (r - 1) * n
+    by_csum = [0] * ((csum_max + 1) * n)
+    by_colored = [0] * ((n + 1) * n)
     exc_row = [0] * (r * n)
-    params = GroupParams(r, n)
-    for p in enumerate_group(params, first_value=first_value):
-        s = summarize(p)
-        key = (s.csum, s.exc_A)
-        by_csum[key] = by_csum.get(key, 0) + 1
-        colored = n - p.colors.count(0)
-        key = (colored, s.exc_A)
-        by_colored[key] = by_colored.get(key, 0) + 1
-        exc_row[s.exc] += 1
+    zeros = (0,) * n
+
+    for tau in value_words(n, first_value):
+        exceeded = [table[i][v - 1] for i, v in enumerate(tau)]
+        up = [int(i < n - 1 and v > i + 1) for i, v in enumerate(tau)]
+        exc = sum(row[0] for row in exceeded)
+        excA = sum(up)
+        s = summarize(ColoredPermutation._from_trusted(r, tau, zeros))
+        if (s.exc, s.exc_A, s.csum) != (exc, excA, 0):
+            raise AssertionError(
+                f"Gray walk disagrees with summarize at {s.perm}: "
+                f"(exc, exc_A, csum) = {(exc, excA, 0)} != "
+                f"{(s.exc, s.exc_A, s.csum)}"
+            )
+        csum = colored = 0
+        by_csum[excA] += 1
+        by_colored[excA] += 1
+        exc_row[exc] += 1
+        for i, old, new, word in steps:
+            row = exceeded[i]
+            exc += row[new] - row[old]
+            if not old:
+                excA -= up[i]
+                colored += 1
+            elif not new:
+                excA += up[i]
+                colored -= 1
+            csum += new - old
+            # exc >= 0 follows from the identity and the other bounds.
+            if exc != r * excA + csum or not (
+                0 <= excA <= excA_max and 0 <= csum <= csum_max and exc <= exc_max
+            ):
+                p = ColoredPermutation._from_trusted(r, tau, word)
+                raise AssertionError(
+                    f"exc = r*exc_A + csum or a range bound violated for {p}: "
+                    f"exc={exc}, exc_A={excA}, csum={csum}"
+                )
+            by_csum[csum * n + excA] += 1
+            by_colored[colored * n + excA] += 1
+            exc_row[exc] += 1
     return by_csum, by_colored, exc_row
+
+
+def _fill(table: JointTable, flat: list[int]) -> JointTable:
+    """Add the counts of a flat tally (index i*n + k) into a joint table."""
+    for index, count in enumerate(flat):
+        if count:
+            table.add(*divmod(index, table.n), count)
+    return table
 
 
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
@@ -88,7 +202,6 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
         )
     started = time.perf_counter()
     if workers is not None and workers > 1 and n > 1:
-        slices = []
         with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             slices = list(
                 pool.map(_count_slice, [r] * n, [n] * n, range(1, n + 1))
@@ -96,24 +209,13 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     else:
         slices = [_count_slice(r, n, None)]
 
-    by_csum: dict[tuple[int, int], int] = {}
-    by_colored: dict[tuple[int, int], int] = {}
-    exc_row = [0] * (r * n)
-    for slice_csum, slice_colored, slice_exc in slices:
-        for key, count in slice_csum.items():
-            by_csum[key] = by_csum.get(key, 0) + count
-        for key, count in slice_colored.items():
-            by_colored[key] = by_colored.get(key, 0) + count
-        for k, count in enumerate(slice_exc):
-            exc_row[k] += count
+    by_csum, by_colored, exc_row = (
+        [sum(counts) for counts in zip(*parts)] for parts in zip(*slices)
+    )
     elapsed = time.perf_counter() - started
 
-    table_csum = JointTable(r, n)
-    for (i, k), count in by_csum.items():
-        table_csum.add(i, k, count)
-    table_colored = JointTable(r, n)
-    for (i, k), count in by_colored.items():
-        table_colored.add(i, k, count)
+    table_csum = _fill(JointTable(r, n), by_csum)
+    table_colored = _fill(JointTable(r, n), by_colored)
     return OracleReport(
         r=r,
         n=n,

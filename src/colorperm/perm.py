@@ -174,13 +174,6 @@ class ColoredPermutation:
         return GroupParams(self.r, self.n)
 
     @property
-    def window(self) -> tuple[ColoredLetter, ...]:
-        """The window (pi(1), ..., pi(n)) as colored letters."""
-        return tuple(
-            ColoredLetter(v, c) for v, c in zip(self.values, self.colors)
-        )
-
-    @property
     def z_vector(self) -> tuple[int, ...]:
         """Colors indexed by image value: z_j = -c_{tau^-1(j)} mod r.
 
@@ -275,14 +268,17 @@ def inverse(p: ColoredPermutation) -> ColoredPermutation:
     return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
 
 
-_TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+# ASCII digits only and no leading zeros: other Unicode digits and "01" are
+# malformed tokens.
+_TOKEN_RE = re.compile(r"^(0|[1-9][0-9]*)(?:\^(0|[1-9][0-9]*))?$")
 
 
 def parse_window(text: str, r: int) -> ColoredPermutation:
     """Parse window notation like ``3,1^1,2^2`` into an element of Z_r wr S_n.
 
     n is the number of comma-separated tokens.  Each token is ``v`` or
-    ``v^c`` with 1 <= v <= n and 0 <= c <= r-1; omitted colors are 0.
+    ``v^c`` with 1 <= v <= n and 0 <= c <= r-1, written in ASCII digits
+    without leading zeros; omitted colors are 0.
     Raises a subclass of WindowParseError naming the offending token.
     """
     check_params(r)
@@ -336,18 +332,23 @@ def enumerate_group(
     first_value = 1..n are contiguous blocks of the full enumeration, so
     concatenating them reproduces it.
     """
-    r, n = params.r, params.n
-    color_words = list(itertools.product(range(r), repeat=n))
+    r = params.r
+    color_words = list(itertools.product(range(r), repeat=params.n))
     make = ColoredPermutation._from_trusted
-    if first_value is None:
-        value_words = itertools.permutations(range(1, n + 1))
-    else:
-        if not 1 <= first_value <= n:
-            raise ValueError(f"first_value {first_value} is not in 1..{n}")
-        rest = [v for v in range(1, n + 1) if v != first_value]
-        value_words = (
-            (first_value,) + tail for tail in itertools.permutations(rest)
-        )
-    for values in value_words:
+    for values in value_words(params.n, first_value):
         for colors in color_words:
             yield make(r, values, colors)
+
+
+def value_words(n: int, first_value: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Permutations of 1..n as tuples, in lexicographic order.
+
+    With ``first_value`` set, only those starting with that value: the
+    n slices are contiguous blocks of the full order.
+    """
+    if first_value is None:
+        return itertools.permutations(range(1, n + 1))
+    if not 1 <= first_value <= n:
+        raise ValueError(f"first_value {first_value} is not in 1..{n}")
+    rest = [v for v in range(1, n + 1) if v != first_value]
+    return ((first_value,) + tail for tail in itertools.permutations(rest))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from colorperm import cli, oracle, properties
 from colorperm.cli import main
 
 #: Exit status and stdout of every subcommand in every format at small
@@ -56,6 +57,12 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert "error:" in err and "token 2" in err
+
+    @pytest.mark.parametrize("window", ["\u0663,1,2", "1^01,2"])
+    def test_non_ascii_or_non_canonical_number_exits_2(self, capsys, window):
+        code, out, err = run_cli(capsys, "stats", "--r", "2", window)
+        assert (code, out) == (2, "")
+        assert "error:" in err and "token 1" in err and "Traceback" not in err
 
     def test_color_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--r", "2", "1^5,2")
@@ -226,6 +233,71 @@ class TestCheck:
         lines = out.splitlines()
         assert lines[0] == "property,r,n,pass,counterexample"
         assert all(",true," in line for line in lines[1:])
+
+    def test_point_above_the_cap_prints_a_skip_line(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "8", "--suite", "recursion"
+        )
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[-2:] == [
+            "SKIP dp_matches_enumeration r=2 n=8: 10321920 elements above the cap 1000000",
+            "30 checks, 30 passed, 0 failed, 1 skipped",
+        ]
+
+    def test_skips_in_json_and_csv(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
+        argv = ("check", "--r-max", "2", "--n-max", "3", "--suite", "lemma")
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        obj = json.loads(out)
+        assert obj["pass"] is True and len(obj["verdicts"]) == 5
+        assert obj["skipped"] == [
+            {
+                "property": "lemma_exc_decomposition",
+                "r": 2,
+                "n": 3,
+                "elements": "48",
+                "cap": 10,
+            }
+        ]
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[-1] == (
+            "lemma_exc_decomposition,2,3,skip,48 elements above the cap 10"
+        )
+
+    def test_symmetry_reports_skipped_elementwise_checks(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ELEMENTWISE_SUITE_CAP", 2)
+        code, out, _ = run_cli(
+            capsys, "check", "--r-max", "1", "--n-max", "3", "--suite", "symmetry"
+        )
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "PASS exc_distribution_palindrome r=1 n=3",
+            "SKIP exc_complement_and_involution r=1 n=3: 6 elements above the cap 2",
+            "7 checks, 7 passed, 0 failed, 1 skipped",
+        ]
+
+    @pytest.mark.parametrize(
+        "module, suite, name",
+        [
+            (cli, "lemma", "lemma_exc_decomposition"),
+            (oracle, "recursion", "dp_matches_enumeration"),
+            (properties, "symmetry", "exc_complement_and_involution"),
+        ],
+    )
+    def test_assertion_in_a_suite_is_a_fail_line(
+        self, capsys, monkeypatch, module, suite, name
+    ):
+        def broken(p):
+            raise AssertionError("injected")
+
+        monkeypatch.setattr(module, "summarize", broken)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "1", "--n-max", "2", "--suite", suite
+        )
+        assert code == 1 and err == ""
+        assert f"FAIL {name} r=1 n=2: injected" in out.splitlines()
+        assert out.splitlines()[-1].endswith(" failed") and " 0 failed" not in out
 
     @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
     def test_empty_sweep_is_usage_error(self, capsys, flag):

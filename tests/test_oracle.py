@@ -1,6 +1,7 @@
 """Brute-force enumeration tallies and table comparison."""
 
 import ast
+import itertools
 from math import factorial
 from pathlib import Path
 
@@ -14,7 +15,22 @@ from colorperm.oracle import (
     compare,
 )
 from colorperm import oracle
+from colorperm.perm import GroupParams, enumerate_group
+from colorperm.stats import summarize
 from colorperm.tables import JointTable
+
+
+def reference_slice(r, n, first_value):
+    """_count_slice's flat tallies, built from enumerate_group and summarize."""
+    by_csum = [0] * (((r - 1) * n + 1) * n)
+    by_colored = [0] * ((n + 1) * n)
+    exc_row = [0] * (r * n)
+    for p in enumerate_group(GroupParams(r, n), first_value=first_value):
+        s = summarize(p)
+        by_csum[s.csum * n + s.exc_A] += 1
+        by_colored[(n - p.colors.count(0)) * n + s.exc_A] += 1
+        exc_row[s.exc] += 1
+    return by_csum, by_colored, exc_row
 
 
 class TestBruteTables:
@@ -95,6 +111,59 @@ class TestBruteTables:
 
     def test_elapsed_recorded(self):
         assert brute_tables(2, 2).elapsed_seconds >= 0.0
+
+
+class TestGrayWalk:
+    @pytest.mark.parametrize(
+        "r, n", [(1, 1), (1, 4), (2, 1), (5, 1), (2, 4), (3, 3), (4, 2)]
+    )
+    def test_visits_every_word_once_by_unit_steps(self, r, n):
+        steps = oracle._gray_walk(r, n)
+        words = [(0,) * n] + [word for *_, word in steps]
+        assert sorted(words) == list(itertools.product(range(r), repeat=n))
+        for before, (i, old, new, word) in zip(words, steps):
+            assert abs(new - old) == 1
+            assert (before[i], word[i]) == (old, new)
+            assert before[:i] + before[i + 1 :] == word[:i] + word[i + 1 :]
+
+
+class TestIncrementalWalk:
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 1), (2, 5), (3, 4), (4, 3)])
+    def test_matches_summarize_tally_on_every_slice(self, r, n):
+        assert oracle._count_slice(r, n, None) == reference_slice(r, n, None)
+        for first in range(1, n + 1):
+            assert oracle._count_slice(r, n, first) == reference_slice(r, n, first)
+
+    def test_summarize_assertion_propagates(self, monkeypatch):
+        def broken(p):
+            raise AssertionError("injected")
+
+        monkeypatch.setattr(oracle, "summarize", broken)
+        with pytest.raises(AssertionError, match="injected"):
+            brute_tables(2, 3)
+
+    @pytest.mark.parametrize(
+        "color, caught_by",
+        [(0, "disagrees with summarize"), (1, r"exc = r\*exc_A \+ csum")],
+    )
+    def test_off_by_one_in_position_table_is_caught(
+        self, monkeypatch, color, caught_by
+    ):
+        # Negative control: one exceeded count too many where position 1
+        # holds value 2.  At color 0 the per-tau summarize anchor sees it;
+        # at color 1 only the per-element identity check can.
+        build = oracle._position_table
+
+        def skewed(r, n):
+            table = build(r, n)
+            row = list(table[0][1])
+            row[color] += 1
+            table[0][1] = tuple(row)
+            return table
+
+        monkeypatch.setattr(oracle, "_position_table", skewed)
+        with pytest.raises(AssertionError, match=caught_by):
+            brute_tables(2, 3)
 
 
 class TestCompare:

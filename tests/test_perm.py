@@ -84,7 +84,11 @@ class TestParseFormat:
         p = parse_window(" 2 , 1^1 ", r=2)
         assert format_window(p) == "2,1^1"
 
-    @pytest.mark.parametrize("text", ["", "x", "1,", "^1", "1^", "1^^1", "1.5,2", "1 2"])
+    @pytest.mark.parametrize(
+        "text",
+        # The last four are a non-ASCII digit and non-canonical numbers.
+        ["", "x", "1,", "^1", "1^", "1^^1", "1.5,2", "1 2", "\u0663,1,2", "1^01,2", "01,2", "2,1^00"],
+    )
     def test_malformed_tokens(self, text):
         with pytest.raises(MalformedTokenError):
             parse_window(text, r=2)
