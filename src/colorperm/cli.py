@@ -248,33 +248,40 @@ def suite_closed(r_max, n_max, workers=None) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
     name = "excA_distribution_agreement"
 
+    def agreement(r, n, table):
+        rows = {
+            "recurrence": dist.excA_dist(r, n, method="recurrence"),
+            "sum-joint": table.d_row(),
+            "closed": [closed.D_closed(r, n).coeff(k) for k in range(n)],
+            "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
+        }
+        baseline = rows["recurrence"]
+        bad = next(
+            (method for method, row in rows.items() if row != baseline), None
+        )
+        return [
+            properties.PropertyVerdict(
+                name=name,
+                passed=bad is None,
+                r=r,
+                n=n,
+                counterexample=(
+                    None
+                    if bad is None
+                    else f"{bad} row {rows[bad]} != recurrence row {baseline}"
+                ),
+            )
+        ]
+
     def check(r, _):
+        # The joint tables come one n at a time from a single DP run per
+        # r; each n is still its own point, so a crash names it.
         verdicts = []
         for n, table in zip(
             range(1, n_max + 1), dist.iter_joint_tables(r, n_max)
         ):
-            rows = {
-                "recurrence": dist.excA_dist(r, n, method="recurrence"),
-                "sum-joint": table.d_row(),
-                "closed": [closed.D_closed(r, n).coeff(k) for k in range(n)],
-                "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
-            }
-            baseline = rows["recurrence"]
-            bad = next(
-                (method for method, row in rows.items() if row != baseline), None
-            )
-            verdicts.append(
-                properties.PropertyVerdict(
-                    name=name,
-                    passed=bad is None,
-                    r=r,
-                    n=n,
-                    counterexample=(
-                        None
-                        if bad is None
-                        else f"{bad} row {rows[bad]} != recurrence row {baseline}"
-                    ),
-                )
+            verdicts += _run_points(
+                name, [(r, n)], lambda r, n: agreement(r, n, table)
             )
         return verdicts
 

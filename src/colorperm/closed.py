@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import zip_longest
 from math import comb, factorial
 
 from .perm import check_params
@@ -43,9 +44,9 @@ def stirling2(n: int, j: int) -> int:
 class IntPolynomial:
     """A polynomial in one variable t with integer coefficients.
 
-    Coefficients are stored ascending by degree with trailing zeros
-    stripped; the zero polynomial has no coefficients.  Arithmetic is
-    exact and accepts plain ints as scalars.
+    The result type of the closed forms.  Coefficients are stored
+    ascending by degree with trailing zeros stripped; the zero polynomial
+    has no coefficients.
     """
 
     __slots__ = ("coeffs",)
@@ -67,78 +68,10 @@ class IntPolynomial:
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, IntPolynomial):
-            return other
-        if isinstance(other, int):
-            return IntPolynomial((other,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return IntPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not (isinstance(e, int) and e >= 0):
-            raise ValueError(f"exponent must be an integer >= 0, got {e!r}")
-        out = IntPolynomial((1,))
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int and Fraction inputs."""
@@ -179,22 +112,29 @@ class IntPolynomial:
         return self.render()
 
 
-#: The variable t as a polynomial.
-T = IntPolynomial((0, 1))
+def _mul(a, b) -> list[int]:
+    """Product of two coefficient lists, both ascending by degree."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
 
 
 def D_closed(r: int, n: int) -> IntPolynomial:
     """Generating polynomial of exc_A over Z_r wr S_n, by the Stirling form."""
     check_params(r, n)
-    down_powers = [IntPolynomial((1,))]  # (1 - t)^e for e = 0..n-1
+    down_powers = [[1]]  # (1 - t)^e for e = 0..n-1
     for _ in range(n - 1):
-        down_powers.append(down_powers[-1] * (1 - T))
-    total = IntPolynomial()
-    up = IntPolynomial((1,))  # (t + r - 1)^(j-1)
+        down_powers.append(_mul(down_powers[-1], [1, -1]))
+    total = [0] * n
+    up = [1]  # (t + r - 1)^(j-1)
     for j in range(1, n + 1):
-        total = total + factorial(j) * stirling2(n, j) * up * down_powers[n - j]
-        up = up * (T + (r - 1))
-    return r * total
+        weight = r * factorial(j) * stirling2(n, j)
+        for k, c in enumerate(_mul(up, down_powers[n - j])):
+            total[k] += weight * c
+        up = _mul(up, [r - 1, 1])
+    return IntPolynomial(total)
 
 
 def d_explicit(r: int, n: int, k: int) -> int:
@@ -236,10 +176,18 @@ def check_eq2(r: int, n_max: int) -> Eq2Report:
     failure, if any.
     """
     check_params(r, n_max)
+    t_minus_1 = [-1, 1]
+    quadratic = _mul(t_minus_1, [r - 1, 1])  # (t-1)(t+r-1)
     prev = D_closed(r, 1)
     for n in range(2, n_max + 1):
         lhs = D_closed(r, n)
-        rhs = (r * n + (n - 1) * (T - 1)) * prev - (T - 1) * (T + (r - 1)) * prev.derivative()
+        linear = _mul([n - 1], t_minus_1)  # rn + (n-1)(t-1)
+        linear[0] += r * n
+        plus = _mul(linear, prev.coeffs)
+        minus = _mul(quadratic, prev.derivative().coeffs)
+        rhs = IntPolynomial(
+            a - b for a, b in zip_longest(plus, minus, fillvalue=0)
+        )
         if lhs != rhs:
             return Eq2Report(
                 r=r,

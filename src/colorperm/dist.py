@@ -182,21 +182,18 @@ class InitialConditionDiagnostic:
 
 
 def initial_condition_diagnostic(
-    r: int, n: int, report=None
+    r: int, n: int, report
 ) -> InitialConditionDiagnostic:
     """Test which k = 0 column the closed formula reproduces.
 
-    ``report`` is an OracleReport for (r, n); if omitted, the group is
-    enumerated here.  The two candidate columns are the k = 0 columns of
-    the brute-force joint tables by color sum and by number of nonzero
-    colors.  The diagnostic also checks that the formula values sum to
-    the total number of exc_A-free elements, d(r, n, 0).
+    ``report`` is an OracleReport for (r, n), made by the caller so that
+    this module never reaches the oracle.  The two candidate columns are
+    the k = 0 columns of the brute-force joint tables by color sum and by
+    number of nonzero colors.  The diagnostic also checks that the
+    formula values sum to the total number of exc_A-free elements,
+    d(r, n, 0).
     """
     check_params(r, n)
-    if report is None:
-        from .oracle import brute_tables
-
-        report = brute_tables(r, n)
     if report.r != r or report.n != n:
         raise ValueError(
             f"report is for (r={report.r}, n={report.n}), expected (r={r}, n={n})"

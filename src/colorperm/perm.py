@@ -19,10 +19,6 @@ each color:
     1^{r-1} < ... < n^{r-1} < ... < 1^1 < ... < n^1 < 1 < 2 < ... < n
 
 The minimum letter is 1^{r-1} and the maximum is n with color 0.
-
-Every element also has a "color vector" presentation (z_1, ..., z_n; tau)
-in which z_j is the color attached to the image value j rather than to the
-source position; see ``ColoredPermutation.z_vector``.
 """
 
 from __future__ import annotations
@@ -61,10 +57,6 @@ class ColorOutOfRangeError(WindowParseError):
 
 class DuplicateValueError(WindowParseError):
     """Two tokens carry the same value."""
-
-
-class ParamsMismatchError(ValueError):
-    """Two elements from different groups were combined."""
 
 
 def check_params(r: int, n: int = 1) -> None:
@@ -173,37 +165,6 @@ class ColoredPermutation:
     def params(self) -> GroupParams:
         return GroupParams(self.r, self.n)
 
-    @property
-    def z_vector(self) -> tuple[int, ...]:
-        """Colors indexed by image value: z_j = -c_{tau^-1(j)} mod r.
-
-        This is the color vector of the (z_1, ..., z_n; tau) presentation,
-        in which the product rule reads
-
-            (z; tau) * (z'; tau') = (z_i + z'_{tau^-1(i)}; tau o tau')
-
-        and the window colors of an element are the z-vector of its inverse.
-        """
-        r = self.r
-        z = [0] * self.n
-        for i, v in enumerate(self.values):
-            z[v - 1] = -self.colors[i] % r
-        return tuple(z)
-
-    def inverse(self) -> "ColoredPermutation":
-        return inverse(self)
-
-    def __invert__(self):
-        return inverse(self)
-
-    def __mul__(self, other):
-        if not isinstance(other, ColoredPermutation):
-            return NotImplemented
-        return multiply(self, other)
-
-    def __call__(self, letter: ColoredLetter) -> ColoredLetter:
-        return apply_extended(self, letter)
-
     def __eq__(self, other):
         if not isinstance(other, ColoredPermutation):
             return NotImplemented
@@ -223,14 +184,6 @@ class ColoredPermutation:
         return format_window(self)
 
 
-def identity(params: GroupParams) -> ColoredPermutation:
-    """The identity element of Z_r wr S_n."""
-    n = params.n
-    return ColoredPermutation._from_trusted(
-        params.r, tuple(range(1, n + 1)), (0,) * n
-    )
-
-
 def apply_extended(p: ColoredPermutation, letter: ColoredLetter) -> ColoredLetter:
     """Image of a letter of the extended alphabet under p."""
     v, b = letter.value, letter.color
@@ -239,33 +192,6 @@ def apply_extended(p: ColoredPermutation, letter: ColoredLetter) -> ColoredLette
     if not (isinstance(b, int) and 0 <= b < p.r):
         raise ValueError(f"letter color {b!r} is not in 0..{p.r - 1}")
     return ColoredLetter(p.values[v - 1], (p.colors[v - 1] + b) % p.r)
-
-
-def multiply(a: ColoredPermutation, b: ColoredPermutation) -> ColoredPermutation:
-    """Composition a after b: (a*b)(x) = a(b(x)) on the extended alphabet."""
-    if a.r != b.r or a.n != b.n:
-        raise ParamsMismatchError(
-            f"cannot multiply elements of Z_{a.r} wr S_{a.n} and Z_{b.r} wr S_{b.n}"
-        )
-    r = a.r
-    av, ac = a.values, a.colors
-    values = []
-    colors = []
-    for v, c in zip(b.values, b.colors):
-        values.append(av[v - 1])
-        colors.append((c + ac[v - 1]) % r)
-    return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
-
-
-def inverse(p: ColoredPermutation) -> ColoredPermutation:
-    """The group inverse of p."""
-    r = p.r
-    values = [0] * p.n
-    colors = [0] * p.n
-    for i, v in enumerate(p.values):
-        values[v - 1] = i + 1
-        colors[v - 1] = -p.colors[i] % r
-    return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
 
 
 # ASCII digits only and no leading zeros: other Unicode digits and "01" are

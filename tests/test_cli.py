@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from colorperm import cli, oracle, properties
+from colorperm import cli, closed, oracle, properties
 from colorperm.cli import main
 
 #: Exit status and stdout of every subcommand in every format at small
@@ -298,6 +298,49 @@ class TestCheck:
         assert code == 1 and err == ""
         assert f"FAIL {name} r=1 n=2: injected" in out.splitlines()
         assert out.splitlines()[-1].endswith(" failed") and " 0 failed" not in out
+
+    @pytest.mark.parametrize(
+        "suite, first_fail",
+        [
+            # d_explicit's own nonnegativity assertion trips first; the
+            # crash becomes a FAIL at that n and the sweep goes on to n = 4.
+            (
+                "closed",
+                "FAIL excA_distribution_agreement r=1 n=3: "
+                "d(1, 3, 2) evaluated negative: -1",
+            ),
+            ("eq2", "FAIL polynomial_derivative_recurrence r=1 n=3: n=3: "),
+        ],
+        ids=["closed", "eq2"],
+    )
+    def test_stirling_fault_is_caught_at_its_first_n(
+        self, capsys, monkeypatch, suite, first_fail
+    ):
+        exact = closed.stirling2
+        exact.cache_clear()
+        # Off by one at S(3, 2); the exact triangle recurses through the
+        # module name, so every S(n, 2) above it inherits the fault.
+        monkeypatch.setattr(
+            closed,
+            "stirling2",
+            lambda n, j: exact(n, j) + (1 if (n, j) == (3, 2) else 0),
+        )
+        try:
+            code, out, err = run_cli(
+                capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", suite
+            )
+        finally:
+            exact.cache_clear()
+        lines = out.splitlines()
+        first = next(line for line in lines if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert first.startswith(first_fail)
+        if suite == "closed":
+            assert "PASS excA_distribution_agreement r=1 n=2" in lines
+            assert any(
+                line.startswith("FAIL excA_distribution_agreement r=1 n=4")
+                for line in lines
+            )
 
     @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
     def test_empty_sweep_is_usage_error(self, capsys, flag):

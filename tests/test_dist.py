@@ -190,3 +190,9 @@ class TestInitialCondition:
     def test_diagnostic_rejects_wrong_report(self, oracle_cache):
         with pytest.raises(ValueError):
             initial_condition_diagnostic(2, 3, oracle_cache.get(2, 4))
+
+    def test_diagnostic_does_not_enumerate_by_itself(self):
+        # The brute-force columns come from the caller's oracle report;
+        # the recursion route never runs the oracle.
+        with pytest.raises(TypeError):
+            initial_condition_diagnostic(2, 3)

@@ -1,6 +1,4 @@
-"""Group structure, window notation and the extended-alphabet action."""
-
-import itertools
+"""Group parameters, letter order, window notation and the extended-alphabet action."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,15 +10,11 @@ from colorperm.perm import (
     DuplicateValueError,
     GroupParams,
     MalformedTokenError,
-    ParamsMismatchError,
     ValueOutOfRangeError,
     apply_extended,
     enumerate_group,
     format_window,
-    identity,
-    inverse,
     iter_alphabet,
-    multiply,
     parse_window,
 )
 
@@ -188,81 +182,6 @@ class TestExtendedAction:
                 y_up = apply_extended(p, x_up)
                 assert y_up.value == y.value
                 assert y_up.color == (y.color + 1) % 3
-
-
-class TestGroupLaws:
-    def test_identity_window(self):
-        e = identity(GroupParams(3, 4))
-        assert format_window(e) == "1,2,3,4"
-
-    def test_identity_neutral(self):
-        e = identity(GroupParams(2, 3))
-        for p in all_elements(2, 3):
-            assert multiply(e, p) == p
-            assert multiply(p, e) == p
-
-    def test_multiply_is_composition_of_actions(self):
-        letters = list(iter_alphabet(GroupParams(3, 2)))
-        elements = all_elements(3, 2)
-        for a in elements:
-            for b in elements:
-                ab = multiply(a, b)
-                for x in letters:
-                    assert apply_extended(ab, x) == apply_extended(
-                        a, apply_extended(b, x)
-                    )
-
-    def test_inverse_laws(self):
-        e = identity(GroupParams(3, 2))
-        for p in all_elements(3, 2):
-            q = inverse(p)
-            assert multiply(p, q) == e
-            assert multiply(q, p) == e
-            assert inverse(q) == p
-
-    def test_associativity_sample(self):
-        elements = all_elements(2, 2)
-        for a, b, c in itertools.product(elements, repeat=3):
-            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
-
-    def test_operator_sugar(self):
-        p = parse_window("2^1,1", r=2)
-        assert p * inverse(p) == identity(GroupParams(2, 2))
-        assert ~p == inverse(p)
-        assert p(ColoredLetter(1, 0)) == ColoredLetter(2, 1)
-
-    def test_params_mismatch(self):
-        with pytest.raises(ParamsMismatchError):
-            multiply(parse_window("1,2", r=2), parse_window("1,2", r=3))
-        with pytest.raises(ParamsMismatchError):
-            multiply(parse_window("1,2", r=2), parse_window("1,2,3", r=2))
-
-
-class TestZVector:
-    def test_window_colors_are_z_of_inverse(self):
-        for r, n in [(2, 3), (3, 2), (4, 2)]:
-            for p in all_elements(r, n):
-                assert p.colors == inverse(p).z_vector
-                assert p.z_vector == inverse(p).colors
-
-    def test_product_rule(self):
-        # In the (z; tau) presentation the product adds z-vectors after
-        # transporting the right factor's by the left one's permutation.
-        for r, n in [(2, 2), (3, 2)]:
-            elements = all_elements(r, n)
-            for a in elements:
-                inv_a = inverse(a)
-                for b in elements:
-                    ab = multiply(a, b)
-                    za, zb, zab = a.z_vector, b.z_vector, ab.z_vector
-                    for j in range(1, n + 1):
-                        transported = zb[inv_a.values[j - 1] - 1]
-                        assert zab[j - 1] == (za[j - 1] + transported) % r
-                    for j in range(1, n + 1):
-                        assert ab.values[j - 1] == a.values[b.values[j - 1] - 1]
-
-    def test_identity_z(self):
-        assert identity(GroupParams(3, 3)).z_vector == (0, 0, 0)
 
 
 class TestEnumeration:

@@ -8,7 +8,6 @@ from colorperm.perm import (
     ColoredPermutation,
     GroupParams,
     enumerate_group,
-    identity,
     parse_window,
 )
 from colorperm.stats import csum, exc, exc_A, summarize
@@ -40,7 +39,7 @@ class TestWorkedExamples:
         assert csum(p) == 4
 
     def test_identity_scores_zero(self):
-        s = summarize(identity(GroupParams(3, 4)))
+        s = summarize(parse_window("1,2,3,4", r=3))
         assert (s.exc, s.exc_A, s.csum) == (0, 0, 0)
         assert s.exc_set == frozenset()
         assert s.exc_A_set == frozenset()
