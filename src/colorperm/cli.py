@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 from . import closed, dist, oracle, properties
@@ -251,7 +252,7 @@ def suite_closed(r_max, n_max, workers=None) -> list:
     def agreement(r, n, table):
         rows = {
             "recurrence": dist.excA_dist(r, n, method="recurrence"),
-            "sum-joint": table.d_row(),
+            "joint": table.d_row(),
             "closed": [closed.D_closed(r, n).coeff(k) for k in range(n)],
             "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
         }
@@ -419,14 +420,11 @@ def cmd_check(args):
     return (1 if failed else 0), obj, rows, "\n".join(lines) + "\n"
 
 
-def _worker_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {text!r}")
-    return count
+def _decimal(text: str, least: int = 0) -> int:
+    """argparse type of the integer options: unlike int(), ASCII digits only."""
+    if not (text.isascii() and text.isdigit() and int(text) >= least):
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal >= {least}: {text!r}")
+    return int(text)
 
 
 def _add_output_options(parser):
@@ -445,16 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Excedance statistics and distributions on colored permutation groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    workers = partial(_decimal, least=1)
 
     p = sub.add_parser("stats", help="statistics of one element")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
+    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
     p.add_argument("window", help="window notation, e.g. 3,1^1,2^2")
     _add_output_options(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("dist", help="distribution of a statistic over a group")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
-    p.add_argument("--n", type=int, required=True, help="degree")
+    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
+    p.add_argument("--n", type=_decimal, required=True, help="degree")
     p.add_argument(
         "--target",
         choices=("exc", "excA"),
@@ -468,14 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="brute enumeration, insertion recursions, closed form or explicit sum",
     )
     p.add_argument(
-        "--threads", type=_worker_count, help="worker processes for brute enumeration"
+        "--threads", type=workers, help="worker processes for brute enumeration"
     )
     _add_output_options(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("joint", help="joint (csum, exc_A) table over a group")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
-    p.add_argument("--n", type=int, required=True, help="degree")
+    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
+    p.add_argument("--n", type=_decimal, required=True, help="degree")
     p.add_argument(
         "--method",
         choices=("brute", "dp"),
@@ -483,26 +482,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="brute enumeration or insertion recursions",
     )
     p.add_argument(
-        "--threads", type=_worker_count, help="worker processes for brute enumeration"
+        "--threads", type=workers, help="worker processes for brute enumeration"
     )
     _add_output_options(p)
     p.set_defaults(func=cmd_joint)
 
     p = sub.add_parser("poly", help="generating polynomial of exc_A")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
-    p.add_argument("--n", type=int, required=True, help="degree")
+    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
+    p.add_argument("--n", type=_decimal, required=True, help="degree")
     _add_output_options(p)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("bijection", help="apply the complementing involution")
-    p.add_argument("--r", type=int, required=True, help="number of colors")
+    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
     p.add_argument("window", help="window notation, e.g. 2^1,1^2,4^1,3")
     _add_output_options(p)
     p.set_defaults(func=cmd_bijection)
 
     p = sub.add_parser("check", help="run invariant suites over parameter sweeps")
-    p.add_argument("--r-max", type=int, default=3, help="largest r (default 3)")
-    p.add_argument("--n-max", type=int, default=5, help="largest n (default 5)")
+    p.add_argument("--r-max", type=_decimal, default=3, help="largest r (default 3)")
+    p.add_argument("--n-max", type=_decimal, default=5, help="largest n (default 5)")
     p.add_argument(
         "--suite",
         choices=SUITE_NAMES + ("all",),
@@ -510,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which suite to run (default all)",
     )
     p.add_argument(
-        "--threads", type=_worker_count, help="worker processes for brute enumeration"
+        "--threads", type=workers, help="worker processes for brute enumeration"
     )
     _add_output_options(p)
     p.set_defaults(func=cmd_check)

@@ -8,6 +8,12 @@ an element of Z_r wr S_{n-1} with exc_A = k either as an uncolored letter
 the r - 1 nonzero colors j (which adds j to the color sum; n - k ways
 leave exc_A alone, k + 1 ways lower it by one).  The base row n = 1 is
 c_i(r, 1, 0) = 1 for each i in 0..r-1, one singleton window per color.
+Each table is built whole from the rows prev[i] of the table for n - 1:
+
+    c[i][k] = (n-k) (prev[i][k-1] + window[i][k]) + (k+1) (prev[i][k] + window[i][k+1])
+
+with window[i] = prev[i-1] + ... + prev[i-r+1], which moves to row i + 1 by
+adding prev[i] and dropping prev[i+1-r], so a cell costs O(1) for any r.
 
 From the joint table follow the distribution of exc via
 exc = r*exc_A + csum, the distribution d(r, n, k) of exc_A alone (also
@@ -59,22 +65,24 @@ def eulerian_row(n: int) -> list[int]:
 def iter_joint_tables(r: int, n_max: int) -> Iterator[JointTable]:
     """Yield the joint (csum, exc_A) tables for n = 1, 2, ..., n_max."""
     check_params(r, n_max)
-    table = JointTable(r, 1)
-    for i in range(r):
-        table.set(i, 0, 1)
-    yield table
+    rows = [[1] for _ in range(r)]
+    yield JointTable(r, 1, rows)
     for m in range(2, n_max + 1):
-        prev = table
-        table = JointTable(r, m)
-        for i in range((r - 1) * m + 1):
-            for k in range(m):
-                raising, keeping = _insertion_weights(m, k)
-                acc = raising * prev.get(i, k - 1) + keeping * prev.get(i, k)
-                for j in range(1, r):
-                    acc += raising * prev.get(i - j, k)
-                    acc += keeping * prev.get(i - j, k + 1)
-                table.set(i, k, acc)
-        yield table
+        raising, keeping = zip(*(_insertion_weights(m, k) for k in range(m)))
+        # prev[i][k] at index k + 1 of m + 2; r - 1 zero rows on each side.
+        zero = [0] * (m + 2)
+        edge = [zero] * (r - 1)
+        padded = edge + [[0, *row, 0, 0] for row in rows] + edge
+        window = zero
+        rows = []
+        for here, dropped in zip(padded[r - 1 :], padded):
+            # u[k] = prev[i][k-1] + window[i][k], for k = 0..m.
+            u = [a + b for a, b in zip(here, window[1:])]
+            rows.append(
+                [a * x + b * y for a, b, x, y in zip(raising, keeping, u, u[1:])]
+            )
+            window = [w + a - b for w, a, b in zip(window, here, dropped)]
+        yield JointTable(r, m, rows)
 
 
 def joint_table(r: int, n: int) -> JointTable:
@@ -103,20 +111,18 @@ def exc_dist(r: int, n: int) -> list[int]:
 def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
     """Distribution d(r, n, k) of exc_A over Z_r wr S_n, k = 0..n-1.
 
-    method "recurrence" runs the standalone three-term recursion
+    The only method, "recurrence", runs the standalone three-term recursion
 
         d(r, n, k) = (n-k) d(r, n-1, k-1)
                    + (k+1 + (r-1)(n-k)) d(r, n-1, k)
                    + (k+1)(r-1) d(r, n-1, k+1)
 
-    with d(r, 1, 0) = r; method "sum-joint" sums the joint table over the
-    color statistic.  The two must agree.
+    with d(r, 1, 0) = r.  It must agree with joint_table(r, n).d_row(),
+    the joint table summed over the color statistic.
     """
     check_params(r, n)
-    if method == "sum-joint":
-        return joint_table(r, n).d_row()
     if method != "recurrence":
-        raise ValueError(f"unknown method {method!r}; use 'recurrence' or 'sum-joint'")
+        raise ValueError(f"unknown method {method!r}; use 'recurrence'")
     row = [r]
     for m in range(2, n + 1):
         new = []

@@ -123,14 +123,14 @@ def _position_table(r: int, n: int) -> list[list[tuple[int, ...]]]:
 def _count_slice(r: int, n: int, first_value: int | None):
     """Tally one first-value slice (or the whole group for None).
 
-    Returns flat lists: by_csum[csum*n + exc_A], by_colored[colored*n +
-    exc_A] and exc_row[exc].
+    Returns flat lists, the first two of (r-1)*n + 1 rows of n each:
+    by_csum[csum*n + exc_A], by_colored[colored*n + exc_A] and exc_row[exc].
     """
     steps = _gray_walk(r, n)
     table = _position_table(r, n)
     exc_max, excA_max, csum_max = r * n - 1, n - 1, (r - 1) * n
     by_csum = [0] * ((csum_max + 1) * n)
-    by_colored = [0] * ((n + 1) * n)
+    by_colored = [0] * ((csum_max + 1) * n)
     exc_row = [0] * (r * n)
     zeros = (0,) * n
 
@@ -175,14 +175,6 @@ def _count_slice(r: int, n: int, first_value: int | None):
     return by_csum, by_colored, exc_row
 
 
-def _fill(table: JointTable, flat: list[int]) -> JointTable:
-    """Add the counts of a flat tally (index i*n + k) into a joint table."""
-    for index, count in enumerate(flat):
-        if count:
-            table.add(*divmod(index, table.n), count)
-    return table
-
-
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
 
@@ -214,8 +206,10 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     )
     elapsed = time.perf_counter() - started
 
-    table_csum = _fill(JointTable(r, n), by_csum)
-    table_colored = _fill(JointTable(r, n), by_colored)
+    table_csum, table_colored = (
+        JointTable(r, n, [flat[i : i + n] for i in range(0, len(flat), n)])
+        for flat in (by_csum, by_colored)
+    )
     return OracleReport(
         r=r,
         n=n,

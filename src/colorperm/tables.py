@@ -3,7 +3,8 @@
 A JointTable for parameters (r, n) holds one exact integer count per cell
 of the box i in 0..(r-1)*n, k in 0..n-1, where k indexes exc_A and i a
 color statistic (color sum, or number of nonzero colors, depending on who
-filled the table).  Cells outside the box read as 0.
+built the table).  A table is a value, built whole from its finished
+rows; no cell changes afterwards.  Cells outside the box read as 0.
 
 Serialization: CSV is a dense grid with header ``i\\k``; JSON stores every
 cell count as a decimal string so that consumers without big integers do
@@ -13,6 +14,7 @@ not silently round.
 from __future__ import annotations
 
 import json
+import re
 
 from .perm import check_params
 
@@ -20,39 +22,24 @@ from .perm import check_params
 class JointTable:
     __slots__ = ("r", "n", "_rows")
 
-    def __init__(self, r: int, n: int):
+    def __init__(self, r: int, n: int, rows):
         check_params(r, n)
+        rows = [list(row) for row in rows]
+        if len(rows) != (r - 1) * n + 1 or any(len(row) != n for row in rows):
+            raise ValueError(f"rows must fill the box: {(r - 1) * n + 1} rows of {n}")
         self.r = r
         self.n = n
-        self._rows = [[0] * n for _ in range((r - 1) * n + 1)]
+        self._rows = rows
 
     @property
     def i_max(self) -> int:
         return (self.r - 1) * self.n
 
-    @property
-    def k_max(self) -> int:
-        return self.n - 1
-
-    def _check_bounds(self, i: int, k: int):
-        if not (0 <= i <= self.i_max and 0 <= k <= self.k_max):
-            raise IndexError(
-                f"cell ({i}, {k}) outside box 0..{self.i_max} x 0..{self.k_max}"
-            )
-
     def get(self, i: int, k: int) -> int:
         """Count at cell (i, k); 0 outside the box."""
-        if 0 <= i <= self.i_max and 0 <= k <= self.k_max:
+        if 0 <= i <= self.i_max and 0 <= k < self.n:
             return self._rows[i][k]
         return 0
-
-    def set(self, i: int, k: int, count: int):
-        self._check_bounds(i, k)
-        self._rows[i][k] = count
-
-    def add(self, i: int, k: int, count: int = 1):
-        self._check_bounds(i, k)
-        self._rows[i][k] += count
 
     @property
     def total(self) -> int:
@@ -94,8 +81,20 @@ class JointTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "JointTable":
-        table = cls(obj["r"], obj["n"])
+        """Inverse of to_json_obj: keys "i,k" and counts in canonical ASCII
+        decimal (none negative, one key per cell); cells left out are 0."""
+        r, n = obj["r"], obj["n"]
+        check_params(r, n)
+        rows = [[0] * n for _ in range((r - 1) * n + 1)]
         for key, count in obj["counts"].items():
-            i, k = (int(part) for part in key.split(","))
-            table.set(i, k, int(count))
-        return table
+            cell = re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", key)
+            decimal = isinstance(count, str) and re.fullmatch(r"0|[1-9][0-9]*", count)
+            if not (cell and decimal):
+                raise ValueError(f"{key!r}: {count!r} not in nonnegative ASCII decimal")
+            i, k = map(int, cell.groups())
+            if not (i < len(rows) and k < n):
+                raise IndexError(
+                    f"cell ({i}, {k}) outside box 0..{len(rows) - 1} x 0..{n - 1}"
+                )
+            rows[i][k] = int(count)
+        return cls(r, n, rows)

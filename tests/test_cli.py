@@ -372,11 +372,35 @@ class TestOutputPlumbing:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_threads_below_one_exits_2(self, capsys):
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_threads_below_one_exits_2(self, capsys, count):
         with pytest.raises(SystemExit) as info:
-            main(["dist", "--r", "2", "--n", "2", "--target", "exc", "--threads", "-5"])
+            main(["dist", "--r", "2", "--n", "2", "--target", "exc", "--threads", count])
         assert info.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["٣", "1_0", "+3", " 3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "--r", None, "--n", "2"],
+            ["poly", "--r", "2", "--n", None],
+            ["check", "--r-max", None, "--n-max", "1", "--suite", "logconcave"],
+            ["check", "--r-max", "1", "--n-max", None, "--suite", "logconcave"],
+            ["dist", "--r", "2", "--n", "2", "--target", "exc", "--method", "brute",
+             "--threads", None],
+        ],
+        ids=["r", "n", "r-max", "n-max", "threads"],
+    )
+    def test_integer_options_take_ascii_decimal_only(self, capsys, argv, text):
+        # int() takes all of these: non-ASCII digits, underscores, a sign
+        # and surrounding spaces.
+        slot = argv.index(None)
+        with pytest.raises(SystemExit) as info:
+            main(argv[:slot] + [text] + argv[slot + 1 :])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert f"argument {argv[slot - 1]}:" in err and "Traceback" not in err
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run_cli(capsys, "poly", "--r", "2", "--n", "5")

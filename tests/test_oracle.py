@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from colorperm.dist import joint_table
+from colorperm.cli import main
+from colorperm.dist import initial_condition_diagnostic, joint_table
 from colorperm.oracle import (
     FEASIBILITY_LIMIT,
     TableDiff,
@@ -23,7 +24,7 @@ from colorperm.tables import JointTable
 def reference_slice(r, n, first_value):
     """_count_slice's flat tallies, built from enumerate_group and summarize."""
     by_csum = [0] * (((r - 1) * n + 1) * n)
-    by_colored = [0] * ((n + 1) * n)
+    by_colored = [0] * (((r - 1) * n + 1) * n)
     exc_row = [0] * (r * n)
     for p in enumerate_group(GroupParams(r, n), first_value=first_value):
         s = summarize(p)
@@ -166,30 +167,70 @@ class TestIncrementalWalk:
             brute_tables(2, 3)
 
 
+class TestTallyMiscount:
+    """Negative control: one count moved to the next exc_A column.
+
+    The move keeps every total, so no mass check can see it; the DP
+    comparison and the k = 0 closed form (C08) must.
+    """
+
+    @pytest.fixture
+    def miscount(self, monkeypatch):
+        count_slice = oracle._count_slice
+
+        def moved(r, n, first_value):
+            by_csum, by_colored, exc_row = count_slice(r, n, first_value)
+            if r > 1 and n > 1:
+                for flat in (by_csum, by_colored):
+                    flat[n] -= 1  # cell (1, 0)
+                    flat[n + 1] += 1  # cell (1, 1)
+            return by_csum, by_colored, exc_row
+
+        monkeypatch.setattr(oracle, "_count_slice", moved)
+
+    def test_caught_by_the_recursion_suite(self, miscount, capsys):
+        code = main(["check", "--r-max", "2", "--n-max", "3", "--suite", "recursion"])
+        fails = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")
+        ]
+        assert code == 1
+        assert fails[0] == (
+            "FAIL dp_joint_matches_enumeration r=2 n=2: "
+            "cell (i=1, k=0): dp=3 enumeration=2"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_caught_by_the_initial_condition(self, miscount, n):
+        report = brute_tables(3, n)
+        assert initial_condition_diagnostic(3, n, report).verdict == "neither"
+
+
+def zeros(r, n):
+    return JointTable(r, n, [[0] * n for _ in range((r - 1) * n + 1)])
+
+
 class TestCompare:
-    def test_equal_tables(self):
-        assert compare(joint_table(2, 3), brute_tables(2, 3).joint_by_csum) == []
+    @pytest.mark.parametrize("r, n", [(2, 3), (5, 3), (6, 2)])
+    def test_equal_tables(self, r, n):
+        # (5, 3) and (6, 2) give the DP's color window widths 4 and 5.
+        assert compare(joint_table(r, n), brute_tables(r, n).joint_by_csum) == []
 
     def test_single_cell_difference(self):
-        left = joint_table(2, 2)
-        right = joint_table(2, 2)
-        right.add(1, 0, 5)
-        diffs = compare(left, right)
+        right = JointTable(2, 2, [[1, 1], [8, 1], [2, 0]])
+        diffs = compare(joint_table(2, 2), right)
         assert diffs == [TableDiff(i=1, k=0, left=3, right=8)]
 
     def test_diffs_sorted(self):
-        left = JointTable(2, 2)
-        right = JointTable(2, 2)
-        right.set(2, 1, 1)
-        right.set(0, 0, 1)
-        diffs = compare(left, right)
+        right = JointTable(2, 2, [[1, 0], [0, 0], [0, 1]])
+        diffs = compare(zeros(2, 2), right)
         assert [(d.i, d.k) for d in diffs] == [(0, 0), (2, 1)]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            compare(JointTable(2, 2), JointTable(2, 3))
+            compare(zeros(2, 2), zeros(2, 3))
         with pytest.raises(ValueError):
-            compare(JointTable(2, 2), JointTable(3, 2))
+            compare(zeros(2, 2), zeros(3, 2))
 
 
 ROUTES = ("oracle", "dist", "closed")

@@ -9,17 +9,14 @@ from colorperm.tables import JointTable
 
 def b2_table():
     # Hand-enumerated joint (csum, exc_A) counts for Z_2 wr S_2.
-    table = JointTable(2, 2)
-    for (i, k), count in {(0, 0): 1, (0, 1): 1, (1, 0): 3, (1, 1): 1, (2, 0): 2}.items():
-        table.set(i, k, count)
-    return table
+    return JointTable(2, 2, [[1, 1], [3, 1], [2, 0]])
 
 
 class TestBoxSemantics:
     def test_shape(self):
-        table = JointTable(3, 4)
+        table = JointTable(3, 4, [[0] * 4 for _ in range(9)])
         assert table.i_max == 8
-        assert table.k_max == 3
+        assert table.n == 4
 
     def test_get_outside_box_is_zero(self):
         table = b2_table()
@@ -28,26 +25,32 @@ class TestBoxSemantics:
         assert table.get(3, 0) == 0
         assert table.get(0, 2) == 0
 
-    def test_set_outside_box_raises(self):
-        table = JointTable(2, 2)
-        with pytest.raises(IndexError):
-            table.set(3, 0, 1)
-        with pytest.raises(IndexError):
-            table.add(0, 2)
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1], [3, 1]],  # a row short
+            [[1, 1], [3, 1], [2, 0], [0, 0]],  # a row too many
+            [[1, 1], [3, 1], [2]],  # a row too narrow
+            [[1, 1, 0], [3, 1], [2, 0]],  # a row too wide
+        ],
+    )
+    def test_rows_must_fill_the_box(self, rows):
+        with pytest.raises(ValueError, match="fill the box"):
+            JointTable(2, 2, rows)
+
+    def test_rows_are_copied(self):
+        rows = [[1, 1], [3, 1], [2, 0]]
+        table = JointTable(2, 2, rows)
+        rows[0][0] = 99
+        assert table == b2_table()
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
-            JointTable(0, 2)
+            JointTable(0, 2, [[0, 0]])
         with pytest.raises(ValueError):
-            JointTable(2, 0)
+            JointTable(2, 0, [[]])
         with pytest.raises(ValueError):
-            JointTable(True, 2)
-
-    def test_add_accumulates(self):
-        table = JointTable(2, 2)
-        table.add(1, 0)
-        table.add(1, 0, 2)
-        assert table.get(1, 0) == 3
+            JointTable(True, 2, [[0, 0], [0, 0], [0, 0]])
 
     def test_total_and_d_row(self):
         table = b2_table()
@@ -61,9 +64,7 @@ class TestBoxSemantics:
 
     def test_equality(self):
         assert b2_table() == b2_table()
-        other = b2_table()
-        other.add(0, 0)
-        assert b2_table() != other
+        assert b2_table() != JointTable(2, 2, [[2, 1], [3, 1], [2, 0]])
 
 
 class TestSerialization:
@@ -85,7 +86,42 @@ class TestSerialization:
         assert JointTable.from_json_obj(json.loads(text)) == b2_table()
 
     def test_big_counts_survive_json(self):
-        table = JointTable(1, 1)
-        table.set(0, 0, 10**40 + 1)
+        table = JointTable(1, 1, [[10**40 + 1]])
         restored = JointTable.from_json_obj(json.loads(table.to_json()))
         assert restored.get(0, 0) == 10**40 + 1
+
+    def test_cells_left_out_of_json_are_zero(self):
+        table = JointTable.from_json_obj({"r": 2, "n": 2, "counts": {"1,0": "3"}})
+        assert table == JointTable(2, 2, [[0, 0], [3, 0], [0, 0]])
+
+    @pytest.mark.parametrize("key", ["3,0", "0,2", "10,10"])
+    def test_json_key_outside_box_raises(self, key):
+        with pytest.raises(IndexError, match=r"outside box 0\.\.2 x 0\.\.1"):
+            JointTable.from_json_obj({"r": 2, "n": 2, "counts": {key: "1"}})
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            # Once accepted as a table of total 1010: a negative count,
+            # then overwritten through a second spelling of the same cell.
+            {"0,0": "-5", "+0,0": "7", "1,٠": "٣", " 1 ,1": "1_000"},
+            {"0,0": "-5"},
+            {"0,0": "1", "+0,0": "7"},
+            {"00,0": "1"},
+            {"1,٠": "1"},
+            {" 1 ,1": "1"},
+            {"1": "1"},
+            {"0,0,0": "1"},
+            {"-0,0": "1"},
+            {"0,0": "٣"},
+            {"0,0": "1_000"},
+            {"0,0": " 1"},
+            {"0,0": "+1"},
+            {"0,0": "01"},
+            {"0,0": ""},
+            {"0,0": 1},
+        ],
+    )
+    def test_json_accepts_only_what_to_json_writes(self, counts):
+        with pytest.raises(ValueError):
+            JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
