@@ -250,10 +250,11 @@ def suite_closed(r_max, n_max, workers=None) -> list:
     name = "excA_distribution_agreement"
 
     def agreement(r, n, table):
+        poly = closed.D_closed(r, n)
         rows = {
             "recurrence": dist.excA_dist(r, n, method="recurrence"),
             "joint": table.d_row(),
-            "closed": [closed.D_closed(r, n).coeff(k) for k in range(n)],
+            "closed": [poly.coeff(k) for k in range(n)],
             "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
         }
         baseline = rows["recurrence"]

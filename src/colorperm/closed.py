@@ -6,8 +6,25 @@ Stirling expansion
     D_{r,n}(t) = r * sum_{j=1}^{n} j! S(n, j) (t + r - 1)^(j-1) (1 - t)^(n-j)
 
 and its coefficients have an explicit alternating double sum (d_explicit).
-Both are computed exactly over the integers.  D_{r,n} also satisfies a
-first-order recurrence in n involving the derivative,
+Both are computed exactly over the integers, in O(n^2) coefficient
+operations per polynomial or per row of coefficients.
+
+D_closed evaluates the expansion by Horner's rule in (t + r - 1): with
+w_j = r j! S(n, j), start from H = w_n and set
+H <- H (t + r - 1) + w_j (1 - t)^(n-j) for j = n-1 down to 1, carrying
+(1 - t)^(n-j) along one factor at a time.
+
+d_explicit sums the alternating double sum over j first; that inner sum
+depends on the Stirling row of n only, not on r or k:
+
+    A_i = sum_{j>i} (-1)^j j! S(n, j) C(j-1, i),
+    d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k),
+
+so a coefficient costs O(n) once the row A of n is known (O(n^2), cached
+on the Stirling row).  The two routes share only the Stirling numbers.
+
+D_{r,n} also satisfies a first-order recurrence in n involving the
+derivative,
 
     D_{r,n}(t) = (rn + (n-1)(t-1)) D_{r,n-1}(t) - (t-1)(t+r-1) D'_{r,n-1}(t),
 
@@ -17,11 +34,14 @@ verified by check_eq2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import zip_longest
 from math import comb, factorial
 
 from .perm import check_params
+
+#: How many rows below (n, j) stirling2 fills the triangle before it recurses.
+_STRIDE = 64
 
 
 @cache
@@ -29,6 +49,11 @@ def stirling2(n: int, j: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into j blocks.
 
     Memoized triangle from S(n, j) = j*S(n-1, j) + S(n-1, j-1), S(0, 0) = 1.
+    A call first computes S(n - _STRIDE, j) and S(n - _STRIDE, j - _STRIDE)
+    where they lie inside the triangle; on a cold cache they fill the part
+    below (n, j) but for a _STRIDE-square block, so the recursion nests
+    about n/_STRIDE + 2*_STRIDE calls deep instead of n, which would pass
+    Python's recursion limit near n = 500.
     """
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"set size n must be an integer >= 0, got {n!r}")
@@ -38,6 +63,10 @@ def stirling2(n: int, j: int) -> int:
         return 0
     if n == 0:
         return 1
+    if j <= n - _STRIDE:
+        stirling2(n - _STRIDE, j)
+    if j >= _STRIDE:
+        stirling2(n - _STRIDE, j - _STRIDE)
     return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
 
 
@@ -122,37 +151,55 @@ def _mul(a, b) -> list[int]:
 
 
 def D_closed(r: int, n: int) -> IntPolynomial:
-    """Generating polynomial of exc_A over Z_r wr S_n, by the Stirling form."""
+    """Generating polynomial of exc_A over Z_r wr S_n, by the Stirling form.
+
+    Horner's rule in (t + r - 1), from j = n down to 1.
+    """
     check_params(r, n)
-    down_powers = [[1]]  # (1 - t)^e for e = 0..n-1
-    for _ in range(n - 1):
-        down_powers.append(_mul(down_powers[-1], [1, -1]))
-    total = [0] * n
-    up = [1]  # (t + r - 1)^(j-1)
-    for j in range(1, n + 1):
+    horner = [r * factorial(n) * stirling2(n, n)]
+    down = [1]  # (1 - t)^(n-j)
+    for j in range(n - 1, 0, -1):
+        down = [a - b for a, b in zip(down + [0], [0] + down)]
         weight = r * factorial(j) * stirling2(n, j)
-        for k, c in enumerate(_mul(up, down_powers[n - j])):
-            total[k] += weight * c
-        up = _mul(up, [r - 1, 1])
-    return IntPolynomial(total)
+        # horner <- horner * (t + r - 1) + weight * (1 - t)^(n-j)
+        horner = [
+            (r - 1) * a + b + weight * c
+            for a, b, c in zip(horner + [0], [0] + horner, down)
+        ]
+    return IntPolynomial(horner)
+
+
+@lru_cache(maxsize=4)
+def _alternants(row: tuple[int, ...]) -> tuple[int, ...]:
+    """A_i = sum_{j>i} (-1)^j j! S(n, j) C(j-1, i) for i = 0..n-1.
+
+    Keyed on the Stirling row S(n, 0..n) itself, not on n, so a changed
+    row is never answered from the cache.
+    """
+    n = len(row) - 1
+    signed = [(-1 if j % 2 else 1) * factorial(j) * row[j] for j in range(n + 1)]
+    return tuple(
+        sum(signed[j] * comb(j - 1, i) for j in range(i + 1, n + 1))
+        for i in range(n)
+    )
 
 
 def d_explicit(r: int, n: int, k: int) -> int:
     """Coefficient d(r, n, k) of D_{r,n} by the explicit alternating sum.
 
+    The double sum over j and i, regrouped by i:
+    d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k).
     The sum has massive cancellation; the result is asserted nonnegative
     before being returned.
     """
     check_params(r, n)
     if not (isinstance(k, int) and 0 <= k <= n - 1):
         raise ValueError(f"k must be an integer in 0..{n - 1}, got {k!r}")
+    alternants = _alternants(tuple(stirling2(n, j) for j in range(n + 1)))
     total = 0
-    for j in range(1, n + 1):
-        weight = factorial(j) * stirling2(n, j)
-        for i in range(j):
-            sign = -1 if (k + j - 1 - i) % 2 else 1
-            total += sign * r**i * weight * comb(j - 1, i) * comb(n - 1 - i, k)
-    total *= r
+    for i in range(n - k):  # C(n-1-i, k) = 0 beyond
+        term = r ** (i + 1) * alternants[i] * comb(n - 1 - i, k)
+        total += -term if (k - 1 - i) % 2 else term
     if total < 0:
         raise AssertionError(f"d({r}, {n}, {k}) evaluated negative: {total}")
     return total

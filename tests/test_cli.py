@@ -342,6 +342,70 @@ class TestCheck:
                 for line in lines
             )
 
+    def test_stirling_fault_is_caught_with_a_warm_alternant_cache(
+        self, capsys, monkeypatch
+    ):
+        # Clean values for n = 3 sit in d_explicit's cache first; a cache
+        # keyed on n alone would hand them back under the fault.
+        closed.D_closed(1, 3)
+        assert [closed.d_explicit(1, 3, k) for k in range(3)] == [1, 4, 1]
+        exact = closed.stirling2
+        exact.cache_clear()
+        monkeypatch.setattr(
+            closed,
+            "stirling2",
+            lambda n, j: exact(n, j) + (1 if (n, j) == (3, 2) else 0),
+        )
+        try:
+            code, out, err = run_cli(
+                capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", "closed"
+            )
+        finally:
+            exact.cache_clear()
+        first = next(line for line in out.splitlines() if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert first == (
+            "FAIL excA_distribution_agreement r=1 n=3: "
+            "d(1, 3, 2) evaluated negative: -1"
+        )
+
+    def test_closed_suite_builds_each_polynomial_once(self, capsys, monkeypatch):
+        calls = []
+        exact = closed.D_closed
+
+        def counted(r, n):
+            calls.append((r, n))
+            return exact(r, n)
+
+        monkeypatch.setattr(closed, "D_closed", counted)
+        code, _, _ = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", "closed"
+        )
+        assert code == 0
+        assert sorted(calls) == [(r, n) for r in (1, 2) for n in range(1, 5)]
+
+    def test_explicit_sum_sign_flip_is_caught(self, capsys, monkeypatch):
+        exact = closed._alternants
+
+        def flipped(row):
+            alternants = list(exact(row))
+            if len(alternants) > 1:
+                alternants[1] = -alternants[1]
+            return tuple(alternants)
+
+        monkeypatch.setattr(closed, "_alternants", flipped)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", "closed"
+        )
+        lines = out.splitlines()
+        first = next(line for line in lines if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert "PASS excA_distribution_agreement r=1 n=1" in lines
+        assert first == (
+            "FAIL excA_distribution_agreement r=1 n=2: "
+            "d(1, 2, 0) evaluated negative: -3"
+        )
+
     @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
     def test_empty_sweep_is_usage_error(self, capsys, flag):
         code, out, err = run_cli(capsys, "check", flag, "0")

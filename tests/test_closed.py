@@ -61,6 +61,11 @@ class TestStirling:
         with pytest.raises(ValueError):
             stirling2(2, 1.5)
 
+    def test_cold_call_at_large_n(self):
+        # S(n, 2) = 2^(n-1) - 1; a cold cache must not recurse n deep.
+        stirling2.cache_clear()
+        assert stirling2(1100, 2) == 2**1099 - 1
+
 
 class TestIntPolynomial:
     def test_normalization(self):
@@ -131,6 +136,9 @@ class TestDClosed:
             for n in range(1, 11):
                 assert sum(D_closed(r, n).coeffs) == r**n * factorial(n)
 
+    def test_matches_recursions_at_large_n(self):
+        assert list(D_closed(3, 200).coeffs) == excA_dist(3, 200)
+
 
 class TestDExplicit:
     def test_frozen(self):
@@ -143,6 +151,11 @@ class TestDExplicit:
                 poly = D_closed(r, n)
                 for k in range(n):
                     assert d_explicit(r, n, k) == poly.coeff(k)
+
+    @pytest.mark.parametrize("r, n", [(3, 100), (5, 40)])
+    def test_full_row_at_large_n(self, r, n):
+        # (3, 100) is where a float sign from (-1) ** m with m < 0 showed.
+        assert [d_explicit(r, n, k) for k in range(n)] == excA_dist(r, n)
 
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):

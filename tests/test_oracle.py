@@ -258,3 +258,31 @@ class TestRouteIndependence:
                         pending.extend(alias.name for alias in node.names)
         assert "perm" in reached
         assert not reached & (set(ROUTES) - {route})
+
+
+class TestClosedFormIndependence:
+    # The closed suite and C03 compare D_closed with d_explicit; that
+    # comparison means something only while neither computes through the
+    # other, so neither function body may name the other or its helper.
+    @pytest.mark.parametrize(
+        "function, foreign",
+        [
+            ("D_closed", {"d_explicit", "_alternants"}),
+            ("d_explicit", {"D_closed"}),
+            ("_alternants", {"D_closed"}),
+        ],
+    )
+    def test_closed_form_names_neither_other(self, function, foreign):
+        source = (Path(oracle.__file__).parent / "closed.py").read_text()
+        body = next(
+            node
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == function
+        )
+        names = set()
+        for node in ast.walk(body):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & foreign
