@@ -22,17 +22,12 @@ import io
 import json
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
+from itertools import repeat
 from typing import NamedTuple
 
 from . import closed, dist, oracle, properties
-from .perm import (
-    GroupParams,
-    check_params,
-    enumerate_group,
-    format_window,
-    parse_window,
-)
+from .perm import GroupParams, check_params, format_window, parse_window
 from .stats import summarize
 
 #: Brute-force suites skip parameter points with more elements than this.
@@ -163,16 +158,16 @@ def _over_cap(name: str, r: int, n: int, cap: int) -> list:
 
 
 def _run_points(name: str, points, check) -> list:
-    """Concatenate check(r, n) over the points, turning a crash into a FAIL.
+    """Concatenate check(r, n, *rest) over the points (r, n, *rest).
 
     An AssertionError is an invariant violated inside the code under
     test; it becomes a FAIL verdict named ``name`` for that point, with
     the message as the counterexample, and the sweep goes on.
     """
     entries = []
-    for r, n in points:
+    for r, n, *rest in points:
         try:
-            entries.extend(check(r, n))
+            entries.extend(check(r, n, *rest))
         except AssertionError as exc:
             entries.append(
                 properties.PropertyVerdict(
@@ -186,22 +181,32 @@ def _per_r(r_max: int):
     return ((r, None) for r in range(1, r_max + 1))
 
 
-def suite_lemma(r_max, n_max, workers=None) -> list:
-    """exc = r*exc_A + csum on every element of every feasible group."""
+def _per_n(r: int, n_max: int, *streams):
+    """Points (r, n, *items) for n = 1..n_max, one item from each stream."""
+    return zip(repeat(r), range(1, n_max + 1), *streams)
+
+
+def suite_lemma(r_max, n_max, report) -> list:
+    """exc = r*exc_A + csum on every element of every feasible group.
+
+    The oracle asserts the identity and the range bounds on every element
+    it visits, so the verdict at (r, n) is PASS exactly when its report
+    builds; an AssertionError becomes that point's FAIL line.  `recursion`
+    reads the same report, so the two suites share one enumeration.
+    """
     name = "lemma_exc_decomposition"
 
     def check(r, n):
         skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
         if skipped:
             return skipped
-        for p in enumerate_group(GroupParams(r, n)):
-            summarize(p)
+        report(r, n)
         return [properties.PropertyVerdict(name=name, passed=True, r=r, n=n)]
 
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_recursion(r_max, n_max, workers=None) -> list:
+def suite_recursion(r_max, n_max, report) -> list:
     """DP joint table and exc row against full enumeration."""
     name = "dp_matches_enumeration"
 
@@ -209,8 +214,8 @@ def suite_recursion(r_max, n_max, workers=None) -> list:
         skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
         if skipped:
             return skipped
-        report = oracle.brute_tables(r, n, workers=workers)
-        diffs = oracle.compare(dist.joint_table(r, n), report.joint_by_csum)
+        brute = report(r, n)
+        diffs = oracle.compare(dist.joint_table(r, n), brute.joint_by_csum)
         counterexample = None
         if diffs:
             d = diffs[0]
@@ -226,12 +231,10 @@ def suite_recursion(r_max, n_max, workers=None) -> list:
         )
         dp_exc = dist.exc_dist(r, n)
         counterexample = None
-        if dp_exc != report.exc_row:
-            k = next(
-                k for k in range(r * n) if dp_exc[k] != report.exc_row[k]
-            )
+        if dp_exc != brute.exc_row:
+            k = next(k for k in range(r * n) if dp_exc[k] != brute.exc_row[k])
             counterexample = (
-                f"exc={k}: dp={dp_exc[k]} enumeration={report.exc_row[k]}"
+                f"exc={k}: dp={dp_exc[k]} enumeration={brute.exc_row[k]}"
             )
         exc = properties.PropertyVerdict(
             name="dp_exc_matches_enumeration",
@@ -245,14 +248,14 @@ def suite_recursion(r_max, n_max, workers=None) -> list:
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_closed(r_max, n_max, workers=None) -> list:
+def suite_closed(r_max, n_max, report) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
     name = "excA_distribution_agreement"
 
-    def agreement(r, n, table):
+    def agreement(r, n, recurrence, table):
         poly = closed.D_closed(r, n)
         rows = {
-            "recurrence": dist.excA_dist(r, n, method="recurrence"),
+            "recurrence": recurrence,
             "joint": table.d_row(),
             "closed": [poly.coeff(k) for k in range(n)],
             "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
@@ -276,21 +279,15 @@ def suite_closed(r_max, n_max, workers=None) -> list:
         ]
 
     def check(r, _):
-        # The joint tables come one n at a time from a single DP run per
-        # r; each n is still its own point, so a crash names it.
-        verdicts = []
-        for n, table in zip(
-            range(1, n_max + 1), dist.iter_joint_tables(r, n_max)
-        ):
-            verdicts += _run_points(
-                name, [(r, n)], lambda r, n: agreement(r, n, table)
-            )
-        return verdicts
+        # One run of each recurrence per r yields its rows one n at a
+        # time; each n is still its own point, so a crash names it.
+        streams = dist.iter_excA_rows(r, n_max), dist.iter_joint_tables(r, n_max)
+        return _run_points(name, _per_n(r, n_max, *streams), agreement)
 
     return _run_points(name, _per_r(r_max), check)
 
 
-def suite_eq2(r_max, n_max, workers=None) -> list:
+def suite_eq2(r_max, n_max, report) -> list:
     """Derivative recurrence for the generating polynomial."""
     name = "polynomial_derivative_recurrence"
 
@@ -309,7 +306,7 @@ def suite_eq2(r_max, n_max, workers=None) -> list:
     return _run_points(name, _per_r(r_max), check)
 
 
-def suite_symmetry(r_max, n_max, workers=None) -> list:
+def suite_symmetry(r_max, n_max, report) -> list:
     """Palindromic exc distribution, plus the involution elementwise."""
     name = "exc_complement_and_involution"
 
@@ -326,15 +323,15 @@ def suite_symmetry(r_max, n_max, workers=None) -> list:
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_logconcave(r_max, n_max, workers=None) -> list:
+def suite_logconcave(r_max, n_max, report) -> list:
     """Log-concavity (and hence unimodality) of the exc_A distribution.
 
     For r <= 2 this always holds; for larger r the verdicts carry an
     "empirical" suffix because they only certify the swept range.
     """
+    name = "excA_shape"
 
-    def check(r, n):
-        row = dist.excA_dist(r, n)
+    def shape(r, n, row):
         suffix = "" if r <= 2 else "_empirical"
         return [
             replace(verdict, name=f"excA_{verdict.name}{suffix}")
@@ -344,7 +341,11 @@ def suite_logconcave(r_max, n_max, workers=None) -> list:
             )
         ]
 
-    return _run_points("excA_shape", _sweep(r_max, n_max), check)
+    def check(r, _):
+        rows = dist.iter_excA_rows(r, n_max)
+        return _run_points(name, _per_n(r, n_max, rows), shape)
+
+    return _run_points(name, _per_r(r_max), check)
 
 
 _SUITES = {
@@ -358,11 +359,17 @@ _SUITES = {
 
 
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
-    """Verdicts and Skip entries of the named suite (or all), in sweep order."""
+    """Verdicts and Skip entries of the named suite (or all), in sweep order.
+
+    Every suite takes (r_max, n_max, report), where report(r, n) is the
+    oracle's report on Z_r wr S_n, kept for the run so that `lemma` and
+    `recursion` share one enumeration per point.
+    """
     names = SUITE_NAMES if suite == "all" else (suite,)
+    report = cache(partial(oracle.brute_tables, workers=workers))
     entries = []
     for name in names:
-        entries.extend(_SUITES[name](r_max, n_max, workers=workers))
+        entries.extend(_SUITES[name](r_max, n_max, report))
     return entries
 
 

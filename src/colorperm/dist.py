@@ -108,6 +108,26 @@ def exc_dist(r: int, n: int) -> list[int]:
     return exc_row_from_table(joint_table(r, n))
 
 
+def iter_excA_rows(r: int, n_max: int) -> Iterator[list[int]]:
+    """Yield the rows d(r, n, 0..n-1) of excA_dist for n = 1, 2, ..., n_max."""
+    check_params(r, n_max)
+    row = [r]
+    yield row
+    for m in range(2, n_max + 1):
+        new = []
+        for k in range(m):
+            below = row[k - 1] if k >= 1 else 0
+            here = row[k] if k < m - 1 else 0
+            above = row[k + 1] if k + 1 < m - 1 else 0
+            new.append(
+                (m - k) * below
+                + (k + 1 + (r - 1) * (m - k)) * here
+                + (k + 1) * (r - 1) * above
+            )
+        row = new
+        yield row
+
+
 def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
     """Distribution d(r, n, k) of exc_A over Z_r wr S_n, k = 0..n-1.
 
@@ -123,19 +143,8 @@ def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
     check_params(r, n)
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}; use 'recurrence'")
-    row = [r]
-    for m in range(2, n + 1):
-        new = []
-        for k in range(m):
-            below = row[k - 1] if k >= 1 else 0
-            here = row[k] if k < m - 1 else 0
-            above = row[k + 1] if k + 1 < m - 1 else 0
-            new.append(
-                (m - k) * below
-                + (k + 1 + (r - 1) * (m - k)) * here
-                + (k + 1) * (r - 1) * above
-            )
-        row = new
+    for row in iter_excA_rows(r, n):
+        pass
     return row
 
 

@@ -43,22 +43,6 @@ class WindowParseError(ValueError):
         self.token_index = token_index
 
 
-class MalformedTokenError(WindowParseError):
-    """A token is not of the form ``v`` or ``v^c``."""
-
-
-class ValueOutOfRangeError(WindowParseError):
-    """A token's value is not in 1..n (n = number of tokens)."""
-
-
-class ColorOutOfRangeError(WindowParseError):
-    """A token's color is not in 0..r-1."""
-
-
-class DuplicateValueError(WindowParseError):
-    """Two tokens carry the same value."""
-
-
 def check_params(r: int, n: int = 1) -> None:
     """Raise ValueError unless r and n are integers >= 1 (bool does not count)."""
     for label, value in (("number of colors r", r), ("degree n", n)):
@@ -205,7 +189,7 @@ def parse_window(text: str, r: int) -> ColoredPermutation:
     n is the number of comma-separated tokens.  Each token is ``v`` or
     ``v^c`` with 1 <= v <= n and 0 <= c <= r-1, written in ASCII digits
     without leading zeros; omitted colors are 0.
-    Raises a subclass of WindowParseError naming the offending token.
+    Raises WindowParseError naming the offending token.
     """
     check_params(r)
     tokens = [t.strip() for t in text.split(",")]
@@ -216,21 +200,17 @@ def parse_window(text: str, r: int) -> ColoredPermutation:
     for idx, token in enumerate(tokens, start=1):
         m = _TOKEN_RE.match(token)
         if m is None:
-            raise MalformedTokenError(
+            raise WindowParseError(
                 f"token {idx} ({token!r}) is not of the form v or v^c", idx
             )
         v = int(m.group(1))
         c = int(m.group(2)) if m.group(2) is not None else 0
         if not 1 <= v <= n:
-            raise ValueOutOfRangeError(
-                f"token {idx}: value {v} is not in 1..{n}", idx
-            )
+            raise WindowParseError(f"token {idx}: value {v} is not in 1..{n}", idx)
         if not c < r:
-            raise ColorOutOfRangeError(
-                f"token {idx}: color {c} is not in 0..{r - 1}", idx
-            )
+            raise WindowParseError(f"token {idx}: color {c} is not in 0..{r - 1}", idx)
         if v in seen:
-            raise DuplicateValueError(
+            raise WindowParseError(
                 f"token {idx}: value {v} appears more than once", idx
             )
         seen.add(v)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from colorperm import cli, closed, oracle, properties
+from colorperm import cli, closed, dist, oracle, properties
 from colorperm.cli import main
 
 #: Exit status and stdout of every subcommand in every format at small
@@ -280,7 +280,7 @@ class TestCheck:
     @pytest.mark.parametrize(
         "module, suite, name",
         [
-            (cli, "lemma", "lemma_exc_decomposition"),
+            (oracle, "lemma", "lemma_exc_decomposition"),
             (oracle, "recursion", "dp_matches_enumeration"),
             (properties, "symmetry", "exc_complement_and_involution"),
         ],
@@ -298,6 +298,64 @@ class TestCheck:
         assert code == 1 and err == ""
         assert f"FAIL {name} r=1 n=2: injected" in out.splitlines()
         assert out.splitlines()[-1].endswith(" failed") and " 0 failed" not in out
+
+    def test_position_table_skew_fails_the_lemma(self, capsys, monkeypatch):
+        # Negative control: one exceeded count too many at color 1 where
+        # position 1 holds value 2.  Only the oracle's per-element identity
+        # check can see it, so the lemma verdict must come from there.
+        build = oracle._position_table
+
+        def skewed(r, n):
+            table = build(r, n)
+            if r > 1 and n > 1:
+                row = list(table[0][1])
+                row[1] += 1
+                table[0][1] = tuple(row)
+            return table
+
+        monkeypatch.setattr(oracle, "_position_table", skewed)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", "lemma"
+        )
+        first = next(line for line in out.splitlines() if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert first.startswith("FAIL lemma_exc_decomposition r=2 n=2: ")
+
+    @pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["serial", "2"])
+    @pytest.mark.parametrize("suite", ["lemma", "all"])
+    def test_each_point_is_enumerated_once(self, capsys, monkeypatch, suite, threads):
+        # lemma and recursion read one oracle report per point; (2, 3)
+        # with its 48 elements lies above the cap and is never enumerated.
+        calls = []
+        exact = oracle.brute_tables
+
+        def counted(r, n, workers=None):
+            calls.append((r, n))
+            return exact(r, n, workers=workers)
+
+        monkeypatch.setattr(oracle, "brute_tables", counted)
+        monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
+        code, _, _ = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", suite, *threads
+        )
+        assert code == 0
+        assert sorted(calls) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("suite", ["logconcave", "closed"])
+    def test_excA_recurrence_runs_once_per_r(self, capsys, monkeypatch, suite):
+        calls = []
+        exact = dist.iter_excA_rows
+
+        def counted(r, n_max):
+            calls.append((r, n_max))
+            return exact(r, n_max)
+
+        monkeypatch.setattr(dist, "iter_excA_rows", counted)
+        code, _, _ = run_cli(
+            capsys, "check", "--r-max", "3", "--n-max", "6", "--suite", suite
+        )
+        assert code == 0
+        assert calls == [(1, 6), (2, 6), (3, 6)]
 
     @pytest.mark.parametrize(
         "suite, first_fail",
