@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import zip_longest
-from math import comb, factorial
+from math import factorial
 
 from .perm import check_params
 
@@ -173,33 +173,44 @@ def D_closed(r: int, n: int) -> IntPolynomial:
 def _alternants(row: tuple[int, ...]) -> tuple[int, ...]:
     """A_i = sum_{j>i} (-1)^j j! S(n, j) C(j-1, i) for i = 0..n-1.
 
-    Keyed on the Stirling row S(n, 0..n) itself, not on n, so a changed
-    row is never answered from the cache.
+    A_i is the coefficient of x^i in sum_j (-1)^j j! S(n, j) (1 + x)^(j-1),
+    evaluated by Horner's rule in (1 + x), so the binomials come from
+    Pascal's rule: additions only.  Keyed on the Stirling row S(n, 0..n)
+    itself, not on n, so a changed row is never answered from the cache.
     """
     n = len(row) - 1
     signed = [(-1 if j % 2 else 1) * factorial(j) * row[j] for j in range(n + 1)]
-    return tuple(
-        sum(signed[j] * comb(j - 1, i) for j in range(i + 1, n + 1))
-        for i in range(n)
-    )
+    horner = [signed[n]]
+    for j in range(n - 1, 0, -1):
+        # horner <- horner * (1 + x) + signed[j]
+        horner = [a + b for a, b in zip(horner + [0], [0] + horner)]
+        horner[0] += signed[j]
+    return tuple(horner)
 
 
 def d_explicit(r: int, n: int, k: int) -> int:
     """Coefficient d(r, n, k) of D_{r,n} by the explicit alternating sum.
 
     The double sum over j and i, regrouped by i:
-    d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k).
-    The sum has massive cancellation; the result is asserted nonnegative
-    before being returned.
+    d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k),
+    summed from i = n-1-k down to 0 so that C(m, k), m = n-1-i, steps
+    from C(k, k) = 1 by C(m+1, k) = C(m, k) (m+1) / (m+1-k), an exact
+    integer division.  The sum has massive cancellation; the result is
+    asserted nonnegative before being returned.
     """
     check_params(r, n)
     if not (isinstance(k, int) and 0 <= k <= n - 1):
         raise ValueError(f"k must be an integer in 0..{n - 1}, got {k!r}")
     alternants = _alternants(tuple(stirling2(n, j) for j in range(n + 1)))
     total = 0
-    for i in range(n - k):  # C(n-1-i, k) = 0 beyond
-        term = r ** (i + 1) * alternants[i] * comb(n - 1 - i, k)
+    binomial = 1  # C(n-1-i, k)
+    power = r ** (n - k)  # r^(i+1)
+    for i in range(n - 1 - k, -1, -1):  # C(n-1-i, k) = 0 beyond
+        term = alternants[i] * (power * binomial)
         total += -term if (k - 1 - i) % 2 else term
+        m = n - 1 - i
+        binomial = binomial * (m + 1) // (m + 1 - k)
+        power //= r
     if total < 0:
         raise AssertionError(f"d({r}, {n}, {k}) evaluated negative: {total}")
     return total

@@ -5,6 +5,18 @@ position i < n to position n - i with color negated and the last position
 to itself with color c mapped to r - 1 - c.  It exchanges exc with
 r*n - 1 - exc, which forces the distribution of exc to be palindromic.
 
+The two elementwise checks each walk Z_r wr S_n once in enumerate_group
+order and call symmetry_map exactly once per element.  The image is
+looked up by its rank in that order (value-word index times r**n plus
+color-word index); an image that is not an element of Z_r wr S_n has no
+rank and fails the check, naming p and its image.  check_involution
+keeps the ranks in an array and tests image(image(k)) = k.
+check_exc_complement reads exc of every element from an array built per
+tau as an outer sum of the oracle's per-position exceeded-letter rows,
+anchored to summarize at each tau's all-zero color word, and tests
+exc(k) + exc(image(k)) = r*n - 1.  A failure names the first failing
+element in enumeration order.
+
 Sequence checks (palindrome, log-concavity, unimodality) work on any
 list of nonnegative counts and return a PropertyVerdict carrying a
 counterexample when they fail.
@@ -12,9 +24,13 @@ counterexample when they fail.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import islice, product
+from typing import Iterator
 
-from .perm import ColoredPermutation, GroupParams, enumerate_group, format_window
+from . import oracle
+from .perm import ColoredPermutation, check_params, format_window, value_words
 from .stats import summarize
 
 
@@ -62,14 +78,91 @@ def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
 
 
+def _image_ranks(r: int, n: int) -> Iterator[int]:
+    """Rank of symmetry_map(p) for each p, in enumerate_group order.
+
+    The rank of an element is its index in enumerate_group order: the
+    index of its value word among value_words(n) times r**n, plus the
+    index of its color word among the base-r words.  An image that is not
+    an element of Z_r wr S_n has no rank and yields -1.
+    """
+    words = list(value_words(n))
+    color_words = list(product(range(r), repeat=n))
+    by_values = {w: i * len(color_words) for i, w in enumerate(words)}
+    by_colors = {c: i for i, c in enumerate(color_words)}
+    make = ColoredPermutation._from_trusted
+    for values in words:
+        for colors in color_words:
+            q = symmetry_map(make(r, values, colors))
+            try:
+                rank = by_values[q.values] + by_colors[q.colors] if q.r == r else -1
+            except (KeyError, TypeError):
+                rank = -1
+            yield rank
+
+
+def _element(r: int, n: int, rank: int) -> ColoredPermutation:
+    """The element of Z_r wr S_n at a rank of enumerate_group order."""
+    word, colors = divmod(rank, r**n)
+    return ColoredPermutation._from_trusted(
+        r,
+        next(islice(value_words(n), word, None)),
+        next(islice(product(range(r), repeat=n), colors, None)),
+    )
+
+
+def _outside(name: str, p: ColoredPermutation) -> PropertyVerdict:
+    """The FAIL verdict for an element whose image is not in the group."""
+    q = symmetry_map(p)
+    return PropertyVerdict(
+        name=name,
+        passed=False,
+        r=p.r,
+        n=p.n,
+        counterexample=(
+            f"{format_window(p)} -> {format_window(q)}: "
+            f"image is not an element of Z_{p.r} wr S_{p.n}"
+        ),
+    )
+
+
+def _exc_by_rank(r: int, n: int) -> array:
+    """exc of every element of Z_r wr S_n, in enumerate_group order.
+
+    For each tau, exc over its r**n color words is the outer sum over
+    positions of the oracle's exceeded-letter rows, the first position
+    most significant.  At the all-zero word it must equal summarize's
+    letter scan; a disagreement raises AssertionError.
+    """
+    table = oracle._position_table(r, n)
+    zeros = (0,) * n
+    excs = array("q")
+    for tau in value_words(n):
+        sums = [0]
+        for rows, v in zip(table, tau):
+            row = rows[v - 1]
+            sums = [s + x for s in sums for x in row]
+        s = summarize(ColoredPermutation._from_trusted(r, tau, zeros))
+        if s.exc != sums[0]:
+            raise AssertionError(
+                f"exceeded-letter rows disagree with summarize at {s.perm}: "
+                f"exc {sums[0]} != {s.exc}"
+            )
+        excs.extend(sums)
+    return excs
+
+
 def check_exc_complement(r: int, n: int) -> PropertyVerdict:
     """Verify exc(image) = r*n - 1 - exc(p) for every element of Z_r wr S_n."""
+    check_params(r, n)
     target = r * n - 1
-    for p in enumerate_group(GroupParams(r, n)):
-        q = symmetry_map(p)
-        e_p = summarize(p).exc
-        e_q = summarize(q).exc
-        if e_p + e_q != target:
+    excs = _exc_by_rank(r, n)
+    for k, image in enumerate(_image_ranks(r, n)):
+        if image < 0:
+            return _outside("exc_complement", _element(r, n, k))
+        if excs[k] + excs[image] != target:
+            p = _element(r, n, k)
+            q = symmetry_map(p)
             return PropertyVerdict(
                 name="exc_complement",
                 passed=False,
@@ -77,7 +170,7 @@ def check_exc_complement(r: int, n: int) -> PropertyVerdict:
                 n=n,
                 counterexample=(
                     f"{format_window(p)} -> {format_window(q)}: "
-                    f"exc {e_p} + {e_q} != {target}"
+                    f"exc {excs[k]} + {excs[image]} != {target}"
                 ),
             )
     return PropertyVerdict(name="exc_complement", passed=True, r=r, n=n)
@@ -85,9 +178,14 @@ def check_exc_complement(r: int, n: int) -> PropertyVerdict:
 
 def check_involution(r: int, n: int) -> PropertyVerdict:
     """Verify the map squares to the identity on all of Z_r wr S_n."""
-    for p in enumerate_group(GroupParams(r, n)):
-        q = symmetry_map(symmetry_map(p))
-        if q != p:
+    check_params(r, n)
+    images = array("q", _image_ranks(r, n))
+    for k, image in enumerate(images):
+        if image < 0:
+            return _outside("symmetry_involution", _element(r, n, k))
+        if images[image] != k:
+            p = _element(r, n, k)
+            q = symmetry_map(symmetry_map(p))
             return PropertyVerdict(
                 name="symmetry_involution",
                 passed=False,

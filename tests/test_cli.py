@@ -7,6 +7,7 @@ import pytest
 
 from colorperm import cli, closed, dist, oracle, properties
 from colorperm.cli import main
+from colorperm.perm import ColoredPermutation, GroupParams
 
 #: Exit status and stdout of every subcommand in every format at small
 #: points; any change to these bytes is a change to the CLI's output.
@@ -463,6 +464,94 @@ class TestCheck:
             "FAIL excA_distribution_agreement r=1 n=2: "
             "d(1, 2, 0) evaluated negative: -3"
         )
+
+    @staticmethod
+    def _last_color_map(last):
+        """symmetry_map with the last color b of p sent to last(r, b)."""
+        exact = properties.symmetry_map
+
+        def mapped(p):
+            q = exact(p)
+            colors = q.colors[:-1] + (last(p.r, p.colors[-1]),)
+            return ColoredPermutation._from_trusted(p.r, q.values, colors)
+
+        return mapped
+
+    def test_image_outside_the_group_is_a_fail_line(self, capsys, monkeypatch):
+        # Color r - b at the last position is r itself when b = 0: no
+        # element has it, so neither check may pass or crash.
+        monkeypatch.setattr(
+            properties, "symmetry_map", self._last_color_map(lambda r, b: r - b)
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "2", "--n-max", "2"
+        )
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        for name in ("exc_complement", "symmetry_involution"):
+            assert f"FAIL {name} r=1 n=1: 1 -> 1^1: image is not an element of Z_1 wr S_1" in lines
+            assert f"FAIL {name} r=2 n=2: 1,2 -> 2,1^2: image is not an element of Z_2 wr S_2" in lines
+        assert lines[-1] == "12 checks, 4 passed, 8 failed"
+
+    def test_last_position_color_slip_is_caught(self, capsys, monkeypatch):
+        # Negative control: the last position mapped like the others, by
+        # (r - b) mod r instead of r - 1 - b.  The map is still an
+        # involution, so only the complement check can see it; the output
+        # is the one the per-element summarize version printed.
+        monkeypatch.setattr(
+            properties,
+            "symmetry_map",
+            self._last_color_map(lambda r, b: (r - b) % r),
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "2", "--n-max", "2"
+        )
+        first = next(line for line in out.splitlines() if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert first == "FAIL exc_complement r=2 n=1: 1 -> 1: exc 0 + 0 != 1"
+        assert out == (
+            "PASS exc_distribution_palindrome r=1 n=1\n"
+            "PASS exc_complement r=1 n=1\n"
+            "PASS symmetry_involution r=1 n=1\n"
+            "PASS exc_distribution_palindrome r=1 n=2\n"
+            "PASS exc_complement r=1 n=2\n"
+            "PASS symmetry_involution r=1 n=2\n"
+            "PASS exc_distribution_palindrome r=2 n=1\n"
+            "FAIL exc_complement r=2 n=1: 1 -> 1: exc 0 + 0 != 1\n"
+            "PASS symmetry_involution r=2 n=1\n"
+            "PASS exc_distribution_palindrome r=2 n=2\n"
+            "FAIL exc_complement r=2 n=2: 1,2 -> 2,1: exc 0 + 2 != 3\n"
+            "PASS symmetry_involution r=2 n=2\n"
+            "12 checks, 10 passed, 2 failed\n"
+        )
+
+    def test_symmetry_suite_maps_each_element_once_per_check(
+        self, capsys, monkeypatch
+    ):
+        # Each elementwise check maps every element once and reads exc from
+        # per-tau rows, with one summarize anchor per permutation tau.
+        counts = {"symmetry_map": 0, "summarize": 0}
+
+        def counted(name):
+            exact = getattr(properties, name)
+
+            def wrapper(p):
+                counts[name] += 1
+                return exact(p)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(properties, name, counted(name))
+        code, _, _ = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "3", "--n-max", "4"
+        )
+        points = [GroupParams(r, n) for r in range(1, 4) for n in range(1, 5)]
+        assert code == 0
+        assert counts == {
+            "symmetry_map": 2 * sum(g.size for g in points),
+            "summarize": sum(g.size // g.r**g.n for g in points),
+        }
 
     @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
     def test_empty_sweep_is_usage_error(self, capsys, flag):

@@ -1,7 +1,7 @@
 """Stirling numbers, integer polynomials and the closed forms."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -156,6 +156,17 @@ class TestDExplicit:
     def test_full_row_at_large_n(self, r, n):
         # (3, 100) is where a float sign from (-1) ** m with m < 0 showed.
         assert [d_explicit(r, n, k) for k in range(n)] == excA_dist(r, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_alternants_match_their_definition(self, n):
+        # Horner's rule in (1 + x) against the sum with binomials.
+        row = tuple(stirling2(n, j) for j in range(n + 1))
+        signed = [(-1) ** j * factorial(j) * row[j] for j in range(n + 1)]
+        expected = tuple(
+            sum(signed[j] * comb(j - 1, i) for j in range(i + 1, n + 1))
+            for i in range(n)
+        )
+        assert closed._alternants(row) == expected
 
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):

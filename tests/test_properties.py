@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from colorperm import properties
 from colorperm.perm import (
     ColoredPermutation,
     GroupParams,
@@ -69,6 +70,39 @@ class TestElementwiseChecks:
 
     def test_involution_verdict_passes(self):
         assert check_involution(3, 2).passed
+
+    @pytest.mark.parametrize("r, n", [(1, 5), (2, 4), (3, 3), (4, 3)])
+    def test_exc_rows_follow_enumeration_order(self, r, n):
+        # The outer sum over positions must list exc in enumerate_group
+        # order, so that a rank indexes the right element.
+        expected = [summarize(p).exc for p in enumerate_group(GroupParams(r, n))]
+        assert list(properties._exc_by_rank(r, n)) == expected
+
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 2)])
+    def test_ranks_follow_enumeration_order(self, r, n):
+        elements = list(enumerate_group(GroupParams(r, n)))
+        rank = {p: k for k, p in enumerate(elements)}
+        images = list(properties._image_ranks(r, n))
+        assert images == [rank[symmetry_map(p)] for p in elements]
+        assert [properties._element(r, n, k) for k in range(len(elements))] == elements
+
+    def test_involution_names_the_first_element_mapped_twice_elsewhere(
+        self, monkeypatch
+    ):
+        def raise_last(p):
+            colors = p.colors[:-1] + ((p.colors[-1] + 1) % p.r,)
+            return ColoredPermutation._from_trusted(p.r, p.values, colors)
+
+        monkeypatch.setattr(properties, "symmetry_map", raise_last)
+        verdict = check_involution(3, 2)
+        assert verdict.counterexample == "1,2 maps twice to 1,2^2"
+        assert check_involution(2, 2).passed
+
+    @pytest.mark.parametrize("check", [check_exc_complement, check_involution])
+    @pytest.mark.parametrize("r, n", [(0, 2), (2, 0), (True, 2)])
+    def test_bad_parameters_are_errors(self, check, r, n):
+        with pytest.raises(ValueError):
+            check(r, n)
 
 
 class TestSymmetryDist:
