@@ -315,9 +315,11 @@ def suite_symmetry(r_max, n_max, report) -> list:
         skipped = _over_cap(name, r, n, ELEMENTWISE_SUITE_CAP)
         if skipped:
             return verdicts + skipped
+        # One walk of the map serves both checks.
+        images = properties.image_ranks(r, n)
         return verdicts + [
-            properties.check_exc_complement(r, n),
-            properties.check_involution(r, n),
+            properties.check_exc_complement(r, n, images=images),
+            properties.check_involution(r, n, images=images),
         ]
 
     return _run_points(name, _sweep(r_max, n_max), check)
@@ -363,13 +365,16 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
 
     Every suite takes (r_max, n_max, report), where report(r, n) is the
     oracle's report on Z_r wr S_n, kept for the run so that `lemma` and
-    `recursion` share one enumeration per point.
+    `recursion` share one enumeration per point.  With workers > 1 every
+    enumeration of the run maps its slices on one pool of
+    min(workers, n_max) processes, opened here and closed on return.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = cache(partial(oracle.brute_tables, workers=workers))
     entries = []
-    for name in names:
-        entries.extend(_SUITES[name](r_max, n_max, report))
+    with oracle.worker_pool(min(workers or 1, n_max)):
+        for name in names:
+            entries.extend(_SUITES[name](r_max, n_max, report))
     return entries
 
 

@@ -25,7 +25,11 @@ stats.summarize, which scans all r*n letters.  Any disagreement raises
 AssertionError.
 
 Work can be split across processes: slices by the first window value
-are disjoint, cover the group, and merge by plain addition.
+are disjoint, cover the group, and merge by plain addition.  A call with
+workers > 1 maps its slices on the pool that worker_pool has open, or,
+outside such a block, on a pool of its own that it closes before
+returning.  A run of many small enumerations, such as `check`'s sweep,
+opens worker_pool once so that it starts its processes once.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .perm import ColoredLetter, ColoredPermutation, GroupParams, value_words
 from .stats import summarize
@@ -42,6 +48,11 @@ from .tables import JointTable
 
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
+
+#: The pool worker_pool has open in this context, if any.
+_OPEN_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar(
+    "colorperm_open_pool", default=None
+)
 
 
 @dataclass
@@ -179,9 +190,10 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
 
     ``workers`` > 1 splits the enumeration by first window value across
-    that many processes (capped at n); the result is identical to the
-    serial one.  Emits a RuntimeWarning when the group order exceeds
-    FEASIBILITY_LIMIT, then proceeds.
+    that many processes (capped at n), on the pool worker_pool has open
+    if there is one; the result is identical to the serial one.  Emits a
+    RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT, then
+    proceeds.
     """
     params = GroupParams(r, n)
     size = params.size
@@ -194,9 +206,23 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
         )
     started = time.perf_counter()
     if workers is not None and workers > 1 and n > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
+        workers = min(workers, n)
+        shared = _OPEN_POOL.get()
+        with (
+            nullcontext(shared)
+            if shared is not None
+            else ProcessPoolExecutor(max_workers=workers)
+        ) as pool:
+            # One round trip per worker, not per slice: on small groups
+            # the trips cost more than the slices.
             slices = list(
-                pool.map(_count_slice, [r] * n, [n] * n, range(1, n + 1))
+                pool.map(
+                    _count_slice,
+                    [r] * n,
+                    [n] * n,
+                    range(1, n + 1),
+                    chunksize=-(-n // workers),
+                )
             )
     else:
         slices = [_count_slice(r, n, None)]
@@ -219,6 +245,25 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
         exc_row=exc_row,
         elapsed_seconds=elapsed,
     )
+
+
+@contextmanager
+def worker_pool(workers: int) -> Iterator[None]:
+    """Within the block, brute_tables maps on one pool of ``workers`` processes.
+
+    Only calls with workers > 1 use it, and the pool starts its processes
+    at the first such call.  It is shut down, its processes joined, when
+    the block ends.  With ``workers`` <= 1 the block opens nothing.
+    """
+    if workers <= 1:
+        yield
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        token = _OPEN_POOL.set(pool)
+        try:
+            yield
+        finally:
+            _OPEN_POOL.reset(token)
 
 
 def compare(left: JointTable, right: JointTable) -> list[TableDiff]:

@@ -5,17 +5,19 @@ position i < n to position n - i with color negated and the last position
 to itself with color c mapped to r - 1 - c.  It exchanges exc with
 r*n - 1 - exc, which forces the distribution of exc to be palindromic.
 
-The two elementwise checks each walk Z_r wr S_n once in enumerate_group
-order and call symmetry_map exactly once per element.  The image is
-looked up by its rank in that order (value-word index times r**n plus
-color-word index); an image that is not an element of Z_r wr S_n has no
-rank and fails the check, naming p and its image.  check_involution
-keeps the ranks in an array and tests image(image(k)) = k.
-check_exc_complement reads exc of every element from an array built per
-tau as an outer sum of the oracle's per-position exceeded-letter rows,
-anchored to summarize at each tau's all-zero color word, and tests
-exc(k) + exc(image(k)) = r*n - 1.  A failure names the first failing
-element in enumeration order.
+The two elementwise checks walk Z_r wr S_n in enumerate_group order and
+look each element's image up by its rank in that order (value-word index
+times r**n plus color-word index).  image_ranks applies symmetry_map once
+per element and returns the ranks as an array; an image that is not an
+element of Z_r wr S_n has no rank and fails the check, naming p and its
+image.  A caller running both checks at one point, as `check`'s symmetry
+suite does, computes the array once and passes it to both as ``images``;
+without it, each check computes its own.  check_involution tests
+image(image(k)) = k.  check_exc_complement reads exc of every element
+from an array built per tau as an outer sum of the oracle's per-position
+exceeded-letter rows, anchored to summarize at each tau's all-zero color
+word, and tests exc(k) + exc(image(k)) = r*n - 1.  A failure names the
+first failing element in enumeration order.
 
 Sequence checks (palindrome, log-concavity, unimodality) work on any
 list of nonnegative counts and return a PropertyVerdict carrying a
@@ -27,10 +29,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterator
 
 from . import oracle
-from .perm import ColoredPermutation, check_params, format_window, value_words
+from .perm import ColoredPermutation, GroupParams, format_window, value_words
 from .stats import summarize
 
 
@@ -78,19 +79,20 @@ def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
 
 
-def _image_ranks(r: int, n: int) -> Iterator[int]:
+def image_ranks(r: int, n: int) -> array:
     """Rank of symmetry_map(p) for each p, in enumerate_group order.
 
     The rank of an element is its index in enumerate_group order: the
     index of its value word among value_words(n) times r**n, plus the
     index of its color word among the base-r words.  An image that is not
-    an element of Z_r wr S_n has no rank and yields -1.
+    an element of Z_r wr S_n has no rank and reads -1.
     """
     words = list(value_words(n))
     color_words = list(product(range(r), repeat=n))
     by_values = {w: i * len(color_words) for i, w in enumerate(words)}
     by_colors = {c: i for i, c in enumerate(color_words)}
     make = ColoredPermutation._from_trusted
+    ranks = array("q")
     for values in words:
         for colors in color_words:
             q = symmetry_map(make(r, values, colors))
@@ -98,7 +100,20 @@ def _image_ranks(r: int, n: int) -> Iterator[int]:
                 rank = by_values[q.values] + by_colors[q.colors] if q.r == r else -1
             except (KeyError, TypeError):
                 rank = -1
-            yield rank
+            ranks.append(rank)
+    return ranks
+
+
+def _checked_ranks(r: int, n: int, images: array | None) -> array:
+    """images, or image_ranks(r, n) when it is None, for a check at (r, n)."""
+    size = GroupParams(r, n).size
+    if images is None:
+        return image_ranks(r, n)
+    if len(images) != size:
+        raise ValueError(
+            f"expected {size} image ranks for Z_{r} wr S_{n}, got {len(images)}"
+        )
+    return images
 
 
 def _element(r: int, n: int, rank: int) -> ColoredPermutation:
@@ -152,12 +167,17 @@ def _exc_by_rank(r: int, n: int) -> array:
     return excs
 
 
-def check_exc_complement(r: int, n: int) -> PropertyVerdict:
-    """Verify exc(image) = r*n - 1 - exc(p) for every element of Z_r wr S_n."""
-    check_params(r, n)
+def check_exc_complement(
+    r: int, n: int, *, images: array | None = None
+) -> PropertyVerdict:
+    """Verify exc(image) = r*n - 1 - exc(p) for every element of Z_r wr S_n.
+
+    ``images`` is image_ranks(r, n), when the caller has it already.
+    """
+    images = _checked_ranks(r, n, images)
     target = r * n - 1
     excs = _exc_by_rank(r, n)
-    for k, image in enumerate(_image_ranks(r, n)):
+    for k, image in enumerate(images):
         if image < 0:
             return _outside("exc_complement", _element(r, n, k))
         if excs[k] + excs[image] != target:
@@ -176,10 +196,14 @@ def check_exc_complement(r: int, n: int) -> PropertyVerdict:
     return PropertyVerdict(name="exc_complement", passed=True, r=r, n=n)
 
 
-def check_involution(r: int, n: int) -> PropertyVerdict:
-    """Verify the map squares to the identity on all of Z_r wr S_n."""
-    check_params(r, n)
-    images = array("q", _image_ranks(r, n))
+def check_involution(
+    r: int, n: int, *, images: array | None = None
+) -> PropertyVerdict:
+    """Verify the map squares to the identity on all of Z_r wr S_n.
+
+    ``images`` is image_ranks(r, n), when the caller has it already.
+    """
+    images = _checked_ranks(r, n, images)
     for k, image in enumerate(images):
         if image < 0:
             return _outside("symmetry_involution", _element(r, n, k))

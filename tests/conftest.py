@@ -1,5 +1,6 @@
 import pytest
 
+from colorperm import oracle
 from colorperm.oracle import brute_tables
 
 
@@ -22,3 +23,17 @@ class OracleCache:
 @pytest.fixture(scope="session")
 def oracle_cache():
     return OracleCache()
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """max_workers of every oracle.ProcessPoolExecutor the test builds."""
+    opened = []
+
+    class Counted(oracle.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", Counted)
+    return opened

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, formats, exit codes."""
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -525,11 +526,10 @@ class TestCheck:
             "12 checks, 10 passed, 2 failed\n"
         )
 
-    def test_symmetry_suite_maps_each_element_once_per_check(
-        self, capsys, monkeypatch
-    ):
-        # Each elementwise check maps every element once and reads exc from
-        # per-tau rows, with one summarize anchor per permutation tau.
+    def test_symmetry_suite_maps_each_element_once(self, capsys, monkeypatch):
+        # The suite maps every element once per point and hands the ranks
+        # to both elementwise checks; exc comes from per-tau rows, with
+        # one summarize anchor per permutation tau.
         counts = {"symmetry_map": 0, "summarize": 0}
 
         def counted(name):
@@ -549,9 +549,85 @@ class TestCheck:
         points = [GroupParams(r, n) for r in range(1, 4) for n in range(1, 5)]
         assert code == 0
         assert counts == {
-            "symmetry_map": 2 * sum(g.size for g in points),
+            "symmetry_map": sum(g.size for g in points),
             "summarize": sum(g.size // g.r**g.n for g in points),
         }
+
+    def test_threads_open_one_pool_per_run(self, capsys, opened_pools):
+        code, out, err = run_cli(
+            capsys,
+            "check", "--suite", "all", "--r-max", "3", "--n-max", "4",
+            "--threads", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "111 checks, 111 passed, 0 failed"
+        assert opened_pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_pool_is_closed_after_a_failing_run(
+        self, capsys, monkeypatch, opened_pools
+    ):
+        # A fault that the forked workers inherit and raise at (2, 2): the
+        # FAIL comes back through the open pool, the next point still runs
+        # on it, and the run shuts it down.
+        build = oracle._position_table
+
+        def skewed(r, n):
+            table = build(r, n)
+            if (r, n) == (2, 2):
+                row = list(table[0][1])
+                row[1] += 1
+                table[0][1] = tuple(row)
+            return table
+
+        monkeypatch.setattr(oracle, "_position_table", skewed)
+        code, out, err = run_cli(
+            capsys,
+            "check", "--suite", "lemma", "--r-max", "2", "--n-max", "3",
+            "--threads", "2",
+        )
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert lines[-2:] == [
+            "PASS lemma_exc_decomposition r=2 n=3",
+            "6 checks, 5 passed, 1 failed",
+        ]
+        assert lines[-3].startswith("FAIL lemma_exc_decomposition r=2 n=2: ")
+        assert opened_pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_dropped_excA_recurrence_term_is_caught_by_closed(
+        self, capsys, monkeypatch
+    ):
+        # Negative control: iter_excA_rows without its term
+        # (k+1)(r-1) d(n-1, k+1).  The factor r - 1 hides it at r = 1 and
+        # the term is zero at n = 2, so the first FAIL is at r = 2, n = 3.
+        # Only `closed` compares the recurrence with another route.
+        def dropped(r, n_max):
+            row = [r]
+            yield row
+            for m in range(2, n_max + 1):
+                row = [
+                    (m - k) * (row[k - 1] if k >= 1 else 0)
+                    + (k + 1 + (r - 1) * (m - k)) * (row[k] if k < m - 1 else 0)
+                    for k in range(m)
+                ]
+                yield row
+
+        monkeypatch.setattr(dist, "iter_excA_rows", dropped)
+        sweep = ("--r-max", "3", "--n-max", "5")
+        code, out, err = run_cli(capsys, "check", "--suite", "closed", *sweep)
+        lines = out.splitlines()
+        first = next(line for line in lines if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert "PASS excA_distribution_agreement r=2 n=2" in lines
+        assert first == (
+            "FAIL excA_distribution_agreement r=2 n=3: "
+            "joint row [26, 20, 2] != recurrence row [24, 20, 2]"
+        )
+        for suite in ("logconcave", "recursion", "symmetry", "eq2"):
+            code, out, _ = run_cli(capsys, "check", "--suite", suite, *sweep)
+            assert code == 0, suite
 
     @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
     def test_empty_sweep_is_usage_error(self, capsys, flag):

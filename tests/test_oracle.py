@@ -96,6 +96,17 @@ class TestBruteTables:
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
         assert parallel.exc_row == serial.exc_row
 
+    def test_open_pool_matches_serial_and_is_the_only_pool(self, opened_pools):
+        serial = brute_tables(3, 3)
+        with oracle.worker_pool(2):
+            parallel = brute_tables(3, 3, workers=2)
+            again = brute_tables(2, 3, workers=2)
+        assert opened_pools == [2]
+        assert parallel.joint_by_csum == serial.joint_by_csum
+        assert parallel.joint_by_colored_count == serial.joint_by_colored_count
+        assert parallel.exc_row == serial.exc_row
+        assert again.exc_row == brute_tables(2, 3).exc_row
+
     def test_feasibility_warning(self, monkeypatch):
         monkeypatch.setattr(oracle, "FEASIBILITY_LIMIT", 5)
         with pytest.warns(RuntimeWarning, match="feasibility"):

@@ -82,7 +82,7 @@ class TestElementwiseChecks:
     def test_ranks_follow_enumeration_order(self, r, n):
         elements = list(enumerate_group(GroupParams(r, n)))
         rank = {p: k for k, p in enumerate(elements)}
-        images = list(properties._image_ranks(r, n))
+        images = list(properties.image_ranks(r, n))
         assert images == [rank[symmetry_map(p)] for p in elements]
         assert [properties._element(r, n, k) for k in range(len(elements))] == elements
 
@@ -97,6 +97,12 @@ class TestElementwiseChecks:
         verdict = check_involution(3, 2)
         assert verdict.counterexample == "1,2 maps twice to 1,2^2"
         assert check_involution(2, 2).passed
+
+    @pytest.mark.parametrize("check", [check_exc_complement, check_involution])
+    def test_given_ranks_serve_the_check_and_must_fit_the_group(self, check):
+        assert check(2, 3, images=properties.image_ranks(2, 3)).passed
+        with pytest.raises(ValueError, match="expected 8 image ranks"):
+            check(2, 2, images=properties.image_ranks(2, 3))
 
     @pytest.mark.parametrize("check", [check_exc_complement, check_involution])
     @pytest.mark.parametrize("r, n", [(0, 2), (2, 0), (True, 2)])
