@@ -20,8 +20,10 @@ depends on the Stirling row of n only, not on r or k:
     A_i = sum_{j>i} (-1)^j j! S(n, j) C(j-1, i),
     d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k),
 
-so a coefficient costs O(n) once the row A of n is known (O(n^2), cached
-on the Stirling row).  The two routes share only the Stirling numbers.
+so a coefficient costs O(n) once the row A of n is known.  The two routes
+share only the Stirling row S(n, 0..n) from stirling_row.  It and A
+(_alternants, keyed on that row) each keep their last four rows, so a
+whole d_explicit row over k builds each of them once.
 
 D_{r,n} also satisfies a first-order recurrence in n involving the
 derivative,
@@ -34,40 +36,25 @@ verified by check_eq2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
 
 from .perm import check_params
 
-#: How many rows below (n, j) stirling2 fills the triangle before it recurses.
-_STRIDE = 64
 
+@lru_cache(maxsize=4)
+def stirling_row(n: int) -> tuple[int, ...]:
+    """Stirling numbers of the second kind S(n, 0..n): set partitions into j blocks.
 
-@cache
-def stirling2(n: int, j: int) -> int:
-    """Stirling number of the second kind: partitions of an n-set into j blocks.
-
-    Memoized triangle from S(n, j) = j*S(n-1, j) + S(n-1, j-1), S(0, 0) = 1.
-    A call first computes S(n - _STRIDE, j) and S(n - _STRIDE, j - _STRIDE)
-    where they lie inside the triangle; on a cold cache they fill the part
-    below (n, j) but for a _STRIDE-square block, so the recursion nests
-    about n/_STRIDE + 2*_STRIDE calls deep instead of n, which would pass
-    Python's recursion limit near n = 500.
+    Built row by row from S(0, 0) = 1 by S(m, j) = j*S(m-1, j) + S(m-1, j-1).
     """
     if not (isinstance(n, int) and n >= 0):
         raise ValueError(f"set size n must be an integer >= 0, got {n!r}")
-    if not isinstance(j, int):
-        raise ValueError(f"block count j must be an integer, got {j!r}")
-    if j < 0 or j > n:
-        return 0
-    if n == 0:
-        return 1
-    if j <= n - _STRIDE:
-        stirling2(n - _STRIDE, j)
-    if j >= _STRIDE:
-        stirling2(n - _STRIDE, j - _STRIDE)
-    return j * stirling2(n - 1, j) + stirling2(n - 1, j - 1)
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [j * a + b for j, a, b in zip(range(1, m), row[1:], row)] + [1]
+    return tuple(row)
 
 
 class IntPolynomial:
@@ -156,11 +143,12 @@ def D_closed(r: int, n: int) -> IntPolynomial:
     Horner's rule in (t + r - 1), from j = n down to 1.
     """
     check_params(r, n)
-    horner = [r * factorial(n) * stirling2(n, n)]
+    row = stirling_row(n)
+    horner = [r * factorial(n) * row[n]]
     down = [1]  # (1 - t)^(n-j)
     for j in range(n - 1, 0, -1):
         down = [a - b for a, b in zip(down + [0], [0] + down)]
-        weight = r * factorial(j) * stirling2(n, j)
+        weight = r * factorial(j) * row[j]
         # horner <- horner * (t + r - 1) + weight * (1 - t)^(n-j)
         horner = [
             (r - 1) * a + b + weight * c
@@ -175,8 +163,9 @@ def _alternants(row: tuple[int, ...]) -> tuple[int, ...]:
 
     A_i is the coefficient of x^i in sum_j (-1)^j j! S(n, j) (1 + x)^(j-1),
     evaluated by Horner's rule in (1 + x), so the binomials come from
-    Pascal's rule: additions only.  Keyed on the Stirling row S(n, 0..n)
-    itself, not on n, so a changed row is never answered from the cache.
+    Pascal's rule: additions only.  ``row`` is stirling_row(n); the cache
+    is keyed on the row itself, not on n, so a changed row is never
+    answered from it.
     """
     n = len(row) - 1
     signed = [(-1 if j % 2 else 1) * factorial(j) * row[j] for j in range(n + 1)]
@@ -195,13 +184,15 @@ def d_explicit(r: int, n: int, k: int) -> int:
     d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k),
     summed from i = n-1-k down to 0 so that C(m, k), m = n-1-i, steps
     from C(k, k) = 1 by C(m+1, k) = C(m, k) (m+1) / (m+1-k), an exact
-    integer division.  The sum has massive cancellation; the result is
-    asserted nonnegative before being returned.
+    integer division.  A comes from _alternants on the cached
+    stirling_row(n), so a whole row over k builds both once.  The sum has
+    massive cancellation; the result is asserted nonnegative before being
+    returned.
     """
     check_params(r, n)
     if not (isinstance(k, int) and 0 <= k <= n - 1):
         raise ValueError(f"k must be an integer in 0..{n - 1}, got {k!r}")
-    alternants = _alternants(tuple(stirling2(n, j) for j in range(n + 1)))
+    alternants = _alternants(stirling_row(n))
     total = 0
     binomial = 1  # C(n-1-i, k)
     power = r ** (n - k)  # r^(i+1)

@@ -150,7 +150,7 @@ def _count_slice(r: int, n: int, first_value: int | None):
         up = [int(i < n - 1 and v > i + 1) for i, v in enumerate(tau)]
         exc = sum(row[0] for row in exceeded)
         excA = sum(up)
-        s = summarize(ColoredPermutation._from_trusted(r, tau, zeros))
+        s = summarize(ColoredPermutation(tau, zeros, r))
         if (s.exc, s.exc_A, s.csum) != (exc, excA, 0):
             raise AssertionError(
                 f"Gray walk disagrees with summarize at {s.perm}: "
@@ -175,7 +175,7 @@ def _count_slice(r: int, n: int, first_value: int | None):
             if exc != r * excA + csum or not (
                 0 <= excA <= excA_max and 0 <= csum <= csum_max and exc <= exc_max
             ):
-                p = ColoredPermutation._from_trusted(r, tau, word)
+                p = ColoredPermutation(tau, word, r)
                 raise AssertionError(
                     f"exc = r*exc_A + csum or a range bound violated for {p}: "
                     f"exc={exc}, exc_A={excA}, csum={csum}"

@@ -111,39 +111,17 @@ class ColoredPermutation:
 
     ``values`` is the underlying permutation as a tuple (tau(1), ..., tau(n))
     and ``colors`` the tuple (c_1, ..., c_n) of colors by source position.
-    Instances are treated as immutable; do not assign to the fields.
+    Instances are treated as immutable; do not assign to the fields.  The
+    constructor trusts its arguments: parse_window is the validated entry.
     """
 
     __slots__ = ("r", "n", "values", "colors")
 
-    def __init__(self, values, colors, r: int):
-        values = tuple(values)
-        colors = tuple(colors)
-        n = len(values)
-        check_params(r)
-        if n == 0:
-            raise ValueError("window must contain at least one letter")
-        if sorted(values) != list(range(1, n + 1)):
-            raise ValueError(f"values {values} are not a permutation of 1..{n}")
-        if len(colors) != n:
-            raise ValueError(f"expected {n} colors, got {len(colors)}")
-        for c in colors:
-            if not (isinstance(c, int) and 0 <= c < r):
-                raise ValueError(f"color {c!r} is not in 0..{r - 1}")
-        self.r = r
-        self.n = n
-        self.values = values
-        self.colors = colors
-
-    @classmethod
-    def _from_trusted(cls, r, values, colors):
-        # Fast path for internal construction; inputs must already be valid.
-        self = object.__new__(cls)
+    def __init__(self, values: tuple[int, ...], colors: tuple[int, ...], r: int):
         self.r = r
         self.n = len(values)
         self.values = values
         self.colors = colors
-        return self
 
     @property
     def params(self) -> GroupParams:
@@ -216,7 +194,7 @@ def parse_window(text: str, r: int) -> ColoredPermutation:
         seen.add(v)
         values.append(v)
         colors.append(c)
-    return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
+    return ColoredPermutation(tuple(values), tuple(colors), r)
 
 
 def format_window(p: ColoredPermutation) -> str:
@@ -240,10 +218,9 @@ def enumerate_group(
     """
     r = params.r
     color_words = list(itertools.product(range(r), repeat=params.n))
-    make = ColoredPermutation._from_trusted
     for values in value_words(params.n, first_value):
         for colors in color_words:
-            yield make(r, values, colors)
+            yield ColoredPermutation(values, colors, r)
 
 
 def value_words(n: int, first_value: int | None = None) -> Iterator[tuple[int, ...]]:

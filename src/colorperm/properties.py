@@ -76,7 +76,7 @@ def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     b = p.colors[n - 1]
     values[n - 1] = n + 1 - j
     colors[n - 1] = r - 1 - b
-    return ColoredPermutation._from_trusted(r, tuple(values), tuple(colors))
+    return ColoredPermutation(tuple(values), tuple(colors), r)
 
 
 def image_ranks(r: int, n: int) -> array:
@@ -91,11 +91,10 @@ def image_ranks(r: int, n: int) -> array:
     color_words = list(product(range(r), repeat=n))
     by_values = {w: i * len(color_words) for i, w in enumerate(words)}
     by_colors = {c: i for i, c in enumerate(color_words)}
-    make = ColoredPermutation._from_trusted
     ranks = array("q")
     for values in words:
         for colors in color_words:
-            q = symmetry_map(make(r, values, colors))
+            q = symmetry_map(ColoredPermutation(values, colors, r))
             try:
                 rank = by_values[q.values] + by_colors[q.colors] if q.r == r else -1
             except (KeyError, TypeError):
@@ -119,10 +118,10 @@ def _checked_ranks(r: int, n: int, images: array | None) -> array:
 def _element(r: int, n: int, rank: int) -> ColoredPermutation:
     """The element of Z_r wr S_n at a rank of enumerate_group order."""
     word, colors = divmod(rank, r**n)
-    return ColoredPermutation._from_trusted(
-        r,
+    return ColoredPermutation(
         next(islice(value_words(n), word, None)),
         next(islice(product(range(r), repeat=n), colors, None)),
+        r,
     )
 
 
@@ -157,7 +156,7 @@ def _exc_by_rank(r: int, n: int) -> array:
         for rows, v in zip(table, tau):
             row = rows[v - 1]
             sums = [s + x for s in sums for x in row]
-        s = summarize(ColoredPermutation._from_trusted(r, tau, zeros))
+        s = summarize(ColoredPermutation(tau, zeros, r))
         if s.exc != sums[0]:
             raise AssertionError(
                 f"exceeded-letter rows disagree with summarize at {s.perm}: "

@@ -21,6 +21,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _stirling_row_off_at_3_2(n):
+    """S(n, 0..n) with S(3, 2) off by one, carried up by the recurrence."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m)] + [1]
+        if m == 3:
+            row[2] += 1
+    return tuple(row)
+
+
 class TestStats:
     def test_text_golden(self, capsys):
         code, out, err = run_cli(capsys, "stats", "--r", "3", "3,1^1,2^2")
@@ -376,21 +386,10 @@ class TestCheck:
     def test_stirling_fault_is_caught_at_its_first_n(
         self, capsys, monkeypatch, suite, first_fail
     ):
-        exact = closed.stirling2
-        exact.cache_clear()
-        # Off by one at S(3, 2); the exact triangle recurses through the
-        # module name, so every S(n, 2) above it inherits the fault.
-        monkeypatch.setattr(
-            closed,
-            "stirling2",
-            lambda n, j: exact(n, j) + (1 if (n, j) == (3, 2) else 0),
+        monkeypatch.setattr(closed, "stirling_row", _stirling_row_off_at_3_2)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", suite
         )
-        try:
-            code, out, err = run_cli(
-                capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", suite
-            )
-        finally:
-            exact.cache_clear()
         lines = out.splitlines()
         first = next(line for line in lines if line.startswith("FAIL"))
         assert code == 1 and err == ""
@@ -409,19 +408,10 @@ class TestCheck:
         # keyed on n alone would hand them back under the fault.
         closed.D_closed(1, 3)
         assert [closed.d_explicit(1, 3, k) for k in range(3)] == [1, 4, 1]
-        exact = closed.stirling2
-        exact.cache_clear()
-        monkeypatch.setattr(
-            closed,
-            "stirling2",
-            lambda n, j: exact(n, j) + (1 if (n, j) == (3, 2) else 0),
+        monkeypatch.setattr(closed, "stirling_row", _stirling_row_off_at_3_2)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", "closed"
         )
-        try:
-            code, out, err = run_cli(
-                capsys, "check", "--r-max", "2", "--n-max", "4", "--suite", "closed"
-            )
-        finally:
-            exact.cache_clear()
         first = next(line for line in out.splitlines() if line.startswith("FAIL"))
         assert code == 1 and err == ""
         assert first == (
@@ -474,7 +464,7 @@ class TestCheck:
         def mapped(p):
             q = exact(p)
             colors = q.colors[:-1] + (last(p.r, p.colors[-1]),)
-            return ColoredPermutation._from_trusted(p.r, q.values, colors)
+            return ColoredPermutation(q.values, colors, p.r)
 
         return mapped
 

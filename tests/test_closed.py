@@ -1,7 +1,9 @@
 """Stirling numbers, integer polynomials and the closed forms."""
 
+import ast
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,7 @@ from colorperm.closed import (
     IntPolynomial,
     check_eq2,
     d_explicit,
-    stirling2,
+    stirling_row,
 )
 from colorperm.dist import eulerian_row, excA_dist
 
@@ -33,38 +35,63 @@ def partitions_into_blocks(items, j):
 class TestStirling:
     def test_frozen_triangle(self):
         triangle = [
-            [1],
-            [0, 1],
-            [0, 1, 1],
-            [0, 1, 3, 1],
-            [0, 1, 7, 6, 1],
-            [0, 1, 15, 25, 10, 1],
-            [0, 1, 31, 90, 65, 15, 1],
+            (1,),
+            (0, 1),
+            (0, 1, 1),
+            (0, 1, 3, 1),
+            (0, 1, 7, 6, 1),
+            (0, 1, 15, 25, 10, 1),
+            (0, 1, 31, 90, 65, 15, 1),
         ]
         for n, row in enumerate(triangle):
-            assert [stirling2(n, j) for j in range(n + 1)] == row
+            assert stirling_row(n) == row
 
     def test_against_brute_set_partitions(self):
         for n in range(8):
+            row = stirling_row(n)
             for j in range(n + 1):
-                assert stirling2(n, j) == len(
-                    partitions_into_blocks(list(range(n)), j)
-                )
-
-    def test_out_of_triangle(self):
-        assert stirling2(3, 5) == 0
-        assert stirling2(3, -1) == 0
+                assert row[j] == len(partitions_into_blocks(list(range(n)), j))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            stirling2(-1, 0)
+            stirling_row(-1)
         with pytest.raises(ValueError):
-            stirling2(2, 1.5)
+            stirling_row(2.5)
 
-    def test_cold_call_at_large_n(self):
-        # S(n, 2) = 2^(n-1) - 1; a cold cache must not recurse n deep.
-        stirling2.cache_clear()
-        assert stirling2(1100, 2) == 2**1099 - 1
+    def test_cold_row_at_large_n(self):
+        # S(n, 2) = 2^(n-1) - 1; a cold row is a loop, not n-deep recursion.
+        stirling_row.cache_clear()
+        row = stirling_row(600)
+        assert len(row) == 601 and row[600] == 1
+        assert row[2] == 2**599 - 1
+
+    def test_d_explicit_row_builds_the_stirling_row_once(self):
+        stirling_row.cache_clear()
+        [d_explicit(3, 30, k) for k in range(30)]
+        assert stirling_row.cache_info().misses == 1
+
+    def test_closed_has_no_unbounded_cache_and_no_recursion(self):
+        tree = ast.parse(Path(closed.__file__).read_text())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert "cache" not in (name, getattr(node, "name", None)), ast.unparse(node)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+                "lru_cache"
+            ):
+                sizes = node.args[:1] + [
+                    kw.value for kw in node.keywords if kw.arg == "maxsize"
+                ]
+                assert all(
+                    isinstance(size, ast.Constant) and type(size.value) is int
+                    for size in sizes
+                ), ast.unparse(node)
+            if isinstance(node, ast.FunctionDef):
+                called = {
+                    inner.func.id
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name)
+                }
+                assert node.name not in called, f"{node.name} calls itself"
 
 
 class TestIntPolynomial:
@@ -160,7 +187,7 @@ class TestDExplicit:
     @pytest.mark.parametrize("n", [1, 2, 5, 13])
     def test_alternants_match_their_definition(self, n):
         # Horner's rule in (1 + x) against the sum with binomials.
-        row = tuple(stirling2(n, j) for j in range(n + 1))
+        row = stirling_row(n)
         signed = [(-1) ** j * factorial(j) * row[j] for j in range(n + 1)]
         expected = tuple(
             sum(signed[j] * comb(j - 1, i) for j in range(i + 1, n + 1))

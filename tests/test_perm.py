@@ -114,6 +114,16 @@ class TestParseFormat:
         assert info.value.token_index == 2
         assert str(info.value) == "token 2: value 2 appears more than once"
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1,1", "1,3", "1,2^2", ""],
+        ids=["duplicate", "value-out-of-range", "color-out-of-range", "empty"],
+    )
+    def test_rejects_non_elements(self, text):
+        # parse_window is the one validated entry; the constructor trusts.
+        with pytest.raises(WindowParseError):
+            parse_window(text, r=2)
+
     def test_errors_are_window_parse_errors(self):
         assert issubclass(WindowParseError, ValueError)
 
@@ -128,26 +138,8 @@ class TestParseFormat:
         n = data.draw(st.integers(1, 8))
         values = data.draw(st.permutations(list(range(1, n + 1))))
         colors = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
-        p = ColoredPermutation(values, colors, r)
+        p = ColoredPermutation(tuple(values), tuple(colors), r)
         assert parse_window(format_window(p), r) == p
-
-
-class TestConstructor:
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            ColoredPermutation((1, 1), (0, 0), r=2)
-        with pytest.raises(ValueError):
-            ColoredPermutation((1, 3), (0, 0), r=2)
-
-    def test_rejects_bad_colors(self):
-        with pytest.raises(ValueError):
-            ColoredPermutation((1, 2), (0, 2), r=2)
-        with pytest.raises(ValueError):
-            ColoredPermutation((1, 2), (0,), r=2)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ColoredPermutation((), (), r=2)
 
 
 class TestExtendedAction:

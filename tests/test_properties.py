@@ -55,7 +55,7 @@ class TestSymmetryMap:
         n = data.draw(st.integers(1, 8))
         values = data.draw(st.permutations(list(range(1, n + 1))))
         colors = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
-        p = ColoredPermutation(values, colors, r)
+        p = ColoredPermutation(tuple(values), tuple(colors), r)
         assert symmetry_map(symmetry_map(p)) == p
         assert summarize(p).exc + summarize(symmetry_map(p)).exc == r * n - 1
 
@@ -91,7 +91,7 @@ class TestElementwiseChecks:
     ):
         def raise_last(p):
             colors = p.colors[:-1] + ((p.colors[-1] + 1) % p.r,)
-            return ColoredPermutation._from_trusted(p.r, p.values, colors)
+            return ColoredPermutation(p.values, colors, p.r)
 
         monkeypatch.setattr(properties, "symmetry_map", raise_last)
         verdict = check_involution(3, 2)

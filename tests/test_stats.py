@@ -69,7 +69,7 @@ class TestSummarize:
         n = data.draw(st.integers(1, 7))
         values = data.draw(st.permutations(list(range(1, n + 1))))
         colors = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
-        p = ColoredPermutation(values, colors, r)
+        p = ColoredPermutation(tuple(values), tuple(colors), r)
         assert exc(p)[1] == r * exc_A(p)[1] + csum(p)
 
     def test_bounds_attained(self):
