@@ -9,9 +9,14 @@ Subcommands:
 * bijection  apply the complementing involution to one element
 * check      run invariant suites over parameter sweeps
 
+Each subcommand is one row of _COMMANDS: its handler, help text and
+options, with the options that several subcommands share declared once.
+
 Output is deterministic for fixed inputs.  JSON output renders counts as
-decimal strings.  Exit status: 0 on success, 1 when a check finds a
-violated invariant, 2 on usage errors.
+decimal strings.  A check verdict passes exactly when it carries no
+counterexample; a FAIL line adds the counterexample after a colon when it
+is not empty.  Exit status: 0 on success, 1 when a check finds a violated
+invariant, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import NamedTuple
 
 from . import closed, dist, oracle, properties
 from .perm import GroupParams, check_params, format_window, parse_window
+from .properties import PropertyVerdict
 from .stats import summarize
 
 #: Brute-force suites skip parameter points with more elements than this.
@@ -169,11 +175,7 @@ def _run_points(name: str, points, check) -> list:
         try:
             entries.extend(check(r, n, *rest))
         except AssertionError as exc:
-            entries.append(
-                properties.PropertyVerdict(
-                    name=name, passed=False, r=r, n=n, counterexample=str(exc)
-                )
-            )
+            entries.append(PropertyVerdict(name, r, n, str(exc)))
     return entries
 
 
@@ -201,7 +203,7 @@ def suite_lemma(r_max, n_max, report) -> list:
         if skipped:
             return skipped
         report(r, n)
-        return [properties.PropertyVerdict(name=name, passed=True, r=r, n=n)]
+        return [PropertyVerdict(name, r, n)]
 
     return _run_points(name, _sweep(r_max, n_max), check)
 
@@ -216,34 +218,19 @@ def suite_recursion(r_max, n_max, report) -> list:
             return skipped
         brute = report(r, n)
         diffs = oracle.compare(dist.joint_table(r, n), brute.joint_by_csum)
-        counterexample = None
+        joint = None
         if diffs:
             d = diffs[0]
-            counterexample = (
-                f"cell (i={d.i}, k={d.k}): dp={d.left} enumeration={d.right}"
-            )
-        joint = properties.PropertyVerdict(
-            name="dp_joint_matches_enumeration",
-            passed=not diffs,
-            r=r,
-            n=n,
-            counterexample=counterexample,
-        )
+            joint = f"cell (i={d.i}, k={d.k}): dp={d.left} enumeration={d.right}"
         dp_exc = dist.exc_dist(r, n)
-        counterexample = None
+        exc = None
         if dp_exc != brute.exc_row:
             k = next(k for k in range(r * n) if dp_exc[k] != brute.exc_row[k])
-            counterexample = (
-                f"exc={k}: dp={dp_exc[k]} enumeration={brute.exc_row[k]}"
-            )
-        exc = properties.PropertyVerdict(
-            name="dp_exc_matches_enumeration",
-            passed=counterexample is None,
-            r=r,
-            n=n,
-            counterexample=counterexample,
-        )
-        return [joint, exc]
+            exc = f"exc={k}: dp={dp_exc[k]} enumeration={brute.exc_row[k]}"
+        return [
+            PropertyVerdict("dp_joint_matches_enumeration", r, n, joint),
+            PropertyVerdict("dp_exc_matches_enumeration", r, n, exc),
+        ]
 
     return _run_points(name, _sweep(r_max, n_max), check)
 
@@ -255,28 +242,15 @@ def suite_closed(r_max, n_max, report) -> list:
     def agreement(r, n, recurrence, table):
         poly = closed.D_closed(r, n)
         rows = {
-            "recurrence": recurrence,
             "joint": table.d_row(),
             "closed": [poly.coeff(k) for k in range(n)],
             "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
         }
-        baseline = rows["recurrence"]
-        bad = next(
-            (method for method, row in rows.items() if row != baseline), None
-        )
-        return [
-            properties.PropertyVerdict(
-                name=name,
-                passed=bad is None,
-                r=r,
-                n=n,
-                counterexample=(
-                    None
-                    if bad is None
-                    else f"{bad} row {rows[bad]} != recurrence row {baseline}"
-                ),
-            )
-        ]
+        for method, row in rows.items():
+            if row != recurrence:
+                detail = f"{method} row {row} != recurrence row {recurrence}"
+                return [PropertyVerdict(name, r, n, detail)]
+        return [PropertyVerdict(name, r, n)]
 
     def check(r, _):
         # One run of each recurrence per r yields its rows one n at a
@@ -293,15 +267,8 @@ def suite_eq2(r_max, n_max, report) -> list:
 
     def check(r, _):
         report = closed.check_eq2(r, max(n_max, 2))
-        return [
-            properties.PropertyVerdict(
-                name=name,
-                passed=report.passed,
-                r=r,
-                n=report.first_failure_n if not report.passed else report.n_max,
-                counterexample=report.detail,
-            )
-        ]
+        n = report.n_max if report.passed else report.first_failure_n
+        return [PropertyVerdict(name, r, n, report.detail)]
 
     return _run_points(name, _per_r(r_max), check)
 
@@ -386,7 +353,7 @@ def _entry_line(e) -> str:
         line += f" r={e.r}"
     if e.n is not None:
         line += f" n={e.n}"
-    if not e.passed and e.counterexample:
+    if e.counterexample:
         line += f": {e.counterexample}"
     return line
 
@@ -440,14 +407,63 @@ def _decimal(text: str, least: int = 0) -> int:
     return int(text)
 
 
-def _add_output_options(parser):
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "csv"),
-        default="text",
-        help="output format (default text)",
-    )
-    parser.add_argument("--out", help="write output to this file instead of stdout")
+def _option(*flags, **spec):
+    return flags, spec
+
+
+_R = _option("--r", type=_decimal, required=True, help="number of colors")
+_N = _option("--n", type=_decimal, required=True, help="degree")
+_THREADS = _option(
+    "--threads", type=partial(_decimal, least=1),
+    help="worker processes for brute enumeration",
+)
+_FORMAT = _option(
+    "--format", choices=("text", "json", "csv"), default="text",
+    help="output format (default text)",
+)
+_OUT = _option("--out", help="write output to this file instead of stdout")
+
+
+#: One row per subcommand: handler, help text and the options it takes
+#: before _FORMAT and _OUT, which every subcommand takes last.
+_COMMANDS = {
+    "stats": (cmd_stats, "statistics of one element", [
+        _R, _option("window", help="window notation, e.g. 3,1^1,2^2"),
+    ]),
+    "dist": (cmd_dist, "distribution of a statistic over a group", [
+        _R, _N,
+        _option(
+            "--target", choices=("exc", "excA"), required=True,
+            help="which statistic to distribute",
+        ),
+        _option(
+            "--method", choices=("brute", "dp", "closed", "explicit"), default="dp",
+            help="brute enumeration, insertion recursions, closed form or explicit sum",
+        ),
+        _THREADS,
+    ]),
+    "joint": (cmd_joint, "joint (csum, exc_A) table over a group", [
+        _R, _N,
+        _option(
+            "--method", choices=("brute", "dp"), default="dp",
+            help="brute enumeration or insertion recursions",
+        ),
+        _THREADS,
+    ]),
+    "poly": (cmd_poly, "generating polynomial of exc_A", [_R, _N]),
+    "bijection": (cmd_bijection, "apply the complementing involution", [
+        _R, _option("window", help="window notation, e.g. 2^1,1^2,4^1,3"),
+    ]),
+    "check": (cmd_check, "run invariant suites over parameter sweeps", [
+        _option("--r-max", type=_decimal, default=3, help="largest r (default 3)"),
+        _option("--n-max", type=_decimal, default=5, help="largest n (default 5)"),
+        _option(
+            "--suite", choices=SUITE_NAMES + ("all",), default="all",
+            help="which suite to run (default all)",
+        ),
+        _THREADS,
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,77 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Excedance statistics and distributions on colored permutation groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = partial(_decimal, least=1)
-
-    p = sub.add_parser("stats", help="statistics of one element")
-    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
-    p.add_argument("window", help="window notation, e.g. 3,1^1,2^2")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("dist", help="distribution of a statistic over a group")
-    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
-    p.add_argument("--n", type=_decimal, required=True, help="degree")
-    p.add_argument(
-        "--target",
-        choices=("exc", "excA"),
-        required=True,
-        help="which statistic to distribute",
-    )
-    p.add_argument(
-        "--method",
-        choices=("brute", "dp", "closed", "explicit"),
-        default="dp",
-        help="brute enumeration, insertion recursions, closed form or explicit sum",
-    )
-    p.add_argument(
-        "--threads", type=workers, help="worker processes for brute enumeration"
-    )
-    _add_output_options(p)
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("joint", help="joint (csum, exc_A) table over a group")
-    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
-    p.add_argument("--n", type=_decimal, required=True, help="degree")
-    p.add_argument(
-        "--method",
-        choices=("brute", "dp"),
-        default="dp",
-        help="brute enumeration or insertion recursions",
-    )
-    p.add_argument(
-        "--threads", type=workers, help="worker processes for brute enumeration"
-    )
-    _add_output_options(p)
-    p.set_defaults(func=cmd_joint)
-
-    p = sub.add_parser("poly", help="generating polynomial of exc_A")
-    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
-    p.add_argument("--n", type=_decimal, required=True, help="degree")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("bijection", help="apply the complementing involution")
-    p.add_argument("--r", type=_decimal, required=True, help="number of colors")
-    p.add_argument("window", help="window notation, e.g. 2^1,1^2,4^1,3")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_bijection)
-
-    p = sub.add_parser("check", help="run invariant suites over parameter sweeps")
-    p.add_argument("--r-max", type=_decimal, default=3, help="largest r (default 3)")
-    p.add_argument("--n-max", type=_decimal, default=5, help="largest n (default 5)")
-    p.add_argument(
-        "--suite",
-        choices=SUITE_NAMES + ("all",),
-        default="all",
-        help="which suite to run (default all)",
-    )
-    p.add_argument(
-        "--threads", type=workers, help="worker processes for brute enumeration"
-    )
-    _add_output_options(p)
-    p.set_defaults(func=cmd_check)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, spec in (*options, _FORMAT, _OUT):
+            p.add_argument(*flags, **spec)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -209,13 +209,19 @@ def d_explicit(r: int, n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Eq2Report:
-    """Outcome of verifying the derivative recurrence for D_{r,n}."""
+    """Outcome of verifying the derivative recurrence for D_{r,n}.
+
+    It passes exactly when there is no failure detail.
+    """
 
     r: int
     n_max: int
-    passed: bool
     first_failure_n: int | None = None
     detail: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.detail is None
 
 
 def check_eq2(r: int, n_max: int) -> Eq2Report:
@@ -238,12 +244,7 @@ def check_eq2(r: int, n_max: int) -> Eq2Report:
             a - b for a, b in zip_longest(plus, minus, fillvalue=0)
         )
         if lhs != rhs:
-            return Eq2Report(
-                r=r,
-                n_max=n_max,
-                passed=False,
-                first_failure_n=n,
-                detail=f"n={n}: closed form {lhs.render()} != recurrence {rhs.render()}",
-            )
+            detail = f"n={n}: closed form {lhs.render()} != recurrence {rhs.render()}"
+            return Eq2Report(r, n_max, n, detail)
         prev = lhs
-    return Eq2Report(r=r, n_max=n_max, passed=True)
+    return Eq2Report(r, n_max)

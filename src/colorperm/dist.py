@@ -23,7 +23,6 @@ Eulerian numbers as the case r = 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterator
@@ -155,7 +154,9 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
             (i+1)^(n - t_i) * prod_{u=1}^{i} u^(t_u - t_{u-1} - 1)
 
     with t_0 = 0.  For i > n the sum is empty and the value 0; i = 0
-    gives 1.
+    gives 1.  The sum is evaluated over positions 1..n in turn: a
+    position that is no t_u, with u of the t's before it, contributes
+    the factor u + 1, so O(n * i) steps replace the C(n, i) terms.
 
     Which k = 0 column the formula reproduces, by color sum or by number
     of nonzero colors, is an empirical question answered by
@@ -167,18 +168,11 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
         raise ValueError(f"statistic value i must be an integer >= 0, got {i!r}")
     if i > n:
         return 0
-    prefix = factorial(i) * (r - 1) ** i
-    if prefix == 0:
-        return 0
-    total = 0
-    for t in itertools.combinations(range(1, n + 1), i):
-        term = (i + 1) ** (n - (t[-1] if t else 0))
-        prev = 0
-        for u, t_u in enumerate(t, start=1):
-            term *= u ** (t_u - prev - 1)
-            prev = t_u
-        total += term
-    return prefix * total
+    sums = [1] + [0] * i  # sums[u]: over the positions so far, u of them t's
+    for _ in range(n):
+        for u in range(i, 0, -1):
+            sums[u] = (u + 1) * sums[u] + sums[u - 1]
+    return factorial(i) * (r - 1) ** i * sums[i]
 
 
 @dataclass

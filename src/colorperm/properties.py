@@ -11,17 +11,19 @@ times r**n plus color-word index).  image_ranks applies symmetry_map once
 per element and returns the ranks as an array; an image that is not an
 element of Z_r wr S_n has no rank and fails the check, naming p and its
 image.  A caller running both checks at one point, as `check`'s symmetry
-suite does, computes the array once and passes it to both as ``images``;
-without it, each check computes its own.  check_involution tests
-image(image(k)) = k.  check_exc_complement reads exc of every element
-from an array built per tau as an outer sum of the oracle's per-position
-exceeded-letter rows, anchored to summarize at each tau's all-zero color
-word, and tests exc(k) + exc(image(k)) = r*n - 1.  A failure names the
-first failing element in enumeration order.
+suite does, computes the array once at that (r, n) and passes it to both
+as ``images``; without it, each check computes its own.
+check_involution tests image(image(k)) = k.  check_exc_complement reads
+exc of every element from an array built per tau as an outer sum of the
+oracle's per-position exceeded-letter rows, anchored to summarize at each
+tau's all-zero color word, and tests exc(k) + exc(image(k)) = r*n - 1.
+A failure names the first failing element in enumeration order; both
+checks build it through one helper, so the two share the message for an
+image outside the group.
 
 Sequence checks (palindrome, log-concavity, unimodality) work on any
-list of nonnegative counts and return a PropertyVerdict carrying a
-counterexample when they fail.
+list of nonnegative counts.  Every check returns a PropertyVerdict, which
+passes exactly when it carries no counterexample.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from . import oracle
-from .perm import ColoredPermutation, GroupParams, format_window, value_words
+from .perm import ColoredPermutation, check_params, format_window, value_words
 from .stats import summarize
 
 
@@ -40,10 +42,14 @@ class PropertyVerdict:
     """Outcome of one property check, with a counterexample on failure."""
 
     name: str
-    passed: bool
     r: int | None = None
     n: int | None = None
     counterexample: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        # An empty counterexample (from a bare AssertionError) still fails.
+        return self.counterexample is None
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -103,18 +109,6 @@ def image_ranks(r: int, n: int) -> array:
     return ranks
 
 
-def _checked_ranks(r: int, n: int, images: array | None) -> array:
-    """images, or image_ranks(r, n) when it is None, for a check at (r, n)."""
-    size = GroupParams(r, n).size
-    if images is None:
-        return image_ranks(r, n)
-    if len(images) != size:
-        raise ValueError(
-            f"expected {size} image ranks for Z_{r} wr S_{n}, got {len(images)}"
-        )
-    return images
-
-
 def _element(r: int, n: int, rank: int) -> ColoredPermutation:
     """The element of Z_r wr S_n at a rank of enumerate_group order."""
     word, colors = divmod(rank, r**n)
@@ -125,18 +119,20 @@ def _element(r: int, n: int, rank: int) -> ColoredPermutation:
     )
 
 
-def _outside(name: str, p: ColoredPermutation) -> PropertyVerdict:
-    """The FAIL verdict for an element whose image is not in the group."""
+def _failure(name: str, r: int, n: int, k: int, image: int, detail) -> PropertyVerdict:
+    """The FAIL verdict for the element p at rank k, whose image q has rank image.
+
+    detail(p, q) says how p fails the check; an image outside the group
+    (rank -1) is named as such instead.
+    """
+    p = _element(r, n, k)
     q = symmetry_map(p)
+    if image >= 0:
+        return PropertyVerdict(name, r, n, detail(p, q))
     return PropertyVerdict(
-        name=name,
-        passed=False,
-        r=p.r,
-        n=p.n,
-        counterexample=(
-            f"{format_window(p)} -> {format_window(q)}: "
-            f"image is not an element of Z_{p.r} wr S_{p.n}"
-        ),
+        name, r, n,
+        f"{format_window(p)} -> {format_window(q)}: "
+        f"image is not an element of Z_{r} wr S_{n}",
     )
 
 
@@ -173,26 +169,18 @@ def check_exc_complement(
 
     ``images`` is image_ranks(r, n), when the caller has it already.
     """
-    images = _checked_ranks(r, n, images)
+    check_params(r, n)
+    images = image_ranks(r, n) if images is None else images
     target = r * n - 1
     excs = _exc_by_rank(r, n)
     for k, image in enumerate(images):
-        if image < 0:
-            return _outside("exc_complement", _element(r, n, k))
-        if excs[k] + excs[image] != target:
-            p = _element(r, n, k)
-            q = symmetry_map(p)
-            return PropertyVerdict(
-                name="exc_complement",
-                passed=False,
-                r=r,
-                n=n,
-                counterexample=(
-                    f"{format_window(p)} -> {format_window(q)}: "
-                    f"exc {excs[k]} + {excs[image]} != {target}"
-                ),
+        if image < 0 or excs[k] + excs[image] != target:
+            return _failure(
+                "exc_complement", r, n, k, image,
+                lambda p, q: f"{format_window(p)} -> {format_window(q)}: "
+                f"exc {excs[k]} + {excs[image]} != {target}",
             )
-    return PropertyVerdict(name="exc_complement", passed=True, r=r, n=n)
+    return PropertyVerdict("exc_complement", r, n)
 
 
 def check_involution(
@@ -202,23 +190,16 @@ def check_involution(
 
     ``images`` is image_ranks(r, n), when the caller has it already.
     """
-    images = _checked_ranks(r, n, images)
+    check_params(r, n)
+    images = image_ranks(r, n) if images is None else images
     for k, image in enumerate(images):
-        if image < 0:
-            return _outside("symmetry_involution", _element(r, n, k))
-        if images[image] != k:
-            p = _element(r, n, k)
-            q = symmetry_map(symmetry_map(p))
-            return PropertyVerdict(
-                name="symmetry_involution",
-                passed=False,
-                r=r,
-                n=n,
-                counterexample=(
-                    f"{format_window(p)} maps twice to {format_window(q)}"
-                ),
+        if image < 0 or images[image] != k:
+            return _failure(
+                "symmetry_involution", r, n, k, image,
+                lambda p, q: f"{format_window(p)} maps twice to "
+                f"{format_window(symmetry_map(q))}",
             )
-    return PropertyVerdict(name="symmetry_involution", passed=True, r=r, n=n)
+    return PropertyVerdict("symmetry_involution", r, n)
 
 
 def check_symmetry_dist(
@@ -235,17 +216,10 @@ def check_symmetry_dist(
     for k in range(length // 2):
         if row[k] != row[length - 1 - k]:
             return PropertyVerdict(
-                name="exc_distribution_palindrome",
-                passed=False,
-                r=r,
-                n=n,
-                counterexample=(
-                    f"k={k}: {row[k]} != {row[length - 1 - k]} at mirror position"
-                ),
+                "exc_distribution_palindrome", r, n,
+                f"k={k}: {row[k]} != {row[length - 1 - k]} at mirror position",
             )
-    return PropertyVerdict(
-        name="exc_distribution_palindrome", passed=True, r=r, n=n
-    )
+    return PropertyVerdict("exc_distribution_palindrome", r, n)
 
 
 def is_log_concave(
@@ -255,15 +229,9 @@ def is_log_concave(
     for k in range(1, len(row) - 1):
         if row[k] * row[k] < row[k - 1] * row[k + 1]:
             return PropertyVerdict(
-                name="log_concave",
-                passed=False,
-                r=r,
-                n=n,
-                counterexample=(
-                    f"k={k}: {row[k]}^2 < {row[k - 1]} * {row[k + 1]}"
-                ),
+                "log_concave", r, n, f"k={k}: {row[k]}^2 < {row[k - 1]} * {row[k + 1]}"
             )
-    return PropertyVerdict(name="log_concave", passed=True, r=r, n=n)
+    return PropertyVerdict("log_concave", r, n)
 
 
 def is_unimodal(
@@ -277,10 +245,6 @@ def is_unimodal(
         k += 1
     if k + 1 < len(row):
         return PropertyVerdict(
-            name="unimodal",
-            passed=False,
-            r=r,
-            n=n,
-            counterexample=f"rises again at k={k}: {row[k]} < {row[k + 1]}",
+            "unimodal", r, n, f"rises again at k={k}: {row[k]} < {row[k + 1]}"
         )
-    return PropertyVerdict(name="unimodal", passed=True, r=r, n=n)
+    return PropertyVerdict("unimodal", r, n)

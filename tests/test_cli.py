@@ -297,19 +297,29 @@ class TestCheck:
             (properties, "symmetry", "exc_complement_and_involution"),
         ],
     )
+    # An empty message is still a FAIL: a verdict passes only when its
+    # counterexample is None, never when it is merely falsy.
+    @pytest.mark.parametrize("message", ["injected", ""])
     def test_assertion_in_a_suite_is_a_fail_line(
-        self, capsys, monkeypatch, module, suite, name
+        self, capsys, monkeypatch, module, suite, name, message
     ):
         def broken(p):
-            raise AssertionError("injected")
+            raise AssertionError(message)
 
         monkeypatch.setattr(module, "summarize", broken)
-        code, out, err = run_cli(
-            capsys, "check", "--r-max", "1", "--n-max", "2", "--suite", suite
-        )
+        argv = ("check", "--r-max", "1", "--n-max", "2", "--suite", suite)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1 and err == ""
-        assert f"FAIL {name} r=1 n=2: injected" in out.splitlines()
+        line = f"FAIL {name} r=1 n=2" + (f": {message}" if message else "")
+        assert line in out.splitlines()
         assert out.splitlines()[-1].endswith(" failed") and " 0 failed" not in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        obj = json.loads(out)
+        (verdict,) = [v for v in obj["verdicts"] if v["property"] == name and v["n"] == 2]
+        assert code == 1 and obj["pass"] is False
+        assert verdict == {
+            "property": name, "r": 1, "n": 2, "pass": False, "counterexample": message
+        }
 
     def test_position_table_skew_fails_the_lemma(self, capsys, monkeypatch):
         # Negative control: one exceeded count too many at color 1 where
@@ -703,3 +713,118 @@ class TestOutputPlumbing:
         with pytest.raises(SystemExit) as info:
             main(["dist", "--r", "2", "--n", "2", "--target", "des"])
         assert info.value.code == 2
+
+
+_R = (("--r",), "r", None, None, True, "number of colors", "decimal")
+_N = (("--n",), "n", None, None, True, "degree", "decimal")
+_THREADS = (
+    ("--threads",), "threads", None, None, False,
+    "worker processes for brute enumeration", "decimal>=1",
+)
+_OUTPUT = [
+    (
+        ("--format",), "format", "text", ("text", "json", "csv"), False,
+        "output format (default text)", None,
+    ),
+    (
+        ("--out",), "out", None, None, False,
+        "write output to this file instead of stdout", None,
+    ),
+]
+
+#: Every subcommand's help and options, in declaration order: option
+#: strings, dest, default, choices, required, help and integer type.
+PARSER_SNAPSHOT = {
+    "stats": ("statistics of one element", [
+        _R,
+        ((), "window", None, None, True, "window notation, e.g. 3,1^1,2^2", None),
+        *_OUTPUT,
+    ]),
+    "dist": ("distribution of a statistic over a group", [
+        _R,
+        _N,
+        (
+            ("--target",), "target", None, ("exc", "excA"), True,
+            "which statistic to distribute", None,
+        ),
+        (
+            ("--method",), "method", "dp", ("brute", "dp", "closed", "explicit"),
+            False,
+            "brute enumeration, insertion recursions, closed form or explicit sum",
+            None,
+        ),
+        _THREADS,
+        *_OUTPUT,
+    ]),
+    "joint": ("joint (csum, exc_A) table over a group", [
+        _R,
+        _N,
+        (
+            ("--method",), "method", "dp", ("brute", "dp"), False,
+            "brute enumeration or insertion recursions", None,
+        ),
+        _THREADS,
+        *_OUTPUT,
+    ]),
+    "poly": ("generating polynomial of exc_A", [_R, _N, *_OUTPUT]),
+    "bijection": ("apply the complementing involution", [
+        _R,
+        ((), "window", None, None, True, "window notation, e.g. 2^1,1^2,4^1,3", None),
+        *_OUTPUT,
+    ]),
+    "check": ("run invariant suites over parameter sweeps", [
+        (("--r-max",), "r_max", 3, None, False, "largest r (default 3)", "decimal"),
+        (("--n-max",), "n_max", 5, None, False, "largest n (default 5)", "decimal"),
+        (
+            ("--suite",), "suite", "all",
+            ("lemma", "recursion", "closed", "eq2", "symmetry", "logconcave", "all"),
+            False, "which suite to run (default all)", None,
+        ),
+        _THREADS,
+        *_OUTPUT,
+    ]),
+}
+
+
+def _type_name(kind):
+    if kind is cli._decimal:
+        return "decimal"
+    if getattr(kind, "func", None) is cli._decimal:
+        return f"decimal>={kind.keywords['least']}"
+    return kind
+
+
+class TestParser:
+    def _subparsers(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        return sub
+
+    def test_subcommands_and_their_help(self):
+        sub = self._subparsers()
+        assert sub.required
+        assert {a.dest: a.help for a in sub._choices_actions} == {
+            name: help_text for name, (help_text, _) in PARSER_SNAPSHOT.items()
+        }
+        assert list(sub.choices) == list(PARSER_SNAPSHOT)
+
+    @pytest.mark.parametrize("name", list(PARSER_SNAPSHOT))
+    def test_options_match_the_snapshot(self, name):
+        parser = self._subparsers().choices[name]
+        actions = [
+            (
+                tuple(a.option_strings), a.dest, a.default, a.choices,
+                a.required, a.help, _type_name(a.type),
+            )
+            for a in parser._actions
+            if a.dest != "help"
+        ]
+        assert actions == PARSER_SNAPSHOT[name][1]
+        assert parser.get_default("func") is getattr(cli, f"cmd_{name}")
+
+    @pytest.mark.parametrize("name", list(PARSER_SNAPSHOT))
+    def test_help_exits_0(self, capsys, name):
+        with pytest.raises(SystemExit) as info:
+            main([name, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: colorperm {name}")

@@ -207,7 +207,7 @@ class TestEq2:
         for r in range(1, 5):
             report = check_eq2(r, 10)
             assert report.passed
-            assert report.first_failure_n is None
+            assert report.first_failure_n is None and report.detail is None
 
     def test_factor_products(self):
         # Eq. 2's factors (t-1)(t+r-1) = (1-r) + (r-2)t + t^2, the middle

@@ -1,9 +1,11 @@
 """Insertion recursions: joint, marginal and exc distributions."""
 
+from itertools import combinations
 from math import factorial
 
 import pytest
 
+from colorperm import closed
 from colorperm.dist import (
     _insertion_weights,
     eulerian_row,
@@ -153,6 +155,25 @@ class TestInitialCondition:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             initial_condition_formula(2, 2, -1)
+
+    def test_matches_the_sum_over_subsets(self):
+        # The docstring's sum, term by term, as the reference for the DP.
+        for r, n in [(2, 7), (3, 5), (4, 4)]:
+            for i in range(n + 2):
+                total = 0
+                for t in combinations(range(1, n + 1), i):
+                    term = (i + 1) ** (n - (t[-1] if t else 0))
+                    for u, (prev, t_u) in enumerate(zip((0,) + t, t), start=1):
+                        term *= u ** (t_u - prev - 1)
+                    total += term
+                expected = factorial(i) * (r - 1) ** i * total
+                assert initial_condition_formula(r, n, i) == expected, (r, n, i)
+
+    def test_large_point_is_a_stirling_number(self):
+        # (r - 1)^i N(n, i, 0) = i! (r - 1)^i S(n + 1, i + 1); a loop over
+        # the C(24, 12) subsets takes seconds here.
+        expected = factorial(12) * closed.stirling_row(25)[13]
+        assert initial_condition_formula(2, 24, 12) == expected
 
     def test_matches_two_color_k0_column(self):
         # For two colors the color sum counts the colored positions, so
