@@ -41,9 +41,6 @@ BRUTE_SUITE_CAP = 10**6
 #: Elementwise involution suites use a tighter cap.
 ELEMENTWISE_SUITE_CAP = 10**5
 
-SUITE_NAMES = ("lemma", "recursion", "closed", "eq2", "symmetry", "logconcave")
-
-
 # Every cmd_* returns (exit status, JSON object, CSV rows, text); main
 # renders the one that --format asks for.  CSV rows of None mean the text
 # is already CSV.  A ValueError from a cmd_* is a usage error (exit 2).
@@ -86,7 +83,7 @@ def _dist_row(args) -> list[int]:
     if args.method == "dp":
         if args.target == "exc":
             return dist.exc_dist(r, n)
-        return dist.excA_dist(r, n, method="recurrence")
+        return dist.excA_dist(r, n)
     if args.method == "closed":
         poly = closed.D_closed(r, n)
         return [poly.coeff(k) for k in range(n)]
@@ -325,6 +322,7 @@ _SUITES = {
     "symmetry": suite_symmetry,
     "logconcave": suite_logconcave,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:

@@ -23,7 +23,7 @@ Eulerian numbers as the case r = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
@@ -103,7 +103,6 @@ def exc_row_from_table(table: JointTable) -> list[int]:
 
 def exc_dist(r: int, n: int) -> list[int]:
     """Distribution of exc over Z_r wr S_n: counts for exc = 0..r*n-1."""
-    check_params(r, n)
     return exc_row_from_table(joint_table(r, n))
 
 
@@ -175,19 +174,21 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
     return factorial(i) * (r - 1) ** i * sums[i]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitialConditionDiagnostic:
     """Comparison of the k = 0 closed form against brute-force columns."""
 
     r: int
     n: int
-    formula: list[int] = field(repr=False)
-    csum_column: list[int] = field(repr=False)
-    colored_count_column: list[int] = field(repr=False)
-    matches_csum: bool = False
-    matches_colored_count: bool = False
-    sum_matches_k0_total: bool = False
-    verdict: str = "neither"
+    matches_csum: bool
+    matches_colored_count: bool
+    sum_matches_k0_total: bool
+
+    @property
+    def verdict(self) -> str:
+        if self.matches_csum:
+            return "both" if self.matches_colored_count else "csum"
+        return "colored-count" if self.matches_colored_count else "neither"
 
 
 def initial_condition_diagnostic(
@@ -211,25 +212,10 @@ def initial_condition_diagnostic(
     formula = [initial_condition_formula(r, n, i) for i in range(width)]
     csum_column = [report.joint_by_csum.get(i, 0) for i in range(width)]
     colored_column = [report.joint_by_colored_count.get(i, 0) for i in range(width)]
-    matches_csum = formula == csum_column
-    matches_colored = formula == colored_column
-    k0_total = sum(csum_column)
-    if matches_csum and matches_colored:
-        verdict = "both"
-    elif matches_colored:
-        verdict = "colored-count"
-    elif matches_csum:
-        verdict = "csum"
-    else:
-        verdict = "neither"
     return InitialConditionDiagnostic(
-        r=r,
-        n=n,
-        formula=formula,
-        csum_column=csum_column,
-        colored_count_column=colored_column,
-        matches_csum=matches_csum,
-        matches_colored_count=matches_colored,
-        sum_matches_k0_total=sum(formula) == k0_total,
-        verdict=verdict,
+        r,
+        n,
+        matches_csum=formula == csum_column,
+        matches_colored_count=formula == colored_column,
+        sum_matches_k0_total=sum(formula) == sum(csum_column),
     )

@@ -26,10 +26,10 @@ AssertionError.
 
 Work can be split across processes: slices by the first window value
 are disjoint, cover the group, and merge by plain addition.  A call with
-workers > 1 maps its slices on the pool that worker_pool has open, or,
-outside such a block, on a pool of its own that it closes before
-returning.  A run of many small enumerations, such as `check`'s sweep,
-opens worker_pool once so that it starts its processes once.
+workers > 1 maps its slices on the pool of worker_pool, which reuses the
+pool an enclosing worker_pool block has open and otherwise opens one for
+the call alone.  A run of many small enumerations, such as `check`'s
+sweep, opens worker_pool once so that it starts its processes once.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -207,12 +207,7 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     started = time.perf_counter()
     if workers is not None and workers > 1 and n > 1:
         workers = min(workers, n)
-        shared = _OPEN_POOL.get()
-        with (
-            nullcontext(shared)
-            if shared is not None
-            else ProcessPoolExecutor(max_workers=workers)
-        ) as pool:
+        with worker_pool(workers) as pool:
             # One round trip per worker, not per slice: on small groups
             # the trips cost more than the slices.
             slices = list(
@@ -248,20 +243,22 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
 
 
 @contextmanager
-def worker_pool(workers: int) -> Iterator[None]:
-    """Within the block, brute_tables maps on one pool of ``workers`` processes.
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
+    """Yield the pool that brute_tables maps on.
 
-    Only calls with workers > 1 use it, and the pool starts its processes
-    at the first such call.  It is shut down, its processes joined, when
-    the block ends.  With ``workers`` <= 1 the block opens nothing.
+    Inside an enclosing worker_pool block this is that block's pool.
+    Otherwise, for ``workers`` > 1, a pool of that many processes opens
+    for the block, starts them at its first map and joins them when the
+    block ends; for ``workers`` <= 1 it is None.
     """
-    if workers <= 1:
-        yield
+    pool = _OPEN_POOL.get()
+    if pool is not None or workers <= 1:
+        yield pool
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         token = _OPEN_POOL.set(pool)
         try:
-            yield
+            yield pool
         finally:
             _OPEN_POOL.reset(token)
 

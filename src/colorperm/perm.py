@@ -67,30 +67,17 @@ class GroupParams:
 
 
 @functools.total_ordering
+@dataclass(frozen=True, slots=True)
 class ColoredLetter:
     """A letter j^b of the extended alphabet: value j with color b."""
 
-    __slots__ = ("value", "color")
-
-    def __init__(self, value: int, color: int):
-        self.value = value
-        self.color = color
-
-    def __repr__(self):
-        return f"ColoredLetter({self.value}, {self.color})"
+    value: int
+    color: int
 
     def __str__(self):
         if self.color:
             return f"{self.value}^{self.color}"
         return str(self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColoredLetter):
-            return NotImplemented
-        return self.value == other.value and self.color == other.color
-
-    def __hash__(self):
-        return hash((self.value, self.color))
 
     # Order: higher color first, then ascending value.
     def __lt__(self, other):

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from . import oracle
-from .perm import ColoredPermutation, check_params, format_window, value_words
+from .perm import (
+    ColoredPermutation,
+    GroupParams,
+    check_params,
+    enumerate_group,
+    format_window,
+    value_words,
+)
 from .stats import summarize
 
 
@@ -111,12 +118,7 @@ def image_ranks(r: int, n: int) -> array:
 
 def _element(r: int, n: int, rank: int) -> ColoredPermutation:
     """The element of Z_r wr S_n at a rank of enumerate_group order."""
-    word, colors = divmod(rank, r**n)
-    return ColoredPermutation(
-        next(islice(value_words(n), word, None)),
-        next(islice(product(range(r), repeat=n), colors, None)),
-        r,
-    )
+    return next(islice(enumerate_group(GroupParams(r, n)), rank, None))
 
 
 def _failure(name: str, r: int, n: int, k: int, image: int, detail) -> PropertyVerdict:

@@ -17,10 +17,13 @@ They satisfy the decomposition identity
 
 which ``summarize`` verifies on every element it touches: exc is found by
 the direct scan of all r*n letters, the other two from their own
-definitions, and the identity is asserted to hold.
+definitions, and the identity is asserted to hold.  StatSummary keeps the
+counts and computes the sets of letters and positions on each access.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .perm import ColoredLetter, ColoredPermutation, apply_extended, iter_alphabet
 
@@ -57,39 +60,24 @@ def exc(p: ColoredPermutation) -> tuple[frozenset[ColoredLetter], int]:
     return letters, len(letters)
 
 
-class StatSummary:
+class StatSummary(NamedTuple):
     """All three statistics of one element, cross-checked.
 
-    ``exc_set`` and ``exc_A_set`` are computed on first access.
+    ``exc_set`` and ``exc_A_set`` are computed on each access.
     """
 
-    __slots__ = ("perm", "exc", "exc_A", "csum", "_exc_set", "_exc_A_set")
-
-    def __init__(self, perm, exc, exc_A, csum):
-        self.perm = perm
-        self.exc = exc
-        self.exc_A = exc_A
-        self.csum = csum
-        self._exc_set = None
-        self._exc_A_set = None
+    perm: ColoredPermutation
+    exc: int
+    exc_A: int
+    csum: int
 
     @property
     def exc_set(self) -> frozenset[ColoredLetter]:
-        if self._exc_set is None:
-            self._exc_set = exc(self.perm)[0]
-        return self._exc_set
+        return exc(self.perm)[0]
 
     @property
     def exc_A_set(self) -> frozenset[int]:
-        if self._exc_A_set is None:
-            self._exc_A_set = exc_A(self.perm)[0]
-        return self._exc_A_set
-
-    def __repr__(self):
-        return (
-            f"StatSummary({self.perm}, exc={self.exc}, "
-            f"exc_A={self.exc_A}, csum={self.csum})"
-        )
+        return exc_A(self.perm)[0]
 
 
 def summarize(p: ColoredPermutation) -> StatSummary:

@@ -7,6 +7,7 @@ import pytest
 
 from colorperm import closed
 from colorperm.dist import (
+    InitialConditionDiagnostic,
     _insertion_weights,
     eulerian_row,
     excA_dist,
@@ -203,6 +204,23 @@ class TestInitialCondition:
         assert diag.verdict == "colored-count"
         assert diag.matches_colored_count and not diag.matches_csum
         assert diag.sum_matches_k0_total
+
+    @pytest.mark.parametrize(
+        "matches_csum, matches_colored_count, verdict",
+        [
+            (True, True, "both"),
+            (True, False, "csum"),
+            (False, True, "colored-count"),
+            (False, False, "neither"),
+        ],
+    )
+    def test_verdict_follows_the_two_matches(
+        self, matches_csum, matches_colored_count, verdict
+    ):
+        diag = InitialConditionDiagnostic(
+            2, 3, matches_csum, matches_colored_count, sum_matches_k0_total=True
+        )
+        assert diag.verdict == verdict
 
     def test_diagnostic_rejects_wrong_report(self, oracle_cache):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import multiprocessing
 from math import factorial
 from pathlib import Path
 
@@ -89,12 +90,15 @@ class TestBruteTables:
         assert first.joint_by_colored_count == second.joint_by_colored_count
         assert first.exc_row == second.exc_row
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, opened_pools):
         serial = brute_tables(3, 3)
         parallel = brute_tables(3, 3, workers=2)
         assert parallel.joint_by_csum == serial.joint_by_csum
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
         assert parallel.exc_row == serial.exc_row
+        # Outside any worker_pool block the call opens one pool and closes it.
+        assert opened_pools == [2]
+        assert multiprocessing.active_children() == []
 
     def test_open_pool_matches_serial_and_is_the_only_pool(self, opened_pools):
         serial = brute_tables(3, 3)
@@ -106,6 +110,13 @@ class TestBruteTables:
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
         assert parallel.exc_row == serial.exc_row
         assert again.exc_row == brute_tables(2, 3).exc_row
+
+    def test_nested_worker_pool_yields_the_open_pool(self, opened_pools):
+        with oracle.worker_pool(2) as outer:
+            with oracle.worker_pool(3) as inner:
+                assert inner is outer
+        assert opened_pools == [2]
+        assert multiprocessing.active_children() == []
 
     def test_feasibility_warning(self, monkeypatch):
         monkeypatch.setattr(oracle, "FEASIBILITY_LIMIT", 5)

@@ -54,6 +54,12 @@ class TestLetterOrder:
         assert a == b and a <= b and a >= b
         assert not a < b and not a > b
 
+    def test_letters_are_immutable(self):
+        letter = ColoredLetter(1, 0)
+        with pytest.raises(AttributeError):
+            letter.value = 2
+        assert letter == ColoredLetter(1, 0)
+
     def test_sorted_matches_compare(self):
         letters = list(iter_alphabet(GroupParams(3, 3)))
         shuffled = letters[::-1]

@@ -111,3 +111,9 @@ class TestStatisticFacts:
         assert s.exc == 5
         assert ColoredLetter(3, 0) not in s.exc_set
         assert len(s.exc_set) == 5
+
+    def test_summary_is_immutable(self):
+        s = summarize(parse_window("2,3,1^1", r=2))
+        with pytest.raises(AttributeError):
+            s.exc = 0
+        assert s.exc == 5
