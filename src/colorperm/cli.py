@@ -236,10 +236,10 @@ def suite_closed(r_max, n_max, report) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
     name = "excA_distribution_agreement"
 
-    def agreement(r, n, recurrence, table):
+    def agreement(r, n, recurrence, joint):
         poly = closed.D_closed(r, n)
         rows = {
-            "joint": table.d_row(),
+            "joint": joint,
             "closed": [poly.coeff(k) for k in range(n)],
             "explicit": [closed.d_explicit(r, n, k) for k in range(n)],
         }
@@ -252,7 +252,7 @@ def suite_closed(r_max, n_max, report) -> list:
     def check(r, _):
         # One run of each recurrence per r yields its rows one n at a
         # time; each n is still its own point, so a crash names it.
-        streams = dist.iter_excA_rows(r, n_max), dist.iter_joint_tables(r, n_max)
+        streams = dist.iter_excA_rows(r, n_max), dist.iter_joint_d_rows(r, n_max)
         return _run_points(name, _per_n(r, n_max, *streams), agreement)
 
     return _run_points(name, _per_r(r_max), check)

@@ -12,8 +12,20 @@ Each table is built whole from the rows prev[i] of the table for n - 1:
 
     c[i][k] = (n-k) (prev[i][k-1] + window[i][k]) + (k+1) (prev[i][k] + window[i][k+1])
 
-with window[i] = prev[i-1] + ... + prev[i-r+1], which moves to row i + 1 by
-adding prev[i] and dropping prev[i+1-r], so a cell costs O(1) for any r.
+with window[i] = prev[i-1] + ... + prev[i-r+1].
+
+The DP runs on packed columns (Kronecker substitution): column k of the
+table is one Python int P_k = sum_i c[i][k] 2^(i w), so slot i of P_k is
+the cell (i, k).  The window of column k is then r - 1 shifts, the sum of
+P_k << j w over j = 1..r-1, and each column costs a few linear big-int
+operations in C rather than a loop over its cells in Python.  The slot
+width w, in whole bytes, is fixed for a run up to n_max so that
+r^n_max n_max! < 2^(w-1).  No slot ever carries into the next: a cell is
+at most r^n n!, and every partial sum is nonnegative and at most the cell
+it goes into.  Unpacking a column asserts that it is nonnegative and that
+the top bit of its top slot is clear, so a fault in the insertion weights
+that drives cells out of their slots is an AssertionError, which `check`
+reports as a FAIL line.
 
 From the joint table follow the distribution of exc via
 exc = r*exc_A + csum, the distribution d(r, n, k) of exc_A alone (also
@@ -61,34 +73,75 @@ def eulerian_row(n: int) -> list[int]:
     return row
 
 
+def _packed_columns(r: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (m, w, cols) for m = 1, 2, ..., n_max: the joint table of
+    Z_r wr S_m with column k packed as cols[k] = sum_i c_i(r, m, k) 2^(i w).
+
+    The list is updated in place at the next step; copy it to keep it.
+    """
+    check_params(r, n_max)
+    w = 8 * ((r**n_max * factorial(n_max)).bit_length() // 8 + 1)
+    shifts = [j * w for j in range(1, r)]
+
+    def u(below: int, here: int) -> int:
+        # Slot i: prev[i][k-1] + prev[i-1][k] + ... + prev[i-r+1][k].
+        return below + sum(here << shift for shift in shifts)
+
+    cols = [sum(1 << i * w for i in range(r))]
+    yield 1, w, cols
+    for m in range(2, n_max + 1):
+        cols.append(0)
+        low = u(0, cols[0])
+        for k in range(m):
+            raising, keeping = _insertion_weights(m, k)
+            high = u(cols[k], cols[k + 1] if k + 1 < m else 0)
+            cols[k] = raising * low + keeping * high
+            low = high
+        yield m, w, cols
+
+
+def _unpack(r: int, m: int, w: int, cols: list[int]) -> JointTable:
+    """The JointTable of Z_r wr S_m from its packed columns."""
+    slots, size = (r - 1) * m + 1, w // 8
+    columns = []
+    for col in cols:
+        if col < 0 or col.bit_length() >= slots * w:
+            raise AssertionError(f"joint DP column out of its slots at n={m}")
+        data = col.to_bytes(slots * size, "little")
+        slices = (data[at : at + size] for at in range(0, len(data), size))
+        columns.append([int.from_bytes(part, "little") for part in slices])
+    return JointTable(r, m, zip(*columns))
+
+
+def _slot_sum(col: int, slots: int, w: int) -> int:
+    """Sum of the slots of a packed column, folding its high half onto
+    its low half until one slot is left; exact, since the whole sum, a
+    d(r, n, k), is below 2^(w-1)."""
+    while slots > 1:
+        half = (slots + 1) // 2
+        col = (col >> half * w) + (col & ((1 << half * w) - 1))
+        slots = half
+    return col
+
+
 def iter_joint_tables(r: int, n_max: int) -> Iterator[JointTable]:
     """Yield the joint (csum, exc_A) tables for n = 1, 2, ..., n_max."""
-    check_params(r, n_max)
-    rows = [[1] for _ in range(r)]
-    yield JointTable(r, 1, rows)
-    for m in range(2, n_max + 1):
-        raising, keeping = zip(*(_insertion_weights(m, k) for k in range(m)))
-        # prev[i][k] at index k + 1 of m + 2; r - 1 zero rows on each side.
-        zero = [0] * (m + 2)
-        edge = [zero] * (r - 1)
-        padded = edge + [[0, *row, 0, 0] for row in rows] + edge
-        window = zero
-        rows = []
-        for here, dropped in zip(padded[r - 1 :], padded):
-            # u[k] = prev[i][k-1] + window[i][k], for k = 0..m.
-            u = [a + b for a, b in zip(here, window[1:])]
-            rows.append(
-                [a * x + b * y for a, b, x, y in zip(raising, keeping, u, u[1:])]
-            )
-            window = [w + a - b for w, a, b in zip(window, here, dropped)]
-        yield JointTable(r, m, rows)
+    for m, w, cols in _packed_columns(r, n_max):
+        yield _unpack(r, m, w, cols)
+
+
+def iter_joint_d_rows(r: int, n_max: int) -> Iterator[list[int]]:
+    """Yield iter_joint_tables(r, n_max)'s d_row() values without
+    unpacking a cell."""
+    for m, w, cols in _packed_columns(r, n_max):
+        yield [_slot_sum(col, (r - 1) * m + 1, w) for col in cols]
 
 
 def joint_table(r: int, n: int) -> JointTable:
     """Joint distribution of (csum, exc_A) over Z_r wr S_n."""
-    for table in iter_joint_tables(r, n):
+    for m, w, cols in _packed_columns(r, n):
         pass
-    return table
+    return _unpack(r, m, w, cols)
 
 
 def exc_row_from_table(table: JointTable) -> list[int]:

@@ -18,6 +18,9 @@ import re
 
 from .perm import check_params
 
+_CELL = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
 
 class JointTable:
     __slots__ = ("r", "n", "_rows")
@@ -87,8 +90,8 @@ class JointTable:
         check_params(r, n)
         rows = [[0] * n for _ in range((r - 1) * n + 1)]
         for key, count in obj["counts"].items():
-            cell = re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", key)
-            decimal = isinstance(count, str) and re.fullmatch(r"0|[1-9][0-9]*", count)
+            cell = _CELL.fullmatch(key)
+            decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
             if not (cell and decimal):
                 raise ValueError(f"{key!r}: {count!r} not in nonnegative ASCII decimal")
             i, k = map(int, cell.groups())

@@ -31,6 +31,16 @@ def _stirling_row_off_at_3_2(n):
     return tuple(row)
 
 
+def _negative_weights(m, k):
+    """keeping = -1 at k = 0: cell (0, 0) is -1 from n = 2 on."""
+    return m - k, k - 1
+
+
+def _overflowing_weights(m, k):
+    """Cells above r^m m!, the bound the DP's slot width is sized for."""
+    return 2 * (m - k) + 5, k + 1
+
+
 class TestStats:
     def test_text_golden(self, capsys):
         code, out, err = run_cli(capsys, "stats", "--r", "3", "3,1^1,2^2")
@@ -628,6 +638,58 @@ class TestCheck:
         for suite in ("logconcave", "recursion", "symmetry", "eq2"):
             code, out, _ = run_cli(capsys, "check", "--suite", suite, *sweep)
             assert code == 0, suite
+
+    @pytest.mark.parametrize(
+        "weights, suite, first_fail",
+        [
+            (
+                _negative_weights,
+                "recursion",
+                "FAIL dp_matches_enumeration r=1 n=2: "
+                "joint DP column out of its slots at n=2",
+            ),
+            (
+                _negative_weights,
+                "closed",
+                "FAIL excA_distribution_agreement r=1 n=2: "
+                "joint row [-1, 1] != recurrence row [1, 1]",
+            ),
+            (
+                _overflowing_weights,
+                "recursion",
+                "FAIL dp_joint_matches_enumeration r=1 n=2: "
+                "cell (i=0, k=1): dp=7 enumeration=1",
+            ),
+            (
+                _overflowing_weights,
+                "closed",
+                "FAIL excA_distribution_agreement r=1 n=2: "
+                "joint row [1, 7] != recurrence row [1, 1]",
+            ),
+        ],
+        ids=[
+            "negative-recursion",
+            "negative-closed",
+            "overflow-recursion",
+            "overflow-closed",
+        ],
+    )
+    def test_packed_dp_faults_are_fail_lines(
+        self, capsys, monkeypatch, weights, suite, first_fail
+    ):
+        # Negative controls for the packed joint DP: a cell below 0 or
+        # above its slot is a FAIL line, never an OverflowError.
+        monkeypatch.setattr(dist, "_insertion_weights", weights)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "3", "--n-max", "5", "--suite", suite
+        )
+        lines = out.splitlines()
+        first = next(line for line in lines if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert first == first_fail
+        if suite == "recursion":
+            # Both faults outgrow the top slot at r = 1 by n = 4.
+            assert any(line.endswith("out of its slots at n=4") for line in lines)
 
     @pytest.mark.parametrize("flag", ["--r-max", "--n-max"])
     def test_empty_sweep_is_usage_error(self, capsys, flag):

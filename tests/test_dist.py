@@ -1,11 +1,12 @@
 """Insertion recursions: joint, marginal and exc distributions."""
 
+import hashlib
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from colorperm import closed
+from colorperm import closed, dist
 from colorperm.dist import (
     InitialConditionDiagnostic,
     _insertion_weights,
@@ -15,9 +16,33 @@ from colorperm.dist import (
     exc_row_from_table,
     initial_condition_diagnostic,
     initial_condition_formula,
+    iter_joint_d_rows,
     iter_joint_tables,
     joint_table,
 )
+from colorperm.tables import JointTable
+
+
+def _four_term(prev, r, n, i, k):
+    """Cell (i, k) of the table for n from the table prev for n - 1."""
+    raising, keeping = n - k, k + 1
+    cell = raising * prev.get(i, k - 1) + keeping * prev.get(i, k)
+    for j in range(1, r):
+        cell += raising * prev.get(i - j, k) + keeping * prev.get(i - j, k + 1)
+    return cell
+
+
+def _reference_joint_tables(r, n_max):
+    """The joint tables for n = 1..n_max, cell by cell from _four_term."""
+    table = JointTable(r, 1, [[1]] * r)
+    yield table
+    for n in range(2, n_max + 1):
+        rows = [
+            [_four_term(table, r, n, i, k) for k in range(n)]
+            for i in range((r - 1) * n + 1)
+        ]
+        table = JointTable(r, n, rows)
+        yield table
 
 
 class TestEulerian:
@@ -88,12 +113,43 @@ class TestJointTable:
             cur = oracle_cache.get(r, n).joint_by_csum
             for i in range((r - 1) * n + 1):
                 for k in range(n):
-                    raising, keeping = n - k, k + 1
-                    expected = raising * prev.get(i, k - 1) + keeping * prev.get(i, k)
-                    for j in range(1, r):
-                        expected += raising * prev.get(i - j, k)
-                        expected += keeping * prev.get(i - j, k + 1)
+                    expected = _four_term(prev, r, n, i, k)
                     assert cur.get(i, k) == expected, (r, n, i, k)
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_packed_dp_matches_the_cell_recursion(self, r):
+        # r = 1 packs one slot per column and shifts nothing.
+        assert list(iter_joint_tables(r, 10)) == list(_reference_joint_tables(r, 10))
+
+    @pytest.mark.parametrize(
+        "r, n, digest",
+        [
+            (3, 100, "deba579c63705c18663091786e668edcd8522639a35790f733b41821ca4f1052"),
+            (5, 40, "b56f5e327bc4004b2b75987f77be578a1322d31fda37a3c46ee2d784bdb76625"),
+        ],
+    )
+    def test_csv_bytes_at_large_points(self, r, n, digest):
+        # Digests of the tables made by the per-cell row DP.
+        csv = joint_table(r, n).to_csv().encode()
+        assert hashlib.sha256(csv).hexdigest() == digest
+
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_d_rows_equal_the_unpacked_column_sums(self, r):
+        expected = [table.d_row() for table in iter_joint_tables(r, 40)]
+        assert list(iter_joint_d_rows(r, 40)) == expected
+
+    @pytest.mark.parametrize("r, n", [(1, 7), (3, 9), (5, 2)])
+    def test_weights_are_asked_once_per_column(self, monkeypatch, r, n):
+        calls = []
+
+        def counted(m, k):
+            calls.append((m, k))
+            return _insertion_weights(m, k)
+
+        monkeypatch.setattr(dist, "_insertion_weights", counted)
+        joint_table(r, n)
+        # Once per (m, k): sum of m over m = 2..n calls, in DP order.
+        assert calls == [(m, k) for m in range(2, n + 1) for k in range(m)]
 
     def test_insertion_weights(self):
         assert _insertion_weights(4, 1) == (3, 2)
