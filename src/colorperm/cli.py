@@ -214,12 +214,13 @@ def suite_recursion(r_max, n_max, report) -> list:
         if skipped:
             return skipped
         brute = report(r, n)
-        diffs = oracle.compare(dist.joint_table(r, n), brute.joint_by_csum)
+        table = dist.joint_table(r, n)
+        diffs = oracle.compare(table, brute.joint_by_csum)
         joint = None
         if diffs:
             d = diffs[0]
             joint = f"cell (i={d.i}, k={d.k}): dp={d.left} enumeration={d.right}"
-        dp_exc = dist.exc_dist(r, n)
+        dp_exc = dist.exc_row_from_table(table)
         exc = None
         if dp_exc != brute.exc_row:
             k = next(k for k in range(r * n) if dp_exc[k] != brute.exc_row[k])

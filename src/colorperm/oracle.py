@@ -10,19 +10,46 @@ exact counts:
 
 For each underlying permutation tau the r**n color words are walked in
 reflected Gray-code order, so consecutive elements differ in one
-position's color by +-1 and every statistic changes by an O(1) update:
+position's color by +-1.  Every statistic is a sum over positions, so a
+step (i, old, new) changes each by an amount fixed by the step and by
+the pair (i, tau(i)):
 
 * exc from a per-position table that counts, by the letter order itself,
   how many of the letters i^0, ..., i^(r-1) are exceeded by their images
   when position i holds tau(i) with color c;
 * exc_A from its per-position indicator (c_i = 0, tau(i) > i, i < n);
-* csum and the nonzero-color count from the color that changed.
+* csum and the nonzero-color count ("colored") from the color that
+  changed.
 
-Every element is checked against the decomposition identity
-exc = r*exc_A + csum and the range bounds, and at the all-zero color
-word of each tau the walk's three statistics must equal those of
-stats.summarize, which scans all r*n letters.  Any disagreement raises
-AssertionError.
+The four statistics are packed into one mixed-radix integer key, lowest
+place first exc, exc_A, colored, csum, each stored plus a guard g.  A
+step then adds one packed delta to the key, so each tau costs a fixed
+number of C-level calls: its delta list is gathered from the
+per-(i, tau(i)) table, itertools.accumulate runs the walk, and one
+Counter per slice tallies every key.  exc is a field of its own, never
+derived from the others.  At the end of the slice each distinct key is
+decoded once, checked against the decomposition identity
+exc = r*exc_A + csum and the range bounds (colored <= n included), and
+added to the tallies.
+
+Why a check of the decoded keys checks every element: g is one more
+than the largest |delta| of its field over the whole delta table, and
+below csum a field's radix holds its range with a guard of g on either
+side.  The walk of tau starts at the all-zero color word, whose exc and
+exc_A must equal those of stats.summarize, which scans all r*n letters
+and bounds what it returns; so the start is in range.  Take the first
+element of a walk that is out of range or breaks the identity.  Its
+predecessor was in range, and one step moves each field by at most
+g - 1, so every field of the key still lies inside its radix and the
+key decodes to the element's true statistics, which fail the check.
+Later keys may decode to anything, but a failing key exists.  If no key
+fails, every element was in range and every key decoded exactly.
+
+On a failing key the slice is walked again with the same key generator.
+Every element before the first failing one decodes exactly and passes,
+so the first element carrying a failing key is the first failing
+element; an AssertionError names it and its statistics.  A
+disagreement with summarize raises AssertionError at once.
 
 Work can be split across processes: slices by the first window value
 are disjoint, cover the group, and merge by plain addition.  A call with
@@ -36,10 +63,13 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import getitem, mul
 from typing import Iterator, NamedTuple
 
 from .perm import ColoredLetter, ColoredPermutation, GroupParams, value_words
@@ -131,6 +161,41 @@ def _position_table(r: int, n: int) -> list[list[tuple[int, ...]]]:
     return table
 
 
+def _step_kinds(r: int) -> list[tuple[int, int]]:
+    """The (old, new) color changes a Gray step can make, indexed by kind.
+
+    Kind j < r - 1 raises a color from j to j + 1; kind r - 1 + j lowers
+    it from j + 1 to j.
+    """
+    return [(c, c + 1) for c in range(r - 1)] + [(c + 1, c) for c in range(r - 1)]
+
+
+def _ascent(i: int, v: int, n: int) -> int:
+    """exc_A indicator of position i + 1 holding v with color 0."""
+    return int(i < n - 1 and v > i + 1)
+
+
+def _step_deltas(r: int, n: int, table) -> list[list[list[tuple[int, ...]]]]:
+    """deltas[i][v - 1][j]: how a step of kind j at position i + 1 changes
+    (exc, exc_A, colored, csum) while that position holds v.
+
+    ``table`` is _position_table(r, n), which gives the exc changes.
+    """
+    kinds = _step_kinds(r)
+    deltas = []
+    for i, rows in enumerate(table):
+        per_value = []
+        for v, row in enumerate(rows, start=1):
+            up = _ascent(i, v, n)
+            steps = []
+            for old, new in kinds:
+                colored = (old == 0) - (new == 0)
+                steps.append((row[new] - row[old], -up * colored, colored, new - old))
+            per_value.append(steps)
+        deltas.append(per_value)
+    return deltas
+
+
 def _count_slice(r: int, n: int, first_value: int | None):
     """Tally one first-value slice (or the whole group for None).
 
@@ -139,17 +204,36 @@ def _count_slice(r: int, n: int, first_value: int | None):
     """
     steps = _gray_walk(r, n)
     table = _position_table(r, n)
-    exc_max, excA_max, csum_max = r * n - 1, n - 1, (r - 1) * n
-    by_csum = [0] * ((csum_max + 1) * n)
-    by_colored = [0] * ((csum_max + 1) * n)
-    exc_row = [0] * (r * n)
+    deltas = _step_deltas(r, n, table)
+    kind_of = {kind: j for j, kind in enumerate(_step_kinds(r))}
+    walk = [i * len(kind_of) + kind_of[old, new] for i, old, new, _ in steps]
+
+    # Key fields, lowest place first: exc, exc_A, colored, csum, each
+    # stored plus its guard.  Below csum, a field's radix holds its range
+    # and a guard on either side.
+    highs = (r * n - 1, n - 1, n, (r - 1) * n)
+    every = chain.from_iterable(chain.from_iterable(deltas))
+    # The zero row keeps all four fields when there are no steps (r = 1).
+    guards = [1 + max(map(abs, field)) for field in zip((0, 0, 0, 0), *every)]
+    radices = [high + 1 + 2 * guard for high, guard in zip(highs[:3], guards)]
+    places = [1]
+    for radix in radices:
+        places.append(places[-1] * radix)
+    base = sum(map(mul, guards, places))
+
+    # Row i, indexed by the value v that position i + 1 holds (0 unused).
+    excs = [(0,) + tuple(row[0] for row in rows) for rows in table]
+    ups = [(0,) + tuple(_ascent(i, v, n) for v in range(1, n + 1)) for i in range(n)]
+    packed = [
+        [()] + [tuple(sum(map(mul, d, places)) for d in row) for row in rows]
+        for rows in deltas
+    ]
     zeros = (0,) * n
 
-    for tau in value_words(n, first_value):
-        exceeded = [table[i][v - 1] for i, v in enumerate(tau)]
-        up = [int(i < n - 1 and v > i + 1) for i, v in enumerate(tau)]
-        exc = sum(row[0] for row in exceeded)
-        excA = sum(up)
+    def keys(tau):
+        # The key of every element of tau, in walk order.
+        exc = sum(map(getitem, excs, tau))
+        excA = sum(map(getitem, ups, tau))
         s = summarize(ColoredPermutation(tau, zeros, r))
         if (s.exc, s.exc_A, s.csum) != (exc, excA, 0):
             raise AssertionError(
@@ -157,32 +241,49 @@ def _count_slice(r: int, n: int, first_value: int | None):
                 f"(exc, exc_A, csum) = {(exc, excA, 0)} != "
                 f"{(s.exc, s.exc_A, s.csum)}"
             )
-        csum = colored = 0
-        by_csum[excA] += 1
-        by_colored[excA] += 1
-        exc_row[exc] += 1
-        for i, old, new, word in steps:
-            row = exceeded[i]
-            exc += row[new] - row[old]
-            if not old:
-                excA -= up[i]
-                colored += 1
-            elif not new:
-                excA += up[i]
-                colored -= 1
-            csum += new - old
-            # exc >= 0 follows from the identity and the other bounds.
-            if exc != r * excA + csum or not (
-                0 <= excA <= excA_max and 0 <= csum <= csum_max and exc <= exc_max
-            ):
-                p = ColoredPermutation(tau, word, r)
-                raise AssertionError(
-                    f"exc = r*exc_A + csum or a range bound violated for {p}: "
-                    f"exc={exc}, exc_A={excA}, csum={csum}"
-                )
-            by_csum[csum * n + excA] += 1
-            by_colored[colored * n + excA] += 1
-            exc_row[exc] += 1
+        key = base + exc + excA * places[1]
+        if not walk:
+            return (key,)
+        delta = list(chain.from_iterable(map(getitem, packed, tau)))
+        return accumulate(map(delta.__getitem__, walk), initial=key)
+
+    tally = Counter(chain.from_iterable(map(keys, value_words(n, first_value))))
+
+    by_csum = [0] * ((highs[3] + 1) * n)
+    by_colored = [0] * ((highs[3] + 1) * n)
+    exc_row = [0] * (r * n)
+    failing = {}
+    for key, count in tally.items():
+        rest, stats = key, []
+        for radix, guard in zip(radices, guards):
+            rest, field = divmod(rest, radix)
+            stats.append(field - guard)
+        exc, excA, colored, csum = *stats, rest - guards[3]
+        # exc >= 0 follows from the identity and the other bounds.
+        if exc != r * excA + csum or not (
+            0 <= excA <= highs[1]
+            and 0 <= colored <= highs[2]
+            and 0 <= csum <= highs[3]
+            and exc <= highs[0]
+        ):
+            failing[key] = exc, excA, csum
+            continue
+        by_csum[csum * n + excA] += count
+        by_colored[colored * n + excA] += count
+        exc_row[exc] += count
+
+    if failing:
+        # The first element in walk order that carries a failing key.
+        words = [zeros] + [word for *_, word in steps]
+        for tau in value_words(n, first_value):
+            for word, key in zip(words, keys(tau)):
+                if key in failing:
+                    exc, excA, csum = failing[key]
+                    p = ColoredPermutation(tau, word, r)
+                    raise AssertionError(
+                        f"exc = r*exc_A + csum or a range bound violated for {p}: "
+                        f"exc={exc}, exc_A={excA}, csum={csum}"
+                    )
     return by_csum, by_colored, exc_row
 
 

@@ -389,6 +389,22 @@ class TestCheck:
         assert code == 0
         assert calls == [(1, 6), (2, 6), (3, 6)]
 
+    def test_joint_dp_runs_once_per_recursion_point(self, capsys, monkeypatch):
+        # The joint table and the exc row come from one DP run per point.
+        calls = []
+        exact = dist._packed_columns
+
+        def counted(r, n_max):
+            calls.append((r, n_max))
+            return exact(r, n_max)
+
+        monkeypatch.setattr(dist, "_packed_columns", counted)
+        code, _, _ = run_cli(
+            capsys, "check", "--r-max", "3", "--n-max", "5", "--suite", "recursion"
+        )
+        assert code == 0
+        assert sorted(calls) == [(r, n) for r in (1, 2, 3) for n in range(1, 6)]
+
     @pytest.mark.parametrize(
         "suite, first_fail",
         [

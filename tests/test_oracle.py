@@ -90,9 +90,10 @@ class TestBruteTables:
         assert first.joint_by_colored_count == second.joint_by_colored_count
         assert first.exc_row == second.exc_row
 
-    def test_parallel_matches_serial(self, opened_pools):
-        serial = brute_tables(3, 3)
-        parallel = brute_tables(3, 3, workers=2)
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_parallel_matches_serial(self, opened_pools, n):
+        serial = brute_tables(3, n)
+        parallel = brute_tables(3, n, workers=2)
         assert parallel.joint_by_csum == serial.joint_by_csum
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
         assert parallel.exc_row == serial.exc_row
@@ -151,7 +152,10 @@ class TestGrayWalk:
 
 
 class TestIncrementalWalk:
-    @pytest.mark.parametrize("r, n", [(1, 4), (2, 1), (2, 5), (3, 4), (4, 3)])
+    @pytest.mark.parametrize(
+        "r, n",
+        [(1, 4), (1, 6), (2, 1), (2, 5), (2, 6), (3, 4), (4, 3), (5, 3), (6, 2)],
+    )
     def test_matches_summarize_tally_on_every_slice(self, r, n):
         assert oracle._count_slice(r, n, None) == reference_slice(r, n, None)
         for first in range(1, n + 1):
@@ -166,27 +170,74 @@ class TestIncrementalWalk:
             brute_tables(2, 3)
 
     @pytest.mark.parametrize(
-        "color, caught_by",
-        [(0, "disagrees with summarize"), (1, r"exc = r\*exc_A \+ csum")],
+        "color, by, message",
+        [
+            # At color 0 the per-tau summarize anchor sees the skew.
+            (
+                0,
+                1,
+                "Gray walk disagrees with summarize at 2,1,3: "
+                "(exc, exc_A, csum) = (3, 1, 0) != (2, 1, 0)",
+            ),
+            # At color 1 only the identity check on the decoded keys can;
+            # it names the first failing element in walk order.
+            (
+                1,
+                1,
+                "exc = r*exc_A + csum or a range bound violated for 2^1,1,3: "
+                "exc=2, exc_A=0, csum=1",
+            ),
+            # r + 3 lies outside 0..r, the range of any exceeded count.  The
+            # guard band is sized from the step deltas, so the key still
+            # decodes to the element's own statistics.
+            (
+                1,
+                5,
+                "exc = r*exc_A + csum or a range bound violated for 2^1,1,3: "
+                "exc=6, exc_A=0, csum=1",
+            ),
+        ],
     )
-    def test_off_by_one_in_position_table_is_caught(
-        self, monkeypatch, color, caught_by
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_position_table_skew_is_caught(
+        self, monkeypatch, color, by, message, workers
     ):
-        # Negative control: one exceeded count too many where position 1
-        # holds value 2.  At color 0 the per-tau summarize anchor sees it;
-        # at color 1 only the per-element identity check can.
+        # Negative control: exceeded counts too many where position 1
+        # holds value 2.
         build = oracle._position_table
 
         def skewed(r, n):
             table = build(r, n)
             row = list(table[0][1])
-            row[color] += 1
+            row[color] += by
             table[0][1] = tuple(row)
             return table
 
         monkeypatch.setattr(oracle, "_position_table", skewed)
-        with pytest.raises(AssertionError, match=caught_by):
+        with pytest.raises(AssertionError) as caught:
+            brute_tables(2, 3, workers=workers)
+        assert str(caught.value) == message
+
+    def test_excA_stepping_below_zero_is_caught(self, monkeypatch):
+        # Negative control: position 1 holding 1 is no excedance, yet its
+        # step from color 0 to 1 lowers exc_A as if it were.  The start of
+        # each walk is right, so the summarize anchor cannot see it; the
+        # very first step takes exc_A of the identity to -1.
+        build = oracle._step_deltas
+
+        def wrong(r, n, table):
+            deltas = build(r, n, table)
+            exc, _, colored, csum = deltas[0][0][0]
+            deltas[0][0][0] = (exc, -1, colored, csum)
+            return deltas
+
+        monkeypatch.setattr(oracle, "_step_deltas", wrong)
+        with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3)
+        assert str(caught.value) == (
+            "exc = r*exc_A + csum or a range bound violated for 1^1,2,3: "
+            "exc=1, exc_A=-1, csum=1"
+        )
 
 
 class TestTallyMiscount:
