@@ -26,6 +26,8 @@ import csv
 import io
 import json
 import sys
+import time
+from array import array
 from dataclasses import replace
 from functools import cache, partial
 from itertools import repeat
@@ -185,7 +187,7 @@ def _per_n(r: int, n_max: int, *streams):
     return zip(repeat(r), range(1, n_max + 1), *streams)
 
 
-def suite_lemma(r_max, n_max, report) -> list:
+def suite_lemma(r_max, n_max, work) -> list:
     """exc = r*exc_A + csum on every element of every feasible group.
 
     The oracle asserts the identity and the range bounds on every element
@@ -199,13 +201,13 @@ def suite_lemma(r_max, n_max, report) -> list:
         skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
         if skipped:
             return skipped
-        report(r, n)
+        work.report(r, n)
         return [PropertyVerdict(name, r, n)]
 
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_recursion(r_max, n_max, report) -> list:
+def suite_recursion(r_max, n_max, work) -> list:
     """DP joint table and exc row against full enumeration."""
     name = "dp_matches_enumeration"
 
@@ -213,7 +215,7 @@ def suite_recursion(r_max, n_max, report) -> list:
         skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
         if skipped:
             return skipped
-        brute = report(r, n)
+        brute = work.report(r, n)
         table = dist.joint_table(r, n)
         diffs = oracle.compare(table, brute.joint_by_csum)
         joint = None
@@ -233,7 +235,7 @@ def suite_recursion(r_max, n_max, report) -> list:
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_closed(r_max, n_max, report) -> list:
+def suite_closed(r_max, n_max, work) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
     name = "excA_distribution_agreement"
 
@@ -259,7 +261,7 @@ def suite_closed(r_max, n_max, report) -> list:
     return _run_points(name, _per_r(r_max), check)
 
 
-def suite_eq2(r_max, n_max, report) -> list:
+def suite_eq2(r_max, n_max, work) -> list:
     """Derivative recurrence for the generating polynomial."""
     name = "polynomial_derivative_recurrence"
 
@@ -271,7 +273,7 @@ def suite_eq2(r_max, n_max, report) -> list:
     return _run_points(name, _per_r(r_max), check)
 
 
-def suite_symmetry(r_max, n_max, report) -> list:
+def suite_symmetry(r_max, n_max, work) -> list:
     """Palindromic exc distribution, plus the involution elementwise."""
     name = "exc_complement_and_involution"
 
@@ -281,7 +283,7 @@ def suite_symmetry(r_max, n_max, report) -> list:
         if skipped:
             return verdicts + skipped
         # One walk of the map serves both checks.
-        images = properties.image_ranks(r, n)
+        images = work.images(r, n)
         return verdicts + [
             properties.check_exc_complement(r, n, images=images),
             properties.check_involution(r, n, images=images),
@@ -290,7 +292,7 @@ def suite_symmetry(r_max, n_max, report) -> list:
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_logconcave(r_max, n_max, report) -> list:
+def suite_logconcave(r_max, n_max, work) -> list:
     """Log-concavity (and hence unimodality) of the exc_A distribution.
 
     For r <= 2 this always holds; for larger r the verdicts carry an
@@ -326,21 +328,101 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def _image_ranks_of(r: int, n: int, first_values) -> array:
+    """properties.image_ranks over consecutive first values, concatenated."""
+    ranks = array("q")
+    for v in first_values:
+        ranks.extend(properties.image_ranks(r, n, v))
+    return ranks
+
+
+class _Work:
+    """The heavy per-point work of one `check` run, done once per point.
+
+    report(r, n) is the oracle's report on Z_r wr S_n, which `lemma` and
+    `recursion` share; a report that raises raises again when read again,
+    as a fresh enumeration would.  images(r, n) is
+    properties.image_ranks(r, n), which `symmetry` reads once per point
+    and hands to both elementwise checks.  Each is computed on its read,
+    unless submit() has handed its point to the pool already; then the
+    read waits for that point's tasks.
+    """
+
+    def __init__(self, pool, workers: int):
+        self._pool = pool
+        self._workers = workers
+        self._slices = {}
+        self._image_slices = {}
+        self.report = cache(self._report)
+
+    def submit(self, names, r_max: int, n_max: int) -> None:
+        """Submit what the suites names read, each point in about workers
+        tasks: first the oracle slices, then the image slices, largest
+        group first in each."""
+        if {"lemma", "recursion"} & set(names):
+            for r, n in _largest_first(r_max, n_max, BRUTE_SUITE_CAP):
+                started = time.perf_counter()
+                futures = oracle.submit_slices(self._pool, self._workers, r, n)
+                self._slices[r, n] = started, futures
+        if "symmetry" in names:
+            for r, n in _largest_first(r_max, n_max, ELEMENTWISE_SUITE_CAP):
+                self._image_slices[r, n] = [
+                    self._pool.submit(_image_ranks_of, r, n, chunk)
+                    for chunk in oracle.first_value_chunks(n, self._workers)
+                ]
+
+    def cancel(self) -> None:
+        """Cancel every submitted task that has not started."""
+        pending = [futures for _, futures in self._slices.values()]
+        for futures in pending + list(self._image_slices.values()):
+            for future in futures:
+                future.cancel()
+
+    def _report(self, r, n):
+        if (r, n) not in self._slices:
+            return oracle.brute_tables(r, n)
+        started, futures = self._slices[r, n]
+        return oracle.merge_slices(r, n, [f.result() for f in futures], started)
+
+    def images(self, r, n):
+        # Popped, so that the arrays go once the suite is done with them.
+        futures = self._image_slices.pop((r, n), None)
+        if futures is None:
+            return properties.image_ranks(r, n)
+        ranks = array("q")
+        for future in futures:
+            ranks.extend(future.result())
+        return ranks
+
+
+def _largest_first(r_max: int, n_max: int, cap: int) -> list:
+    """Sweep points with at most cap elements, largest group first."""
+    sizes = {(r, n): GroupParams(r, n).size for r, n in _sweep(r_max, n_max)}
+    return sorted((p for p in sizes if sizes[p] <= cap), key=sizes.get, reverse=True)
+
+
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     """Verdicts and Skip entries of the named suite (or all), in sweep order.
 
-    Every suite takes (r_max, n_max, report), where report(r, n) is the
-    oracle's report on Z_r wr S_n, kept for the run so that `lemma` and
-    `recursion` share one enumeration per point.  With workers > 1 every
-    enumeration of the run maps its slices on one pool of
-    min(workers, n_max) processes, opened here and closed on return.
+    Every suite takes (r_max, n_max, work), where work is the run's _Work,
+    so that each enumeration and each symmetry walk is done once per run.
+    With workers > 1 the run opens one pool of min(workers, n_max)
+    processes and submits the suites' work to it before any suite runs.
+    The pool closes on return; if the run stops on an error, the tasks
+    not yet started are cancelled first.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
-    report = cache(partial(oracle.brute_tables, workers=workers))
+    workers = min(workers or 1, n_max)
     entries = []
-    with oracle.worker_pool(min(workers or 1, n_max)):
-        for name in names:
-            entries.extend(_SUITES[name](r_max, n_max, report))
+    with oracle.worker_pool(workers) as pool:
+        work = _Work(pool, workers)
+        try:
+            if pool is not None:
+                work.submit(names, r_max, n_max)
+            for name in names:
+                entries.extend(_SUITES[name](r_max, n_max, work))
+        finally:
+            work.cancel()
     return entries
 
 
@@ -465,7 +547,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="colorperm",
         description="Excedance statistics and distributions on colored permutation groups",

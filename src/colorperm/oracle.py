@@ -53,10 +53,12 @@ disagreement with summarize raises AssertionError at once.
 
 Work can be split across processes: slices by the first window value
 are disjoint, cover the group, and merge by plain addition.  A call with
-workers > 1 maps its slices on the pool of worker_pool, which reuses the
-pool an enclosing worker_pool block has open and otherwise opens one for
-the call alone.  A run of many small enumerations, such as `check`'s
-sweep, opens worker_pool once so that it starts its processes once.
+workers > 1 submits its slices (submit_slices) on the pool of
+worker_pool, which reuses the pool an enclosing worker_pool block has
+open and otherwise opens one for the call alone, and adds them up
+(merge_slices).  A run of many small enumerations, such as `check`'s
+sweep, opens worker_pool once, so that it starts its processes once, and
+submits every enumeration before it reads the first.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -287,6 +289,59 @@ def _count_slice(r: int, n: int, first_value: int | None):
     return by_csum, by_colored, exc_row
 
 
+def _count_slices(r: int, n: int, first_values) -> list[list[int]]:
+    """_count_slice over several first values, tallies added."""
+    return _add(_count_slice(r, n, v) for v in first_values)
+
+
+def _add(slices) -> list[list[int]]:
+    """Cellwise sums of slice tallies, each a triple of flat lists."""
+    return [[sum(counts) for counts in zip(*parts)] for parts in zip(*slices)]
+
+
+def first_value_chunks(n: int, workers: int) -> list[range]:
+    """1..n cut into at most min(workers, n) runs of consecutive values."""
+    size = -(-n // min(workers, n))
+    return [range(v, min(v + size, n + 1)) for v in range(1, n + 1, size)]
+
+
+def submit_slices(
+    pool: ProcessPoolExecutor, workers: int, r: int, n: int
+) -> list[Future]:
+    """Submit the first-value slices of Z_r wr S_n on ``pool``.
+
+    The n slices go in one task per first_value_chunks(n, workers): on
+    small groups a round trip costs more than a slice.  Each future's
+    result is its task's tallies, added; merge_slices takes them all.
+    """
+    return [
+        pool.submit(_count_slices, r, n, chunk)
+        for chunk in first_value_chunks(n, workers)
+    ]
+
+
+def merge_slices(r: int, n: int, slices, started: float) -> OracleReport:
+    """The OracleReport of slice tallies that cover Z_r wr S_n.
+
+    ``started`` is the perf_counter reading the enumeration began at.
+    """
+    by_csum, by_colored, exc_row = _add(slices)
+    elapsed = time.perf_counter() - started
+    table_csum, table_colored = (
+        JointTable(r, n, [flat[i : i + n] for i in range(0, len(flat), n)])
+        for flat in (by_csum, by_colored)
+    )
+    return OracleReport(
+        r=r,
+        n=n,
+        size=GroupParams(r, n).size,
+        joint_by_csum=table_csum,
+        joint_by_colored_count=table_colored,
+        exc_row=exc_row,
+        elapsed_seconds=elapsed,
+    )
+
+
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
 
@@ -296,8 +351,7 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT, then
     proceeds.
     """
-    params = GroupParams(r, n)
-    size = params.size
+    size = GroupParams(r, n).size
     if size > FEASIBILITY_LIMIT:
         warnings.warn(
             f"enumerating Z_{r} wr S_{n} means {size} elements, "
@@ -307,40 +361,12 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
         )
     started = time.perf_counter()
     if workers is not None and workers > 1 and n > 1:
-        workers = min(workers, n)
-        with worker_pool(workers) as pool:
-            # One round trip per worker, not per slice: on small groups
-            # the trips cost more than the slices.
-            slices = list(
-                pool.map(
-                    _count_slice,
-                    [r] * n,
-                    [n] * n,
-                    range(1, n + 1),
-                    chunksize=-(-n // workers),
-                )
-            )
+        with worker_pool(min(workers, n)) as pool:
+            futures = submit_slices(pool, workers, r, n)
+            slices = [future.result() for future in futures]
     else:
         slices = [_count_slice(r, n, None)]
-
-    by_csum, by_colored, exc_row = (
-        [sum(counts) for counts in zip(*parts)] for parts in zip(*slices)
-    )
-    elapsed = time.perf_counter() - started
-
-    table_csum, table_colored = (
-        JointTable(r, n, [flat[i : i + n] for i in range(0, len(flat), n)])
-        for flat in (by_csum, by_colored)
-    )
-    return OracleReport(
-        r=r,
-        n=n,
-        size=size,
-        joint_by_csum=table_csum,
-        joint_by_colored_count=table_colored,
-        exc_row=exc_row,
-        elapsed_seconds=elapsed,
-    )
+    return merge_slices(r, n, slices, started)
 
 
 @contextmanager

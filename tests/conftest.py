@@ -37,3 +37,19 @@ def opened_pools(monkeypatch):
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", Counted)
     return opened
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """(function name, *arguments, future) of every task submitted to an
+    oracle.ProcessPoolExecutor the test builds."""
+    tasks = []
+
+    class Recorded(oracle.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            tasks.append((fn.__name__, *args, future))
+            return future
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", Recorded)
+    return tasks

@@ -353,19 +353,27 @@ class TestCheck:
         assert code == 1 and err == ""
         assert first.startswith("FAIL lemma_exc_decomposition r=2 n=2: ")
 
-    @pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["serial", "2"])
+    @pytest.mark.parametrize(
+        "threads, seam",
+        [([], "brute_tables"), (["--threads", "2"], "submit_slices")],
+        ids=["serial", "2"],
+    )
     @pytest.mark.parametrize("suite", ["lemma", "all"])
-    def test_each_point_is_enumerated_once(self, capsys, monkeypatch, suite, threads):
+    def test_each_point_is_enumerated_once(
+        self, capsys, monkeypatch, suite, threads, seam
+    ):
         # lemma and recursion read one oracle report per point; (2, 3)
         # with its 48 elements lies above the cap and is never enumerated.
+        # A serial run enumerates through brute_tables; a threaded one
+        # submits each point's slices to the run's pool, in the parent.
         calls = []
-        exact = oracle.brute_tables
+        exact = getattr(oracle, seam)
 
-        def counted(r, n, workers=None):
-            calls.append((r, n))
-            return exact(r, n, workers=workers)
+        def counted(*args, **kwargs):
+            calls.append(args[-2:])
+            return exact(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "brute_tables", counted)
+        monkeypatch.setattr(oracle, seam, counted)
         monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
         code, _, _ = run_cli(
             capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", suite, *threads
@@ -622,6 +630,78 @@ class TestCheck:
         assert opened_pools == [2]
         assert multiprocessing.active_children() == []
 
+    def test_threads_submit_the_whole_sweep_before_the_first_read(
+        self, capsys, monkeypatch, submitted
+    ):
+        # Enumerations first, then symmetry images, largest group first in
+        # each, every point in at most two tasks of consecutive first
+        # values; no report is read before the last submission.
+        reads = []
+        merge = oracle.merge_slices
+
+        def logged(r, n, slices, started):
+            reads.append((r, n, len(submitted)))
+            return merge(r, n, slices, started)
+
+        monkeypatch.setattr(oracle, "merge_slices", logged)
+        code, _, err = run_cli(
+            capsys,
+            "check", "--suite", "all", "--r-max", "2", "--n-max", "3",
+            "--threads", "2",
+        )
+        assert (code, err) == (0, "")
+        largest_first = [(2, 3), (2, 2), (1, 3), (1, 2), (2, 1), (1, 1)]
+        chunks = {1: [(1,)], 2: [(1,), (2,)], 3: [(1, 2), (3,)]}
+        assert [(name, r, n, tuple(vs)) for name, r, n, vs, _ in submitted] == [
+            (name, r, n, vs)
+            for name in ("_count_slices", "_image_ranks_of")
+            for r, n in largest_first
+            for vs in chunks[n]
+        ]
+        sweep = [(r, n) for r in (1, 2) for n in (1, 2, 3)]
+        assert reads == [(r, n, len(submitted)) for r, n in sweep]
+
+    def test_threaded_sweep_prints_the_serial_bytes(self, capsys):
+        # The text bytes of both runs are goldens; this compares the JSON.
+        argv = ("check", "--suite", "all", "--r-max", "3", "--n-max", "5")
+        serial = run_cli(capsys, *argv, "--format", "json")
+        assert serial[0] == 0
+        assert run_cli(capsys, *argv, "--format", "json", "--threads", "2") == serial
+
+    @pytest.mark.parametrize(
+        "last",
+        [lambda r, b: (r - b) % r, lambda r, b: r - b],
+        ids=["color-slip", "image-outside"],
+    )
+    def test_symmetry_controls_fail_alike_with_threads(
+        self, capsys, monkeypatch, last
+    ):
+        # Forked workers inherit the faulty map, so the image slices they
+        # compute carry the fault and the FAIL lines are the serial ones.
+        monkeypatch.setattr(properties, "symmetry_map", self._last_color_map(last))
+        argv = ("check", "--suite", "symmetry", "--r-max", "2", "--n-max", "3")
+        serial = run_cli(capsys, *argv)
+        assert serial[0] == 1
+        assert "FAIL exc_complement r=2 n=2: 1,2 -> 2,1" in serial[1]
+        assert run_cli(capsys, *argv, "--threads", "2") == serial
+        assert multiprocessing.active_children() == []
+
+    def test_unexpected_error_cancels_the_queued_work(
+        self, capsys, monkeypatch, submitted
+    ):
+        # A TypeError in the parent is no FAIL line: it stops the run, and
+        # the tasks still queued are cancelled, not waited for.
+        def broken(*args):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(cli, "_over_cap", broken)
+        with pytest.raises(TypeError, match="injected"):
+            main(["check", "--r-max", "3", "--n-max", "5", "--threads", "2"])
+        futures = [task[-1] for task in submitted]
+        assert futures and all(future.done() for future in futures)
+        assert any(future.cancelled() for future in futures)
+        assert multiprocessing.active_children() == []
+
     def test_dropped_excA_recurrence_term_is_caught_by_closed(
         self, capsys, monkeypatch
     ):
@@ -873,6 +953,19 @@ def _type_name(kind):
 
 
 class TestParser:
+    def test_parser_is_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = ("poly", "--r", "2", "--n", "3")
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and run_cli(capsys, *argv) == first
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["poly", "--r", "2"])
+        assert exit_info.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == first
+
     def _subparsers(self):
         parser = cli.build_parser()
         (sub,) = [a for a in parser._actions if a.dest == "command"]

@@ -1,5 +1,7 @@
 """The complementing involution and sequence-shape checks."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,6 +87,14 @@ class TestElementwiseChecks:
         images = list(properties.image_ranks(r, n))
         assert images == [rank[symmetry_map(p)] for p in elements]
         assert [properties._element(r, n, k) for k in range(len(elements))] == elements
+
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 4), (3, 5)])
+    def test_first_value_slices_concatenate_to_the_ranks(self, r, n):
+        # `check --threads` computes the ranks slice by slice on its pool.
+        whole = properties.image_ranks(r, n)
+        slices = [properties.image_ranks(r, n, v) for v in range(1, n + 1)]
+        assert all(len(s) == len(whole) // n for s in slices)
+        assert sum(slices, array("q")) == whole
 
     def test_involution_names_the_first_element_mapped_twice_elsewhere(
         self, monkeypatch
