@@ -165,15 +165,16 @@ def _over_cap(name: str, r: int, n: int, cap: int) -> list:
 def _run_points(name: str, points, check) -> list:
     """Concatenate check(r, n, *rest) over the points (r, n, *rest).
 
-    An AssertionError is an invariant violated inside the code under
-    test; it becomes a FAIL verdict named ``name`` for that point, with
-    the message as the counterexample, and the sweep goes on.
+    An AssertionError or ValueError is an invariant violated inside the
+    code under test (cmd_check has validated the sweep's bounds already);
+    it becomes a FAIL verdict named ``name`` for that point, with the
+    message as the counterexample, and the sweep goes on.
     """
     entries = []
     for r, n, *rest in points:
         try:
             entries.extend(check(r, n, *rest))
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             entries.append(PropertyVerdict(name, r, n, str(exc)))
     return entries
 
@@ -224,7 +225,9 @@ def suite_recursion(r_max, n_max, work) -> list:
             joint = f"cell (i={d.i}, k={d.k}): dp={d.left} enumeration={d.right}"
         dp_exc = dist.exc_row_from_table(table)
         exc = None
-        if dp_exc != brute.exc_row:
+        if len(dp_exc) != r * n:
+            exc = f"exc row of length {len(dp_exc)}, not {r * n}"
+        elif dp_exc != brute.exc_row:
             k = next(k for k in range(r * n) if dp_exc[k] != brute.exc_row[k])
             exc = f"exc={k}: dp={dp_exc[k]} enumeration={brute.exc_row[k]}"
         return [
@@ -328,14 +331,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def _image_ranks_of(r: int, n: int, first_values) -> array:
-    """properties.image_ranks over consecutive first values, concatenated."""
-    ranks = array("q")
-    for v in first_values:
-        ranks.extend(properties.image_ranks(r, n, v))
-    return ranks
-
-
 class _Work:
     """The heavy per-point work of one `check` run, done once per point.
 
@@ -351,44 +346,43 @@ class _Work:
     def __init__(self, pool, workers: int):
         self._pool = pool
         self._workers = workers
-        self._slices = {}
-        self._image_slices = {}
+        self._tasks = {}
         self.report = cache(self._report)
 
     def submit(self, names, r_max: int, n_max: int) -> None:
-        """Submit what the suites names read, each point in about workers
-        tasks: first the oracle slices, then the image slices, largest
-        group first in each."""
+        """Submit what the suites names read: first the oracle slices,
+        then the image slices, largest group first in each.  Both walks
+        take one task shape, walk(r, n, run) for each run of
+        oracle.first_value_chunks(n, workers)."""
+        walks = []
         if {"lemma", "recursion"} & set(names):
-            for r, n in _largest_first(r_max, n_max, BRUTE_SUITE_CAP):
-                started = time.perf_counter()
-                futures = oracle.submit_slices(self._pool, self._workers, r, n)
-                self._slices[r, n] = started, futures
+            walks.append((oracle._count_slice, BRUTE_SUITE_CAP))
         if "symmetry" in names:
-            for r, n in _largest_first(r_max, n_max, ELEMENTWISE_SUITE_CAP):
-                self._image_slices[r, n] = [
-                    self._pool.submit(_image_ranks_of, r, n, chunk)
-                    for chunk in oracle.first_value_chunks(n, self._workers)
-                ]
+            walks.append((properties.image_ranks, ELEMENTWISE_SUITE_CAP))
+        for walk, cap in walks:
+            for r, n in _largest_first(r_max, n_max, cap):
+                started = time.perf_counter()
+                runs = oracle.first_value_chunks(n, self._workers)
+                futures = [self._pool.submit(walk, r, n, run) for run in runs]
+                self._tasks[walk, r, n] = started, futures
 
     def cancel(self) -> None:
         """Cancel every submitted task that has not started."""
-        pending = [futures for _, futures in self._slices.values()]
-        for futures in pending + list(self._image_slices.values()):
+        for _, futures in self._tasks.values():
             for future in futures:
                 future.cancel()
 
     def _report(self, r, n):
-        if (r, n) not in self._slices:
+        if (oracle._count_slice, r, n) not in self._tasks:
             return oracle.brute_tables(r, n)
-        started, futures = self._slices[r, n]
+        started, futures = self._tasks[oracle._count_slice, r, n]
         return oracle.merge_slices(r, n, [f.result() for f in futures], started)
 
     def images(self, r, n):
         # Popped, so that the arrays go once the suite is done with them.
-        futures = self._image_slices.pop((r, n), None)
-        if futures is None:
+        if (properties.image_ranks, r, n) not in self._tasks:
             return properties.image_ranks(r, n)
+        _, futures = self._tasks.pop((properties.image_ranks, r, n))
         ranks = array("q")
         for future in futures:
             ranks.extend(future.result())

@@ -51,14 +51,14 @@ so the first element carrying a failing key is the first failing
 element; an AssertionError names it and its statistics.  A
 disagreement with summarize raises AssertionError at once.
 
-Work can be split across processes: slices by the first window value
-are disjoint, cover the group, and merge by plain addition.  A call with
-workers > 1 submits its slices (submit_slices) on the pool of
-worker_pool, which reuses the pool an enclosing worker_pool block has
-open and otherwise opens one for the call alone, and adds them up
-(merge_slices).  A run of many small enumerations, such as `check`'s
-sweep, opens worker_pool once, so that it starts its processes once, and
-submits every enumeration before it reads the first.
+The unit of work is a slice: the elements whose window starts with a
+value in a run of consecutive first values.  Slices of disjoint runs are
+disjoint, the runs of first_value_chunks cover the group, and slices
+merge by plain addition (merge_slices).  brute_tables runs those tasks,
+on a pool when there is more than one and inline otherwise, so that a
+serial call is the one task range(1, n + 1).  A run of many small
+enumerations, such as `check`'s sweep, submits the _count_slice tasks of
+every enumeration on one pool before it reads the first.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ from __future__ import annotations
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import getitem, mul
 from typing import Iterator, NamedTuple
 
@@ -80,11 +79,6 @@ from .tables import JointTable
 
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
-
-#: The pool worker_pool has open in this context, if any.
-_OPEN_POOL: ContextVar[ProcessPoolExecutor | None] = ContextVar(
-    "colorperm_open_pool", default=None
-)
 
 
 @dataclass
@@ -198,8 +192,8 @@ def _step_deltas(r: int, n: int, table) -> list[list[list[tuple[int, ...]]]]:
     return deltas
 
 
-def _count_slice(r: int, n: int, first_value: int | None):
-    """Tally one first-value slice (or the whole group for None).
+def _count_slice(r: int, n: int, first_values: range):
+    """Tally every element whose window starts with a value in first_values.
 
     Returns flat lists, the first two of (r-1)*n + 1 rows of n each:
     by_csum[csum*n + exc_A], by_colored[colored*n + exc_A] and exc_row[exc].
@@ -249,7 +243,7 @@ def _count_slice(r: int, n: int, first_value: int | None):
         delta = list(chain.from_iterable(map(getitem, packed, tau)))
         return accumulate(map(delta.__getitem__, walk), initial=key)
 
-    tally = Counter(chain.from_iterable(map(keys, value_words(n, first_value))))
+    tally = Counter(chain.from_iterable(map(keys, value_words(n, first_values))))
 
     by_csum = [0] * ((highs[3] + 1) * n)
     by_colored = [0] * ((highs[3] + 1) * n)
@@ -277,7 +271,7 @@ def _count_slice(r: int, n: int, first_value: int | None):
     if failing:
         # The first element in walk order that carries a failing key.
         words = [zeros] + [word for *_, word in steps]
-        for tau in value_words(n, first_value):
+        for tau in value_words(n, first_values):
             for word, key in zip(words, keys(tau)):
                 if key in failing:
                     exc, excA, csum = failing[key]
@@ -289,35 +283,16 @@ def _count_slice(r: int, n: int, first_value: int | None):
     return by_csum, by_colored, exc_row
 
 
-def _count_slices(r: int, n: int, first_values) -> list[list[int]]:
-    """_count_slice over several first values, tallies added."""
-    return _add(_count_slice(r, n, v) for v in first_values)
-
-
 def _add(slices) -> list[list[int]]:
     """Cellwise sums of slice tallies, each a triple of flat lists."""
     return [[sum(counts) for counts in zip(*parts)] for parts in zip(*slices)]
 
 
 def first_value_chunks(n: int, workers: int) -> list[range]:
-    """1..n cut into at most min(workers, n) runs of consecutive values."""
-    size = -(-n // min(workers, n))
+    """1..n cut into at most min(workers, n) runs of consecutive values,
+    one per task: on small groups a round trip costs more than a slice."""
+    size = -(-n // max(1, min(workers, n)))
     return [range(v, min(v + size, n + 1)) for v in range(1, n + 1, size)]
-
-
-def submit_slices(
-    pool: ProcessPoolExecutor, workers: int, r: int, n: int
-) -> list[Future]:
-    """Submit the first-value slices of Z_r wr S_n on ``pool``.
-
-    The n slices go in one task per first_value_chunks(n, workers): on
-    small groups a round trip costs more than a slice.  Each future's
-    result is its task's tallies, added; merge_slices takes them all.
-    """
-    return [
-        pool.submit(_count_slices, r, n, chunk)
-        for chunk in first_value_chunks(n, workers)
-    ]
 
 
 def merge_slices(r: int, n: int, slices, started: float) -> OracleReport:
@@ -345,9 +320,9 @@ def merge_slices(r: int, n: int, slices, started: float) -> OracleReport:
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
 
-    ``workers`` > 1 splits the enumeration by first window value across
-    that many processes (capped at n), on the pool worker_pool has open
-    if there is one; the result is identical to the serial one.  Emits a
+    The slices of first_value_chunks(n, workers) run on a pool of one
+    process each when there is more than one, and inline otherwise; the
+    result does not depend on ``workers``.  Emits a
     RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT, then
     proceeds.
     """
@@ -360,34 +335,23 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
             stacklevel=2,
         )
     started = time.perf_counter()
-    if workers is not None and workers > 1 and n > 1:
-        with worker_pool(min(workers, n)) as pool:
-            futures = submit_slices(pool, workers, r, n)
-            slices = [future.result() for future in futures]
-    else:
-        slices = [_count_slice(r, n, None)]
+    chunks = first_value_chunks(n, workers or 1)
+    with worker_pool(len(chunks)) as pool:
+        run = map if pool is None else pool.map
+        slices = list(run(_count_slice, repeat(r), repeat(n), chunks))
     return merge_slices(r, n, slices, started)
 
 
 @contextmanager
 def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
-    """Yield the pool that brute_tables maps on.
-
-    Inside an enclosing worker_pool block this is that block's pool.
-    Otherwise, for ``workers`` > 1, a pool of that many processes opens
-    for the block, starts them at its first map and joins them when the
-    block ends; for ``workers`` <= 1 it is None.
+    """Yield None for ``workers`` <= 1, else a fresh pool of that many
+    processes, started at its first task and joined when the block ends.
     """
-    pool = _OPEN_POOL.get()
-    if pool is not None or workers <= 1:
-        yield pool
+    if workers <= 1:
+        yield None
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        token = _OPEN_POOL.set(pool)
-        try:
-            yield pool
-        finally:
-            _OPEN_POOL.reset(token)
+        yield pool
 
 
 def compare(left: JointTable, right: JointTable) -> list[TableDiff]:

@@ -192,33 +192,30 @@ def format_window(p: ColoredPermutation) -> str:
     return ",".join(parts)
 
 
-def enumerate_group(
-    params: GroupParams, first_value: int | None = None
-) -> Iterator[ColoredPermutation]:
+def enumerate_group(params: GroupParams) -> Iterator[ColoredPermutation]:
     """Yield all elements of Z_r wr S_n exactly once.
 
     Order is lexicographic in the value word, ties broken by the color
-    tuple read as base-r digits.  With ``first_value`` set, only elements
-    whose window starts with that value are produced; the slices for
-    first_value = 1..n are contiguous blocks of the full enumeration, so
-    concatenating them reproduces it.
+    tuple read as base-r digits.
     """
     r = params.r
     color_words = list(itertools.product(range(r), repeat=params.n))
-    for values in value_words(params.n, first_value):
+    for values in value_words(params.n):
         for colors in color_words:
             yield ColoredPermutation(values, colors, r)
 
 
-def value_words(n: int, first_value: int | None = None) -> Iterator[tuple[int, ...]]:
+def value_words(n: int, first_values: range | None = None) -> Iterator[tuple[int, ...]]:
     """Permutations of 1..n as tuples, in lexicographic order.
 
-    With ``first_value`` set, only those starting with that value: the
-    n slices are contiguous blocks of the full order.
+    With ``first_values``, a run of consecutive values in 1..n, only those
+    starting with a value in it: consecutive runs are consecutive blocks
+    of the full order.
     """
-    if first_value is None:
-        return itertools.permutations(range(1, n + 1))
-    if not 1 <= first_value <= n:
-        raise ValueError(f"first_value {first_value} is not in 1..{n}")
-    rest = [v for v in range(1, n + 1) if v != first_value]
-    return ((first_value,) + tail for tail in itertools.permutations(rest))
+    everything = range(1, n + 1)
+    firsts = everything if first_values is None else first_values
+    if not set(firsts) <= set(everything):
+        raise ValueError(f"first values {firsts} are not in 1..{n}")
+    for first in firsts:
+        rest = [v for v in everything if v != first]
+        yield from map((first,).__add__, itertools.permutations(rest))

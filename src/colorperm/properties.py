@@ -13,8 +13,9 @@ element of Z_r wr S_n has no rank and fails the check, naming p and its
 image.  A caller running both checks at one point, as `check`'s symmetry
 suite does, computes the array once at that (r, n) and passes it to both
 as ``images``; without it, each check computes its own.  image_ranks
-can also compute one first-value slice of the array, so that the n
-slices can run in parallel and concatenate to the whole.
+takes the oracle's unit of work, a run of consecutive first values, and
+computes that slice of the array; the slices of first_value_chunks run
+in parallel and concatenate to the whole.
 check_involution tests image(image(k)) = k.  check_exc_complement reads
 exc of every element from an array built per tau as an outer sum of the
 oracle's per-position exceeded-letter rows, anchored to summarize at each
@@ -94,21 +95,21 @@ def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     return ColoredPermutation(tuple(values), tuple(colors), r)
 
 
-def image_ranks(r: int, n: int, first_value: int | None = None) -> array:
+def image_ranks(r: int, n: int, first_values: range | None = None) -> array:
     """Rank of symmetry_map(p) for each p, in enumerate_group order.
 
     The rank of an element is its index in enumerate_group order: the
     index of its value word among value_words(n) times r**n, plus the
     index of its color word among the base-r words.  An image that is not
     an element of Z_r wr S_n has no rank and reads -1.  With
-    ``first_value`` set, only the elements whose window starts with that
-    value: the n slices, in order, concatenate to the whole array.
+    ``first_values``, only the elements whose window starts with a value
+    in that run: slices of consecutive runs concatenate in order.
     """
     color_words = list(product(range(r), repeat=n))
     by_values = {w: i * len(color_words) for i, w in enumerate(value_words(n))}
     by_colors = {c: i for i, c in enumerate(color_words)}
     ranks = array("q")
-    for values in value_words(n, first_value):
+    for values in value_words(n, first_values):
         for colors in color_words:
             q = symmetry_map(ColoredPermutation(values, colors, r))
             try:

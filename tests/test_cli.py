@@ -353,27 +353,22 @@ class TestCheck:
         assert code == 1 and err == ""
         assert first.startswith("FAIL lemma_exc_decomposition r=2 n=2: ")
 
-    @pytest.mark.parametrize(
-        "threads, seam",
-        [([], "brute_tables"), (["--threads", "2"], "submit_slices")],
-        ids=["serial", "2"],
-    )
+    @pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["serial", "2"])
     @pytest.mark.parametrize("suite", ["lemma", "all"])
-    def test_each_point_is_enumerated_once(
-        self, capsys, monkeypatch, suite, threads, seam
-    ):
+    def test_each_point_is_enumerated_once(self, capsys, monkeypatch, suite, threads):
         # lemma and recursion read one oracle report per point; (2, 3)
         # with its 48 elements lies above the cap and is never enumerated.
-        # A serial run enumerates through brute_tables; a threaded one
-        # submits each point's slices to the run's pool, in the parent.
+        # Every report, serial or threaded, is the merge of its point's
+        # slices; test_threads_submit_the_whole_sweep_before_the_first_read
+        # pins that a threaded run submits each point's slices once.
         calls = []
-        exact = getattr(oracle, seam)
+        exact = oracle.merge_slices
 
         def counted(*args, **kwargs):
-            calls.append(args[-2:])
+            calls.append(args[:2])
             return exact(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, seam, counted)
+        monkeypatch.setattr(oracle, "merge_slices", counted)
         monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
         code, _, _ = run_cli(
             capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", suite, *threads
@@ -654,7 +649,7 @@ class TestCheck:
         chunks = {1: [(1,)], 2: [(1,), (2,)], 3: [(1, 2), (3,)]}
         assert [(name, r, n, tuple(vs)) for name, r, n, vs, _ in submitted] == [
             (name, r, n, vs)
-            for name in ("_count_slices", "_image_ranks_of")
+            for name in ("_count_slice", "image_ranks")
             for r, n in largest_first
             for vs in chunks[n]
         ]
@@ -685,6 +680,55 @@ class TestCheck:
         assert "FAIL exc_complement r=2 n=2: 1,2 -> 2,1" in serial[1]
         assert run_cli(capsys, *argv, "--threads", "2") == serial
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "fault, fails, summary",
+        [
+            (
+                "short-exc-row",
+                [
+                    "FAIL dp_exc_matches_enumeration r=2 n=2: exc row of length 3, not 4",
+                    "FAIL exc_complement_and_involution r=2 n=2: "
+                    "expected a row of length 4, got 3",
+                ],
+                "44 checks, 32 passed, 12 failed",
+            ),
+            (
+                "narrow-table",
+                [
+                    "FAIL dp_matches_enumeration r=2 n=2: "
+                    "rows must fill the box: 3 rows of 2",
+                    "FAIL exc_complement_and_involution r=2 n=2: "
+                    "rows must fill the box: 3 rows of 2",
+                ],
+                "38 checks, 26 passed, 12 failed",
+            ),
+        ],
+        ids=["short-exc-row", "narrow-table"],
+    )
+    def test_wrong_shapes_in_a_suite_are_fail_lines(
+        self, capsys, monkeypatch, fault, fails, summary
+    ):
+        # A DP exc row of the wrong length, and a joint table whose rows
+        # cannot fill its box (a ValueError), are invariants broken inside
+        # the code under test: FAIL lines for the points they reach, never
+        # an IndexError traceback or a usage error, threaded or not.
+        if fault == "short-exc-row":
+            row = dist.exc_row_from_table
+            monkeypatch.setattr(dist, "exc_row_from_table", lambda t: row(t)[:-1])
+        else:
+            unpack = dist._unpack
+            monkeypatch.setattr(
+                dist, "_unpack", lambda r, m, w, cols: unpack(r, m, w, cols[:-1])
+            )
+        argv = ("check", "--suite", "all", "--r-max", "2", "--n-max", "3")
+        serial = run_cli(capsys, *argv)
+        code, out, err = serial
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert all(line in lines for line in fails)
+        assert lines[-1] == summary
+        assert run_cli(capsys, *argv, "--threads", "2") == serial
 
     def test_unexpected_error_cancels_the_queued_work(
         self, capsys, monkeypatch, submitted

@@ -22,12 +22,14 @@ from colorperm.stats import summarize
 from colorperm.tables import JointTable
 
 
-def reference_slice(r, n, first_value):
+def reference_slice(r, n, first_values):
     """_count_slice's flat tallies, built from enumerate_group and summarize."""
     by_csum = [0] * (((r - 1) * n + 1) * n)
     by_colored = [0] * (((r - 1) * n + 1) * n)
     exc_row = [0] * (r * n)
-    for p in enumerate_group(GroupParams(r, n), first_value=first_value):
+    for p in enumerate_group(GroupParams(r, n)):
+        if p.values[0] not in first_values:
+            continue
         s = summarize(p)
         by_csum[s.csum * n + s.exc_A] += 1
         by_colored[(n - p.colors.count(0)) * n + s.exc_A] += 1
@@ -90,33 +92,20 @@ class TestBruteTables:
         assert first.joint_by_colored_count == second.joint_by_colored_count
         assert first.exc_row == second.exc_row
 
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_parallel_matches_serial(self, opened_pools, n):
+    @pytest.mark.parametrize(
+        "n, workers, pools",
+        [(3, 2, [2]), (5, 2, [2]), (5, 3, [3]), (3, 9, [3]), (1, 2, [])],
+        ids=["3", "5", "5-w3", "3-w9", "1-w2"],
+    )
+    def test_parallel_matches_serial(self, opened_pools, n, workers, pools):
         serial = brute_tables(3, n)
-        parallel = brute_tables(3, n, workers=2)
+        assert opened_pools == []  # one task, run inline
+        parallel = brute_tables(3, n, workers=workers)
         assert parallel.joint_by_csum == serial.joint_by_csum
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
         assert parallel.exc_row == serial.exc_row
-        # Outside any worker_pool block the call opens one pool and closes it.
-        assert opened_pools == [2]
-        assert multiprocessing.active_children() == []
-
-    def test_open_pool_matches_serial_and_is_the_only_pool(self, opened_pools):
-        serial = brute_tables(3, 3)
-        with oracle.worker_pool(2):
-            parallel = brute_tables(3, 3, workers=2)
-            again = brute_tables(2, 3, workers=2)
-        assert opened_pools == [2]
-        assert parallel.joint_by_csum == serial.joint_by_csum
-        assert parallel.joint_by_colored_count == serial.joint_by_colored_count
-        assert parallel.exc_row == serial.exc_row
-        assert again.exc_row == brute_tables(2, 3).exc_row
-
-    def test_nested_worker_pool_yields_the_open_pool(self, opened_pools):
-        with oracle.worker_pool(2) as outer:
-            with oracle.worker_pool(3) as inner:
-                assert inner is outer
-        assert opened_pools == [2]
+        # One process per chunk of first values, on a pool the call closes.
+        assert opened_pools == pools
         assert multiprocessing.active_children() == []
 
     def test_feasibility_warning(self, monkeypatch):
@@ -135,6 +124,20 @@ class TestBruteTables:
 
     def test_elapsed_recorded(self):
         assert brute_tables(2, 2).elapsed_seconds >= 0.0
+
+
+class TestFirstValueChunks:
+    def test_runs_partition_the_first_values(self):
+        for n in range(1, 10):
+            assert oracle.first_value_chunks(n, 1) == [range(1, n + 1)]
+            for workers in range(1, 13):
+                runs = oracle.first_value_chunks(n, workers)
+                assert 1 <= len(runs) <= min(workers, n)
+                assert all(run.step == 1 and len(run) > 0 for run in runs)
+                assert [v for run in runs for v in run] == list(range(1, n + 1))
+
+    def test_uneven_split(self):
+        assert oracle.first_value_chunks(5, 3) == [range(1, 3), range(3, 5), range(5, 6)]
 
 
 class TestGrayWalk:
@@ -157,9 +160,24 @@ class TestIncrementalWalk:
         [(1, 4), (1, 6), (2, 1), (2, 5), (2, 6), (3, 4), (4, 3), (5, 3), (6, 2)],
     )
     def test_matches_summarize_tally_on_every_slice(self, r, n):
-        assert oracle._count_slice(r, n, None) == reference_slice(r, n, None)
-        for first in range(1, n + 1):
-            assert oracle._count_slice(r, n, first) == reference_slice(r, n, first)
+        # Every run of consecutive first values, the whole range included.
+        singles = [reference_slice(r, n, range(v, v + 1)) for v in range(1, n + 1)]
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 2):
+                expected = tuple(oracle._add(singles[a - 1 : b - 1]))
+                assert oracle._count_slice(r, n, range(a, b)) == expected
+
+    def test_one_call_builds_the_tables_once(self, monkeypatch):
+        built = []
+        build = oracle._position_table
+
+        def counted(r, n):
+            built.append((r, n))
+            return build(r, n)
+
+        monkeypatch.setattr(oracle, "_position_table", counted)
+        oracle._count_slice(2, 4, range(1, 5))
+        assert built == [(2, 4)]
 
     def test_summarize_assertion_propagates(self, monkeypatch):
         def broken(p):
@@ -251,8 +269,8 @@ class TestTallyMiscount:
     def miscount(self, monkeypatch):
         count_slice = oracle._count_slice
 
-        def moved(r, n, first_value):
-            by_csum, by_colored, exc_row = count_slice(r, n, first_value)
+        def moved(r, n, first_values):
+            by_csum, by_colored, exc_row = count_slice(r, n, first_values)
             if r > 1 and n > 1:
                 for flat in (by_csum, by_colored):
                     flat[n] -= 1  # cell (1, 0)

@@ -1,5 +1,7 @@
 """Group parameters, letter order, window notation and the extended-alphabet action."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from colorperm.perm import (
     format_window,
     iter_alphabet,
     parse_window,
+    value_words,
 )
 
 
@@ -203,13 +206,15 @@ class TestEnumeration:
         ]
 
     def test_slices_partition_the_group(self):
-        params = GroupParams(3, 3)
-        whole = list(enumerate_group(params))
-        concatenated = []
-        for first in range(1, 4):
-            concatenated.extend(enumerate_group(params, first_value=first))
-        assert concatenated == whole
+        # Value words of consecutive runs of first values are consecutive
+        # blocks of the whole order, so their tasks concatenate to it.
+        whole = list(itertools.permutations(range(1, 6)))
+        assert list(value_words(5)) == whole
+        for runs in ([range(1, 6)], [range(1, 3), range(3, 4), range(4, 6)]):
+            assert [w for run in runs for w in value_words(5, run)] == whole
+        assert list(value_words(3, range(2, 3))) == [(2, 1, 3), (2, 3, 1)]
 
     def test_bad_first_value(self):
-        with pytest.raises(ValueError):
-            list(enumerate_group(GroupParams(2, 2), first_value=3))
+        for run in (range(3, 4), range(2, 4), range(0, 2)):
+            with pytest.raises(ValueError):
+                list(value_words(2, run))

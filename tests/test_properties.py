@@ -5,7 +5,7 @@ from array import array
 import pytest
 from hypothesis import given, strategies as st
 
-from colorperm import properties
+from colorperm import oracle, properties
 from colorperm.perm import (
     ColoredPermutation,
     GroupParams,
@@ -92,9 +92,11 @@ class TestElementwiseChecks:
     def test_first_value_slices_concatenate_to_the_ranks(self, r, n):
         # `check --threads` computes the ranks slice by slice on its pool.
         whole = properties.image_ranks(r, n)
-        slices = [properties.image_ranks(r, n, v) for v in range(1, n + 1)]
-        assert all(len(s) == len(whole) // n for s in slices)
-        assert sum(slices, array("q")) == whole
+        for workers in (1, 2, n):
+            runs = oracle.first_value_chunks(n, workers)
+            slices = [properties.image_ranks(r, n, run) for run in runs]
+            assert [len(s) for s in slices] == [len(whole) // n * len(run) for run in runs]
+            assert sum(slices, array("q")) == whole
 
     def test_involution_names_the_first_element_mapped_twice_elsewhere(
         self, monkeypatch
