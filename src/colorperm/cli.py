@@ -340,7 +340,10 @@ class _Work:
     properties.image_ranks(r, n), which `symmetry` reads once per point
     and hands to both elementwise checks.  Each is computed on its read,
     unless submit() has handed its point to the pool already; then the
-    read waits for that point's tasks.
+    read waits for that point's tasks.  The pool pickles each task by
+    its module-level name, so a fault injected by replacing
+    oracle._count_slice or properties.image_ranks with a closure cannot
+    run threaded; patch the helpers those call instead.
     """
 
     def __init__(self, pool, workers: int):
@@ -373,16 +376,18 @@ class _Work:
                 future.cancel()
 
     def _report(self, r, n):
-        if (oracle._count_slice, r, n) not in self._tasks:
+        entry = self._tasks.get((oracle._count_slice, r, n))
+        if entry is None:
             return oracle.brute_tables(r, n)
-        started, futures = self._tasks[oracle._count_slice, r, n]
+        started, futures = entry
         return oracle.merge_slices(r, n, [f.result() for f in futures], started)
 
     def images(self, r, n):
         # Popped, so that the arrays go once the suite is done with them.
-        if (properties.image_ranks, r, n) not in self._tasks:
+        entry = self._tasks.pop((properties.image_ranks, r, n), None)
+        if entry is None:
             return properties.image_ranks(r, n)
-        _, futures = self._tasks.pop((properties.image_ranks, r, n))
+        _, futures = entry
         ranks = array("q")
         for future in futures:
             ranks.extend(future.result())

@@ -322,9 +322,10 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
 
     The slices of first_value_chunks(n, workers) run on a pool of one
     process each when there is more than one, and inline otherwise; the
-    result does not depend on ``workers``.  Emits a
-    RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT, then
-    proceeds.
+    result does not depend on ``workers``.  A pool task is pickled by
+    name, so _count_slice replaced by a closure runs inline only.  Emits
+    a RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT,
+    then proceeds.
     """
     size = GroupParams(r, n).size
     if size > FEASIBILITY_LIMIT:

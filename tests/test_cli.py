@@ -355,26 +355,41 @@ class TestCheck:
 
     @pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["serial", "2"])
     @pytest.mark.parametrize("suite", ["lemma", "all"])
-    def test_each_point_is_enumerated_once(self, capsys, monkeypatch, suite, threads):
+    def test_each_point_is_enumerated_once(
+        self, capsys, monkeypatch, submitted, suite, threads
+    ):
         # lemma and recursion read one oracle report per point; (2, 3)
         # with its 48 elements lies above the cap and is never enumerated.
-        # Every report, serial or threaded, is the merge of its point's
-        # slices; test_threads_submit_the_whole_sweep_before_the_first_read
-        # pins that a threaded run submits each point's slices once.
+        # A serial run enumerates through brute_tables; a threaded one
+        # submits each point's runs of first values to the run's pool once.
         calls = []
-        exact = oracle.merge_slices
+        exact = oracle.brute_tables
 
-        def counted(*args, **kwargs):
-            calls.append(args[:2])
-            return exact(*args, **kwargs)
+        def counted(r, n, workers=None):
+            calls.append((r, n))
+            return exact(r, n, workers)
 
-        monkeypatch.setattr(oracle, "merge_slices", counted)
+        monkeypatch.setattr(oracle, "brute_tables", counted)
         monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
         code, _, _ = run_cli(
             capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", suite, *threads
         )
         assert code == 0
-        assert sorted(calls) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+        points = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+        walks = sorted(
+            (r, n, tuple(run))
+            for name, r, n, run, _ in submitted
+            if name == "_count_slice"
+        )
+        if threads:
+            assert calls == []
+            assert walks == [
+                (r, n, tuple(run))
+                for r, n in points
+                for run in oracle.first_value_chunks(n, 2)
+            ]
+        else:
+            assert sorted(calls) == points and walks == []
 
     @pytest.mark.parametrize("suite", ["logconcave", "closed"])
     def test_excA_recurrence_runs_once_per_r(self, capsys, monkeypatch, suite):
