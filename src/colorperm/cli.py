@@ -340,34 +340,39 @@ class _Work:
     properties.image_ranks(r, n), which `symmetry` reads once per point
     and hands to both elementwise checks.  Each is computed on its read,
     unless submit() has handed its point to the pool already; then the
-    read waits for that point's tasks.  The pool pickles each task by
-    its module-level name, so a fault injected by replacing
+    read waits for that point's tasks.  Only points of at least
+    oracle.POOL_MIN elements go to the pool, and processes is the most
+    runs of oracle.first_value_chunks among them: the pool is worth
+    opening only when it is more than one.  The pool pickles each task
+    by its module-level name, so a fault injected by replacing
     oracle._count_slice or properties.image_ranks with a closure cannot
-    run threaded; patch the helpers those call instead.
+    run on it; patch the helpers those call instead.
     """
 
-    def __init__(self, pool, workers: int):
-        self._pool = pool
-        self._workers = workers
-        self._tasks = {}
-        self.report = cache(self._report)
-
-    def submit(self, names, r_max: int, n_max: int) -> None:
-        """Submit what the suites names read: first the oracle slices,
-        then the image slices, largest group first in each.  Both walks
-        take one task shape, walk(r, n, run) for each run of
-        oracle.first_value_chunks(n, workers)."""
+    def __init__(self, names, r_max: int, n_max: int, workers: int):
         walks = []
         if {"lemma", "recursion"} & set(names):
             walks.append((oracle._count_slice, BRUTE_SUITE_CAP))
         if "symmetry" in names:
             walks.append((properties.image_ranks, ELEMENTWISE_SUITE_CAP))
-        for walk, cap in walks:
-            for r, n in _largest_first(r_max, n_max, cap):
-                started = time.perf_counter()
-                runs = oracle.first_value_chunks(n, self._workers)
-                futures = [self._pool.submit(walk, r, n, run) for run in runs]
-                self._tasks[walk, r, n] = started, futures
+        # First the oracle slices, then the image slices, largest group
+        # first in each.
+        self._runs = {
+            (walk, r, n): oracle.first_value_chunks(r, n, workers)
+            for walk, cap in walks
+            for r, n in _largest_first(r_max, n_max, oracle.POOL_MIN, cap)
+        }
+        self.processes = max(map(len, self._runs.values()), default=1)
+        self._tasks = {}
+        self.report = cache(self._report)
+
+    def submit(self, pool) -> None:
+        """Submit every pooled point's runs to the pool, in plan order.
+        Both walks take one task shape, walk(r, n, run)."""
+        for (walk, r, n), runs in self._runs.items():
+            started = time.perf_counter()
+            futures = [pool.submit(walk, r, n, run) for run in runs]
+            self._tasks[walk, r, n] = started, futures
 
     def cancel(self) -> None:
         """Cancel every submitted task that has not started."""
@@ -394,10 +399,11 @@ class _Work:
         return ranks
 
 
-def _largest_first(r_max: int, n_max: int, cap: int) -> list:
-    """Sweep points with at most cap elements, largest group first."""
+def _largest_first(r_max: int, n_max: int, least: int, cap: int) -> list:
+    """Sweep points with least to cap elements, largest group first."""
     sizes = {(r, n): GroupParams(r, n).size for r, n in _sweep(r_max, n_max)}
-    return sorted((p for p in sizes if sizes[p] <= cap), key=sizes.get, reverse=True)
+    points = [p for p in sizes if least <= sizes[p] <= cap]
+    return sorted(points, key=sizes.get, reverse=True)
 
 
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
@@ -405,19 +411,21 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
 
     Every suite takes (r_max, n_max, work), where work is the run's _Work,
     so that each enumeration and each symmetry walk is done once per run.
-    With workers > 1 the run opens one pool of min(workers, n_max)
-    processes and submits the suites' work to it before any suite runs.
-    The pool closes on return; if the run stops on an error, the tasks
-    not yet started are cancelled first.
+    The work of the points of at least oracle.POOL_MIN elements goes to
+    one pool before any suite runs; the pool has as many processes as
+    the most runs of oracle.first_value_chunks(r, n, workers) among
+    those points, and opens only when that is more than one.  Every
+    other point is walked inline when a suite reads it.  The pool closes
+    on return; if the run stops on an error, the tasks not yet started
+    are cancelled first.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
-    workers = min(workers or 1, n_max)
+    work = _Work(names, r_max, n_max, workers or 1)
     entries = []
-    with oracle.worker_pool(workers) as pool:
-        work = _Work(pool, workers)
+    with oracle.worker_pool(work.processes) as pool:
         try:
             if pool is not None:
-                work.submit(names, r_max, n_max)
+                work.submit(pool)
             for name in names:
                 entries.extend(_SUITES[name](r_max, n_max, work))
         finally:

@@ -54,11 +54,12 @@ disagreement with summarize raises AssertionError at once.
 The unit of work is a slice: the elements whose window starts with a
 value in a run of consecutive first values.  Slices of disjoint runs are
 disjoint, the runs of first_value_chunks cover the group, and slices
-merge by plain addition (merge_slices).  brute_tables runs those tasks,
-on a pool when there is more than one and inline otherwise, so that a
-serial call is the one task range(1, n + 1).  A run of many small
-enumerations, such as `check`'s sweep, submits the _count_slice tasks of
-every enumeration on one pool before it reads the first.
+merge by plain addition (merge_slices).  A group with fewer than
+POOL_MIN elements is one run, range(1, n + 1), whatever the workers, as
+is every serial call.  brute_tables runs the tasks on a pool when there
+is more than one and inline otherwise.  `check`'s sweep submits the
+_count_slice tasks of its points of at least POOL_MIN elements to one
+pool, sized by the most runs of any of them, before it reads the first.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ from .tables import JointTable
 
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
+#: Groups with fewer elements than this are walked inline as one run.
+#: Starting a pool of two processes and running one trivial task on it
+#: takes about 11 ms, and `check` maps an element to its symmetry image
+#: in about 2.6 us (0.0925 s for its default sweep's 35,722 elements),
+#: so 10**4 elements take about 26 ms serially: about where a pool
+#: starts to pay (shared 2-vCPU host, CPython 3.11).  Results never
+#: depend on it, because the runs of any split merge to the same tallies.
+POOL_MIN = 10**4
 
 
 @dataclass
@@ -288,10 +297,13 @@ def _add(slices) -> list[list[int]]:
     return [[sum(counts) for counts in zip(*parts)] for parts in zip(*slices)]
 
 
-def first_value_chunks(n: int, workers: int) -> list[range]:
-    """1..n cut into at most min(workers, n) runs of consecutive values,
-    one per task: on small groups a round trip costs more than a slice."""
-    size = -(-n // max(1, min(workers, n)))
+def first_value_chunks(r: int, n: int, workers: int) -> list[range]:
+    """1..n cut into runs of consecutive values, one per task of a walk
+    of Z_r wr S_n: at most min(workers, n) runs, or the single run
+    range(1, n + 1) when the group has fewer than POOL_MIN elements, on
+    which starting a pool costs more than the walk."""
+    runs = min(workers, n) if GroupParams(r, n).size >= POOL_MIN else 1
+    size = -(-n // max(1, runs))
     return [range(v, min(v + size, n + 1)) for v in range(1, n + 1, size)]
 
 
@@ -320,10 +332,11 @@ def merge_slices(r: int, n: int, slices, started: float) -> OracleReport:
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
 
-    The slices of first_value_chunks(n, workers) run on a pool of one
-    process each when there is more than one, and inline otherwise; the
-    result does not depend on ``workers``.  A pool task is pickled by
-    name, so _count_slice replaced by a closure runs inline only.  Emits
+    The slices of first_value_chunks(r, n, workers) run on a pool of one
+    process each when there is more than one, and inline otherwise, as
+    they are on any group below POOL_MIN; the result does not depend on
+    ``workers``.  A pool task is pickled by name, so _count_slice
+    replaced by a closure runs inline only.  Emits
     a RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT,
     then proceeds.
     """
@@ -336,7 +349,7 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
             stacklevel=2,
         )
     started = time.perf_counter()
-    chunks = first_value_chunks(n, workers or 1)
+    chunks = first_value_chunks(r, n, workers or 1)
     with worker_pool(len(chunks)) as pool:
         run = map if pool is None else pool.map
         slices = list(run(_count_slice, repeat(r), repeat(n), chunks))

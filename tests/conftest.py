@@ -53,3 +53,10 @@ def submitted(monkeypatch):
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", Recorded)
     return tasks
+
+
+@pytest.fixture
+def pool_every_group(monkeypatch):
+    """oracle.POOL_MIN set to 1, so that workers > 1 split and pool even
+    the small groups that tests can afford to walk."""
+    monkeypatch.setattr(oracle, "POOL_MIN", 1)

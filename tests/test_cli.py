@@ -356,12 +356,13 @@ class TestCheck:
     @pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["serial", "2"])
     @pytest.mark.parametrize("suite", ["lemma", "all"])
     def test_each_point_is_enumerated_once(
-        self, capsys, monkeypatch, submitted, suite, threads
+        self, capsys, monkeypatch, submitted, pool_every_group, suite, threads
     ):
         # lemma and recursion read one oracle report per point; (2, 3)
         # with its 48 elements lies above the cap and is never enumerated.
-        # A serial run enumerates through brute_tables; a threaded one
-        # submits each point's runs of first values to the run's pool once.
+        # A serial run enumerates through brute_tables; a threaded one, with
+        # every group pooled, submits each point's runs of first values to
+        # the run's pool once.
         calls = []
         exact = oracle.brute_tables
 
@@ -386,7 +387,7 @@ class TestCheck:
             assert walks == [
                 (r, n, tuple(run))
                 for r, n in points
-                for run in oracle.first_value_chunks(n, 2)
+                for run in oracle.first_value_chunks(r, n, 2)
             ]
         else:
             assert sorted(calls) == points and walks == []
@@ -597,7 +598,9 @@ class TestCheck:
             "summarize": sum(g.size // g.r**g.n for g in points),
         }
 
-    def test_threads_open_one_pool_per_run(self, capsys, opened_pools):
+    def test_threads_open_one_pool_per_run(
+        self, capsys, opened_pools, pool_every_group
+    ):
         code, out, err = run_cli(
             capsys,
             "check", "--suite", "all", "--r-max", "3", "--n-max", "4",
@@ -608,8 +611,34 @@ class TestCheck:
         assert opened_pools == [2]
         assert multiprocessing.active_children() == []
 
+    def test_sweep_of_small_groups_opens_no_pool(self, capsys, opened_pools):
+        # Every group of r <= 2, n <= 3 is below POOL_MIN, so it is walked
+        # inline when a suite reads it.
+        argv = ("check", "--suite", "all", "--r-max", "2", "--n-max", "3")
+        for fmt in ("text", "json"):
+            serial = run_cli(capsys, *argv, "--format", fmt)
+            assert serial[0] == 0
+            assert run_cli(capsys, *argv, "--format", fmt, "--threads", "2") == serial
+        assert opened_pools == []
+
+    def test_pool_has_as_many_processes_as_the_most_runs(
+        self, capsys, monkeypatch, opened_pools, pool_every_group
+    ):
+        # Under the cap only Z_1 wr S_n for n <= 3 is enumerated, so no
+        # point has more than 3 runs, whatever --threads says.
+        monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
+        code, out, err = run_cli(
+            capsys,
+            "check", "--suite", "lemma", "--r-max", "1", "--n-max", "12",
+            "--threads", "12",
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "3 checks, 3 passed, 0 failed, 9 skipped"
+        assert opened_pools == [3]
+        assert multiprocessing.active_children() == []
+
     def test_pool_is_closed_after_a_failing_run(
-        self, capsys, monkeypatch, opened_pools
+        self, capsys, monkeypatch, opened_pools, pool_every_group
     ):
         # A fault that the forked workers inherit and raise at (2, 2): the
         # FAIL comes back through the open pool, the next point still runs
@@ -641,7 +670,7 @@ class TestCheck:
         assert multiprocessing.active_children() == []
 
     def test_threads_submit_the_whole_sweep_before_the_first_read(
-        self, capsys, monkeypatch, submitted
+        self, capsys, monkeypatch, submitted, pool_every_group
     ):
         # Enumerations first, then symmetry images, largest group first in
         # each, every point in at most two tasks of consecutive first
@@ -671,8 +700,9 @@ class TestCheck:
         sweep = [(r, n) for r in (1, 2) for n in (1, 2, 3)]
         assert reads == [(r, n, len(submitted)) for r, n in sweep]
 
-    def test_threaded_sweep_prints_the_serial_bytes(self, capsys):
-        # The text bytes of both runs are goldens; this compares the JSON.
+    def test_threaded_sweep_prints_the_serial_bytes(self, capsys, pool_every_group):
+        # The text bytes of both runs are goldens; this compares the JSON
+        # with every group pooled.
         argv = ("check", "--suite", "all", "--r-max", "3", "--n-max", "5")
         serial = run_cli(capsys, *argv, "--format", "json")
         assert serial[0] == 0
@@ -684,7 +714,7 @@ class TestCheck:
         ids=["color-slip", "image-outside"],
     )
     def test_symmetry_controls_fail_alike_with_threads(
-        self, capsys, monkeypatch, last
+        self, capsys, monkeypatch, pool_every_group, last
     ):
         # Forked workers inherit the faulty map, so the image slices they
         # compute carry the fault and the FAIL lines are the serial ones.
@@ -722,7 +752,7 @@ class TestCheck:
         ids=["short-exc-row", "narrow-table"],
     )
     def test_wrong_shapes_in_a_suite_are_fail_lines(
-        self, capsys, monkeypatch, fault, fails, summary
+        self, capsys, monkeypatch, pool_every_group, fault, fails, summary
     ):
         # A DP exc row of the wrong length, and a joint table whose rows
         # cannot fill its box (a ValueError), are invariants broken inside
@@ -746,7 +776,7 @@ class TestCheck:
         assert run_cli(capsys, *argv, "--threads", "2") == serial
 
     def test_unexpected_error_cancels_the_queued_work(
-        self, capsys, monkeypatch, submitted
+        self, capsys, monkeypatch, submitted, pool_every_group
     ):
         # A TypeError in the parent is no FAIL line: it stops the run, and
         # the tasks still queued are cancelled, not waited for.
@@ -852,7 +882,7 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_threads_flag_accepted(self, capsys):
+    def test_threads_flag_accepted(self, capsys, pool_every_group):
         code, out, _ = run_cli(
             capsys,
             "check", "--r-max", "2", "--n-max", "3",

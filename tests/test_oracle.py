@@ -93,18 +93,27 @@ class TestBruteTables:
         assert first.exc_row == second.exc_row
 
     @pytest.mark.parametrize(
-        "n, workers, pools",
-        [(3, 2, [2]), (5, 2, [2]), (5, 3, [3]), (3, 9, [3]), (1, 2, [])],
-        ids=["3", "5", "5-w3", "3-w9", "1-w2"],
+        "r, n, workers, pools",
+        [
+            (3, 3, 2, []),
+            (3, 5, 2, [2]),
+            (3, 5, 3, [3]),
+            (3, 3, 9, []),
+            (3, 1, 2, []),
+            (2, 3, 2, []),
+        ],
+        ids=["3", "5", "5-w3", "3-w9", "1-w2", "r2-3"],
     )
-    def test_parallel_matches_serial(self, opened_pools, n, workers, pools):
-        serial = brute_tables(3, n)
+    def test_parallel_matches_serial(self, opened_pools, r, n, workers, pools):
+        serial = brute_tables(r, n)
         assert opened_pools == []  # one task, run inline
-        parallel = brute_tables(3, n, workers=workers)
+        parallel = brute_tables(r, n, workers=workers)
         assert parallel.joint_by_csum == serial.joint_by_csum
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
         assert parallel.exc_row == serial.exc_row
-        # One process per chunk of first values, on a pool the call closes.
+        # One process per chunk of first values, on a pool the call closes;
+        # Z_3 wr S_3 (162 elements) and Z_2 wr S_3 (48) are below POOL_MIN
+        # and one chunk.
         assert opened_pools == pools
         assert multiprocessing.active_children() == []
 
@@ -128,16 +137,31 @@ class TestBruteTables:
 
 class TestFirstValueChunks:
     def test_runs_partition_the_first_values(self):
-        for n in range(1, 10):
-            assert oracle.first_value_chunks(n, 1) == [range(1, n + 1)]
+        # Groups below POOL_MIN are one run; the others at most
+        # min(workers, n).
+        for r, n in itertools.product((1, 2, 3), range(1, 10)):
+            pooled = GroupParams(r, n).size >= oracle.POOL_MIN
+            assert oracle.first_value_chunks(r, n, 1) == [range(1, n + 1)]
             for workers in range(1, 13):
-                runs = oracle.first_value_chunks(n, workers)
-                assert 1 <= len(runs) <= min(workers, n)
+                runs = oracle.first_value_chunks(r, n, workers)
+                assert 1 <= len(runs) <= (min(workers, n) if pooled else 1)
                 assert all(run.step == 1 and len(run) > 0 for run in runs)
                 assert [v for run in runs for v in run] == list(range(1, n + 1))
 
     def test_uneven_split(self):
-        assert oracle.first_value_chunks(5, 3) == [range(1, 3), range(3, 5), range(5, 6)]
+        assert oracle.first_value_chunks(3, 5, 3) == [
+            range(1, 3), range(3, 5), range(5, 6)
+        ]
+
+    @pytest.mark.parametrize(
+        "pool_min, runs", [(48, [range(1, 3), range(3, 4)]), (49, [range(1, 4)])]
+    )
+    def test_pool_min_is_the_least_group_order_split(
+        self, monkeypatch, pool_min, runs
+    ):
+        # Z_2 wr S_3 has 48 elements.
+        monkeypatch.setattr(oracle, "POOL_MIN", pool_min)
+        assert oracle.first_value_chunks(2, 3, 2) == runs
 
 
 class TestGrayWalk:
@@ -218,7 +242,7 @@ class TestIncrementalWalk:
     )
     @pytest.mark.parametrize("workers", [None, 2])
     def test_position_table_skew_is_caught(
-        self, monkeypatch, color, by, message, workers
+        self, monkeypatch, pool_every_group, color, by, message, workers
     ):
         # Negative control: exceeded counts too many where position 1
         # holds value 2.

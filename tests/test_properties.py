@@ -89,11 +89,13 @@ class TestElementwiseChecks:
         assert [properties._element(r, n, k) for k in range(len(elements))] == elements
 
     @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 4), (3, 5)])
-    def test_first_value_slices_concatenate_to_the_ranks(self, r, n):
+    def test_first_value_slices_concatenate_to_the_ranks(
+        self, pool_every_group, r, n
+    ):
         # `check --threads` computes the ranks slice by slice on its pool.
         whole = properties.image_ranks(r, n)
         for workers in (1, 2, n):
-            runs = oracle.first_value_chunks(n, workers)
+            runs = oracle.first_value_chunks(r, n, workers)
             slices = [properties.image_ranks(r, n, run) for run in runs]
             assert [len(s) for s in slices] == [len(whole) // n * len(run) for run in runs]
             assert sum(slices, array("q")) == whole
