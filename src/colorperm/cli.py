@@ -346,7 +346,8 @@ class _Work:
     opening only when it is more than one.  The pool pickles each task
     by its module-level name, so a fault injected by replacing
     oracle._count_slice or properties.image_ranks with a closure cannot
-    run on it; patch the helpers those call instead.
+    run on it; patch the helpers those call instead, such as
+    oracle._position_table and oracle._contributions.
     """
 
     def __init__(self, names, r_max: int, n_max: int, workers: int):

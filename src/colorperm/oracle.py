@@ -8,48 +8,53 @@ exact counts:
 * joint table of (number of nonzero colors, exc_A),
 * the distribution of exc, tallied directly rather than derived.
 
-For each underlying permutation tau the r**n color words are walked in
-reflected Gray-code order, so consecutive elements differ in one
-position's color by +-1.  Every statistic is a sum over positions, so a
-step (i, old, new) changes each by an amount fixed by the step and by
-the pair (i, tau(i)):
+Every statistic is a sum over positions.  Position i + 1 holding tau(i+1)
+with color c adds to exc the number of letters i^0, ..., i^(r-1) that its
+image exceeds, counted by the letter order itself (_position_table); to
+exc_A its indicator (c = 0, tau(i+1) > i + 1, i + 1 < n); and c and
+[c > 0] to csum and to the nonzero-color count ("colored").
+_contributions gives the (exc, exc_A) entry of each (position, value,
+color).
 
-* exc from a per-position table that counts, by the letter order itself,
-  how many of the letters i^0, ..., i^(r-1) are exceeded by their images
-  when position i holds tau(i) with color c;
-* exc_A from its per-position indicator (c_i = 0, tau(i) > i, i < n);
-* csum and the nonzero-color count ("colored") from the color that
-  changed.
+The elements are taken a block at a time: up to BLOCK permutations tau,
+each with all r**n color words.  exc and exc_A each get one Python int
+per (csum, colored) class of words, with one fixed-width slot for each
+element of the block whose word is in the class, so csum and colored
+are the class's own.  A slot holds the sum of its element's stored
+entries: bytes.translate maps each position's values, one byte per
+tau, to the stored entries of one color, and joining those columns in
+the order of the words gives one integer per position.
 
-The four statistics are packed into one mixed-radix integer key, lowest
-place first exc, exc_A, colored, csum, each stored plus a guard g.  A
-step then adds one packed delta to the key, so each tau costs a fixed
-number of C-level calls: its delta list is gathered from the
-per-(i, tau(i)) table, itertools.accumulate runs the walk, and one
-Counter per slice tallies every key.  exc is a field of its own, never
-derived from the others.  At the end of the slice each distinct key is
-decoded once, checked against the decomposition identity
-exc = r*exc_A + csum and the range bounds (colored <= n included), and
-added to the tallies.
+Why every slot decodes to its own element.  A stored entry is the
+entry plus its field's lift, the least amount that makes every entry of
+the field nonnegative, and a slot is decoded by subtracting the n lifts
+of its positions, the field's bias.  The slot width is whole bytes,
+sized from the actual tables' maxima plus one headroom bit: the largest
+sum of stored entries, both sides of the identity below and every
+threshold lie below the slot's top bit.  So every slot holds a
+nonnegative field below its top bit, no sum carries into the next slot,
+and even a failing element decodes to its own statistics, whatever the
+tables hold.
 
-Why a check of the decoded keys checks every element: g is one more
-than the largest |delta| of its field over the whole delta table, and
-below csum a field's radix holds its range with a guard of g on either
-side.  The walk of tau starts at the all-zero color word, whose exc and
-exc_A must equal those of stats.summarize, which scans all r*n letters
-and bounds what it returns; so the start is in range.  Take the first
-element of a walk that is out of range or breaks the identity.  Its
-predecessor was in range, and one step moves each field by at most
-g - 1, so every field of the key still lies inside its radix and the
-key decodes to the element's true statistics, which fail the check.
-Later keys may decode to anything, but a failing key exists.  If no key
-fails, every element was in range and every key decoded exactly.
+Every slot is checked at once:
 
-On a failing key the slice is walked again with the same key generator.
-Every element before the first failing one decodes exactly and passes,
-so the first element carrying a failing key is the first failing
-element; an AssertionError names it and its statistics.  A
-disagreement with summarize raises AssertionError at once.
+* exc = r*exc_A + csum, as E + r*bias_A*ones = r*A + (csum + bias_E)*ones
+  over whole integers, where E and A hold the stored exc and exc_A and
+  ones has a 1 in every slot.  Every slot of both sides is in range, so
+  they are equal exactly when every slot is.
+* 0 <= exc_A <= n - 1 and exc <= r*n - 1 (exc >= 0 follows): adding
+  (top bit - t)*ones sets the top bit of exactly the slots that hold at
+  least t, and int.bit_count of those top bits counts them.
+* The slots of the all-zero word, class (0, 0), must equal the exc and
+  exc_A of stats.summarize, which scans all r*n letters of each tau.
+
+The same counts give exact Python-int tallies: exc_A from its slots at
+1..n-1, and exc from its own slots at the values r*a + csum below r*n
+that the identity leaves; the difference of the counts at two
+neighbouring values counts the slots between.  A block with a failing slot is decoded
+slot by slot, and an AssertionError names the first failing element in
+enumerate_group order and its statistics; where an element breaks both
+the anchor and the identity, the anchor is named.
 
 The unit of work is a slice: the elements whose window starts with a
 value in a run of consecutive first values.  Slices of disjoint runs are
@@ -66,12 +71,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import getitem, mul
+from itertools import accumulate, chain, islice, repeat
+from operator import gt
 from typing import Iterator, NamedTuple
 
 from .perm import ColoredLetter, ColoredPermutation, GroupParams, value_words
@@ -81,13 +85,22 @@ from .tables import JointTable
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
 #: Groups with fewer elements than this are walked inline as one run.
-#: Starting a pool of two processes and running one trivial task on it
-#: takes about 11 ms, and `check` maps an element to its symmetry image
-#: in about 2.6 us (0.0925 s for its default sweep's 35,722 elements),
-#: so 10**4 elements take about 26 ms serially: about where a pool
-#: starts to pay (shared 2-vCPU host, CPython 3.11).  Results never
-#: depend on it, because the runs of any split merge to the same tallies.
+#: The bound is sized by `check`'s symmetry image walk, the slower of
+#: the two walks a pool runs: starting a pool of two processes and
+#: running one trivial task on it takes about 11 ms, and an image takes
+#: about 2.6 us (0.0925 s for the default sweep's 35,722 elements), so
+#: 10**4 elements take about 26 ms serially (shared 2-vCPU host, CPython
+#: 3.11).  The oracle takes well under 0.2 us an element, so on its own
+#: it gains from a pool only from a few hundred thousand elements:
+#: brute_tables(2, 6) takes about 9 ms serially and 19 ms with two
+#: workers, (2, 7) 60 ms and 44 ms.  Results never depend on it,
+#: because the runs of any split merge to the same tallies.
 POOL_MIN = 10**4
+#: A block holds at most BLOCK permutations tau, with all r**n color
+#: words each, and fewer when that would take it past BLOCK_SLOTS
+#: elements, which bounds the memory of a block.
+BLOCK = 256
+BLOCK_SLOTS = 2**18
 
 
 @dataclass
@@ -112,33 +125,6 @@ class TableDiff(NamedTuple):
     right: int
 
 
-def _gray_walk(r: int, n: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
-    """Reflected Gray code on n digits in base r, as a list of steps.
-
-    Step (i, old, new, word) changes digit i from old to new = old +- 1
-    and arrives at word.  From the all-zero word, the r**n - 1 steps visit
-    every word of {0..r-1}^n exactly once (Knuth, TAOCP 4A, 7.2.1.1).
-    Digit 0 changes fastest.
-    """
-    moves: list[tuple[int, int]] = []
-    for position in range(n):
-        # Raise the new digit 0 -> r-1, walking the lower digits backwards
-        # and forwards in turn between its moves.
-        back = [(i, -d) for i, d in reversed(moves)]
-        walk = list(moves)
-        for value in range(1, r):
-            walk.append((position, 1))
-            walk.extend(back if value % 2 else moves)
-        moves = walk
-    word = [0] * n
-    steps = []
-    for i, d in moves:
-        old = word[i]
-        word[i] = old + d
-        steps.append((i, old, old + d, tuple(word)))
-    return steps
-
-
 def _position_table(r: int, n: int) -> list[list[tuple[int, ...]]]:
     """table[i][v - 1][c]: exceeded letters at position i + 1.
 
@@ -151,54 +137,146 @@ def _position_table(r: int, n: int) -> list[list[tuple[int, ...]]]:
     letters = (ColoredLetter(v, c) for v in range(1, n + 1) for c in range(r))
     for place, x in enumerate(sorted(letters)):
         rank[x.value][x.color] = place
-    table = []
-    for i in range(1, n + 1):
-        rows = []
-        for v in range(1, n + 1):
-            row = [0] * r
-            for b, x in enumerate(rank[i]):
-                # The image of i^b is v^d where d = (c + b) mod r.
-                for d, image in enumerate(rank[v]):
-                    if image > x:
-                        row[(d - b) % r] += 1
-            rows.append(tuple(row))
-        table.append(rows)
-    return table
+    # The image of i^b is v^((c + b) mod r): compare rank[v] rotated by c,
+    # a window of rank[v] written twice, with rank[i], letter by letter.
+    twice = [ranks + ranks for ranks in rank]
+    return [
+        [
+            tuple(sum(map(gt, twice[v][c : c + r], rank[i])) for c in range(r))
+            for v in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
 
 
-def _step_kinds(r: int) -> list[tuple[int, int]]:
-    """The (old, new) color changes a Gray step can make, indexed by kind.
+def _contributions(r: int, n: int, table):
+    """(exc, exc_A): the amounts that position i + 1 adds to an element
+    while it holds v with color c, as exc[i][v - 1][c] and exc_A[i][v - 1][c].
 
-    Kind j < r - 1 raises a color from j to j + 1; kind r - 1 + j lowers
-    it from j + 1 to j.
+    ``table`` is _position_table(r, n), which is the exc part; exc_A is 1
+    when c = 0, v > i + 1 and i + 1 < n, else 0.
     """
-    return [(c, c + 1) for c in range(r - 1)] + [(c + 1, c) for c in range(r - 1)]
+    ascents = [
+        [
+            tuple(int(c == 0 and i < n - 1 and v > i + 1) for c in range(r))
+            for v in range(1, n + 1)
+        ]
+        for i in range(n)
+    ]
+    return table, ascents
 
 
-def _ascent(i: int, v: int, n: int) -> int:
-    """exc_A indicator of position i + 1 holding v with color 0."""
-    return int(i < n - 1 and v > i + 1)
+def _classes(r: int, n: int) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """The r**n color words of Z_r wr S_n, class by class.
 
-
-def _step_deltas(r: int, n: int, table) -> list[list[list[tuple[int, ...]]]]:
-    """deltas[i][v - 1][j]: how a step of kind j at position i + 1 changes
-    (exc, exc_A, colored, csum) while that position holds v.
-
-    ``table`` is _position_table(r, n), which gives the exc changes.
+    Returns (csum, colored, size) for each (csum, colored) pair that some
+    word has, by colored and then by descending csum, and digits[i], the
+    color at position i + 1 of every word: the words of the first class,
+    then of the second, and so on, each class in product order.  The
+    first class, (0, 0, 1), is the all-zero word alone.
     """
-    kinds = _step_kinds(r)
-    deltas = []
-    for i, rows in enumerate(table):
-        per_value = []
-        for v, row in enumerate(rows, start=1):
-            up = _ascent(i, v, n)
-            steps = []
-            for old, new in kinds:
-                colored = (old == 0) - (new == 0)
-                steps.append((row[new] - row[old], -up * colored, colored, new - old))
-            per_value.append(steps)
-        deltas.append(per_value)
-    return deltas
+    # level[m]: (sizes, starts, columns) of the words of k colors with m
+    # nonzero, class by class in descending csum, (r-1)*m down to m:
+    # columns[i] holds color i + 1 of every word, and class j starts at
+    # starts[j].
+    level = {0: ([1], [0, 1], [])}
+    for k in range(n):
+        grown = {}
+        for m in range(k + 2 if r > 1 else 1):
+            sizes, columns = [], [[] for _ in range(k + 1)]
+            for csum in range((r - 1) * m, m - 1, -1):
+                # First color 0 before the class (csum, m), then the colors
+                # c = 1..r-1 before the classes (csum - c, m - 1), which
+                # lie next to each other, csum descending as c ascends.
+                size = 0
+                for old_m, c_lo, c_hi in (
+                    (m, 0, 0),
+                    (m - 1, max(1, csum - (r - 1) * (m - 1)), min(r - 1, csum - m + 1)),
+                ):
+                    if old_m in level:
+                        old_sizes, starts, old = level[old_m]
+                        j = (r - 1) * old_m - csum + c_lo
+                        runs = old_sizes[j : j + c_hi - c_lo + 1]
+                        lo, hi = starts[j], starts[j + len(runs)]
+                        firsts = map(repeat, range(c_lo, c_hi + 1), runs)
+                        columns[0].extend(chain.from_iterable(firsts))
+                        for column, part in zip(columns[1:], old):
+                            column.extend(part[lo:hi])
+                        size += hi - lo
+                sizes.append(size)
+            grown[m] = sizes, list(accumulate(sizes, initial=0)), columns
+        level = grown
+    classes = []
+    digits = [[] for _ in range(n)]
+    for m, (sizes, _, columns) in sorted(level.items()):
+        csums = range((r - 1) * m, -1, -1)
+        classes += [(csum, m, size) for csum, size in zip(csums, sizes)]
+        for column, part in zip(digits, columns):
+            column.extend(part)
+    return classes, digits
+
+
+def _stored_tables(r: int, n: int):
+    """(width, bias_e, bias_a, translations) of the packed slots of Z_r wr S_n.
+
+    The fields are exc and exc_A, with entries from _contributions.
+    Each entry is stored plus its field's lift, the least amount that
+    makes every entry of the field nonnegative, so a slot holds its
+    element's field plus the bias, n times the lift.  translations[f][i]
+    [c][b] maps the byte v to byte b of the stored entry of position i + 1
+    holding v with color c.
+    """
+    fields = _contributions(r, n, _position_table(r, n))
+    lifts = [max(0, -min(min(map(min, rows)) for rows in field)) for field in fields]
+    bias_e, bias_a = (n * lift for lift in lifts)
+    top_e, top_a = (
+        sum(max(map(max, rows)) for rows in field) + n * lift
+        for field, lift in zip(fields, lifts)
+    )
+    # Every stored field, both sides of the identity and every threshold
+    # stay below the slot's top bit.
+    bound = max(
+        top_e + r * bias_a,
+        r * top_a + (r - 1) * n + bias_e,
+        bias_e + r * n,
+        bias_a + n,
+    )
+    width = (bound.bit_length() + 8) // 8
+    translations = [
+        [
+            [
+                [stored[b::width] + bytes(255 - n) for b in range(width)]
+                for stored in (
+                    bytes(width) + _slot_bytes(entries, width, lift)
+                    for entries in zip(*rows)
+                )
+            ]
+            for rows in field
+        ]
+        for field, lift in zip(fields, lifts)
+    ]
+    return width, bias_e, bias_a, translations
+
+
+def _packed(chunk, width: int, translations, digits) -> memoryview:
+    """One field of every element of the chunk, in slots of width bytes.
+
+    Slot j*len(chunk) + t holds the stored field of (chunk[t], word j),
+    the words in the order of digits: the sum over positions of the
+    stored entries, each position's from its values, one byte per tau,
+    through bytes.translate.
+    """
+    size = len(chunk)
+    total = 0
+    for values, per_color, colors in zip(map(bytes, zip(*chunk)), translations, digits):
+        by_color = []
+        for per_byte in per_color:
+            slots = bytearray(size * width)
+            for b, translation in enumerate(per_byte):
+                slots[b::width] = values.translate(translation)
+            by_color.append(slots)
+        total += int.from_bytes(b"".join(map(by_color.__getitem__, colors)), "little")
+    return memoryview(total.to_bytes(len(digits[0]) * size * width, "little"))
 
 
 def _count_slice(r: int, n: int, first_values: range):
@@ -207,89 +285,135 @@ def _count_slice(r: int, n: int, first_values: range):
     Returns flat lists, the first two of (r-1)*n + 1 rows of n each:
     by_csum[csum*n + exc_A], by_colored[colored*n + exc_A] and exc_row[exc].
     """
-    steps = _gray_walk(r, n)
-    table = _position_table(r, n)
-    deltas = _step_deltas(r, n, table)
-    kind_of = {kind: j for j, kind in enumerate(_step_kinds(r))}
-    walk = [i * len(kind_of) + kind_of[old, new] for i, old, new, _ in steps]
-
-    # Key fields, lowest place first: exc, exc_A, colored, csum, each
-    # stored plus its guard.  Below csum, a field's radix holds its range
-    # and a guard on either side.
-    highs = (r * n - 1, n - 1, n, (r - 1) * n)
-    every = chain.from_iterable(chain.from_iterable(deltas))
-    # The zero row keeps all four fields when there are no steps (r = 1).
-    guards = [1 + max(map(abs, field)) for field in zip((0, 0, 0, 0), *every)]
-    radices = [high + 1 + 2 * guard for high, guard in zip(highs[:3], guards)]
-    places = [1]
-    for radix in radices:
-        places.append(places[-1] * radix)
-    base = sum(map(mul, guards, places))
-
-    # Row i, indexed by the value v that position i + 1 holds (0 unused).
-    excs = [(0,) + tuple(row[0] for row in rows) for rows in table]
-    ups = [(0,) + tuple(_ascent(i, v, n) for v in range(1, n + 1)) for i in range(n)]
-    packed = [
-        [()] + [tuple(sum(map(mul, d, places)) for d in row) for row in rows]
-        for rows in deltas
-    ]
-    zeros = (0,) * n
-
-    def keys(tau):
-        # The key of every element of tau, in walk order.
-        exc = sum(map(getitem, excs, tau))
-        excA = sum(map(getitem, ups, tau))
-        s = summarize(ColoredPermutation(tau, zeros, r))
-        if (s.exc, s.exc_A, s.csum) != (exc, excA, 0):
-            raise AssertionError(
-                f"Gray walk disagrees with summarize at {s.perm}: "
-                f"(exc, exc_A, csum) = {(exc, excA, 0)} != "
-                f"{(s.exc, s.exc_A, s.csum)}"
-            )
-        key = base + exc + excA * places[1]
-        if not walk:
-            return (key,)
-        delta = list(chain.from_iterable(map(getitem, packed, tau)))
-        return accumulate(map(delta.__getitem__, walk), initial=key)
-
-    tally = Counter(chain.from_iterable(map(keys, value_words(n, first_values))))
-
-    by_csum = [0] * ((highs[3] + 1) * n)
-    by_colored = [0] * ((highs[3] + 1) * n)
+    width, bias_e, bias_a, translations = _stored_tables(r, n)
+    head = 1 << (8 * width - 1)
+    classes, digits = _classes(r, n)
+    ones_of: dict[int, tuple[int, int, int]] = {}
+    by_csum = [0] * (((r - 1) * n + 1) * n)
+    by_colored = [0] * (((r - 1) * n + 1) * n)
     exc_row = [0] * (r * n)
-    failing = {}
-    for key, count in tally.items():
-        rest, stats = key, []
-        for radix, guard in zip(radices, guards):
-            rest, field = divmod(rest, radix)
-            stats.append(field - guard)
-        exc, excA, colored, csum = *stats, rest - guards[3]
-        # exc >= 0 follows from the identity and the other bounds.
-        if exc != r * excA + csum or not (
-            0 <= excA <= highs[1]
-            and 0 <= colored <= highs[2]
-            and 0 <= csum <= highs[3]
-            and exc <= highs[0]
-        ):
-            failing[key] = exc, excA, csum
-            continue
-        by_csum[csum * n + excA] += count
-        by_colored[colored * n + excA] += count
-        exc_row[exc] += count
-
-    if failing:
-        # The first element in walk order that carries a failing key.
-        words = [zeros] + [word for *_, word in steps]
-        for tau in value_words(n, first_values):
-            for word, key in zip(words, keys(tau)):
-                if key in failing:
-                    exc, excA, csum = failing[key]
-                    p = ColoredPermutation(tau, word, r)
-                    raise AssertionError(
-                        f"exc = r*exc_A + csum or a range bound violated for {p}: "
-                        f"exc={exc}, exc_A={excA}, csum={csum}"
-                    )
+    taus = value_words(n, first_values)
+    block = max(1, min(BLOCK, BLOCK_SLOTS // len(digits[0])))
+    while chunk := list(islice(taus, block)):
+        size = len(chunk)
+        packed_exc, packed_excA = (
+            _packed(chunk, width, field, digits) for field in translations
+        )
+        failures = []
+        start = first = 0
+        for csum, colored, count in classes:
+            slots = size * count
+            stop = start + slots * width
+            exc = int.from_bytes(packed_exc[start:stop], "little")
+            excA = int.from_bytes(packed_excA[start:stop], "little")
+            if slots not in ones_of:
+                ones = int.from_bytes(b"\1".ljust(width, b"\0") * slots, "little")
+                ones_of[slots] = ones, head * ones, r * ones
+            ones, heads, r_ones = ones_of[slots]
+            # The slots of the all-zero word must hold summarize's figures.
+            anchored = csum > 0 or _anchored(
+                r, chunk, exc, excA, width, bias_e, bias_a
+            )
+            # Slots that hold at least a, for exc_A at a = 0..n, and for exc
+            # at the values r*a + csum below r*n that the identity leaves,
+            # then at r*n: x + (head - threshold) carries into the top bit
+            # of a slot exactly when the slot holds at least threshold.
+            excA_at_least = []
+            above = excA + (head - bias_a) * ones
+            for _ in range(n + 1):
+                excA_at_least.append((above & heads).bit_count())
+                above -= ones
+            levels = range(csum, r * n, r)
+            exc_at_least = []
+            above = exc + (head - bias_e - csum) * ones
+            for _ in levels:
+                exc_at_least.append((above & heads).bit_count())
+                above -= r_ones
+            above = exc + (head - bias_e - r * n) * ones
+            exc_at_least.append((above & heads).bit_count())
+            if (
+                not anchored
+                or exc + r * bias_a * ones != r * excA + (csum + bias_e) * ones
+                or excA_at_least[0] != slots
+                or excA_at_least[n]
+                or exc_at_least[-1]
+            ):
+                words = list(zip(*(column[first : first + count] for column in digits)))
+                failures += _failures(
+                    r, chunk, words, csum, exc, excA, width, bias_e, bias_a
+                )
+            else:
+                for a in range(n):
+                    tally = excA_at_least[a] - excA_at_least[a + 1]
+                    by_csum[csum * n + a] += tally
+                    by_colored[colored * n + a] += tally
+                for a, level in enumerate(levels):
+                    exc_row[level] += exc_at_least[a] - exc_at_least[a + 1]
+            start, first = stop, first + count
+        if failures:
+            # The first failing element in enumerate_group order.
+            raise AssertionError(min(failures)[1])
     return by_csum, by_colored, exc_row
+
+
+def _slot_bytes(values, width: int, bias: int) -> bytes:
+    """Each of values plus bias in width bytes, low byte first."""
+    return b"".join(
+        map(int.to_bytes, map(bias.__add__, values), repeat(width), repeat("little"))
+    )
+
+
+def _decode(x: int, slots: int, width: int, bias: int) -> list[int]:
+    """The fields of the slots of x, less bias, lowest slot first."""
+    data = x.to_bytes(slots * width, "little")
+    return [
+        int.from_bytes(data[j : j + width], "little") - bias
+        for j in range(0, len(data), width)
+    ]
+
+
+def _anchored(r, chunk, exc, excA, width, bias_e, bias_a) -> bool:
+    """Whether the slots of the all-zero word, one per tau of the chunk,
+    hold the exc and exc_A of summarize, which scans all r*n letters."""
+    zeros = (0,) * len(chunk[0])
+    summaries = [summarize(ColoredPermutation(tau, zeros, r)) for tau in chunk]
+    return (
+        exc.to_bytes(len(chunk) * width, "little")
+        == _slot_bytes([s.exc for s in summaries], width, bias_e)
+        and excA.to_bytes(len(chunk) * width, "little")
+        == _slot_bytes([s.exc_A for s in summaries], width, bias_a)
+        and not any(s.csum for s in summaries)
+    )
+
+
+def _failures(r, chunk, words, csum, exc, excA, width, bias_e, bias_a):
+    """((tau index, word, kind), message) for each failing slot of one
+    class: kind 0 where the all-zero word disagrees with summarize, kind 1
+    where exc = r*exc_A + csum or a range bound fails.  Every slot
+    decodes to its element's own statistics."""
+    n, size = len(chunk[0]), len(chunk)
+    slots = size * len(words)
+    decoded = zip(
+        _decode(exc, slots, width, bias_e), _decode(excA, slots, width, bias_a)
+    )
+    found = []
+    for j, (e, a) in enumerate(decoded):
+        t, word = j % size, words[j // size]
+        p = ColoredPermutation(chunk[t], word, r)
+        s = summarize(p) if not csum else None
+        if s is not None and (s.exc, s.exc_A, s.csum) != (e, a, 0):
+            found.append((
+                (t, word, 0),
+                f"packed slots disagree with summarize at {p}: "
+                f"(exc, exc_A, csum) = {(e, a, 0)} != {(s.exc, s.exc_A, s.csum)}",
+            ))
+        if e != r * a + csum or not (0 <= a <= n - 1 and e <= r * n - 1):
+            found.append((
+                (t, word, 1),
+                f"exc = r*exc_A + csum or a range bound violated for {p}: "
+                f"exc={e}, exc_A={a}, csum={csum}",
+            ))
+    return found
 
 
 def _add(slices) -> list[list[int]]:

@@ -195,6 +195,19 @@ class TestDExplicit:
         )
         assert closed._alternants(row) == expected
 
+    def test_alternant_memo_is_keyed_on_the_row_object(self):
+        row = stirling_row(7)
+        first = closed._alternants(row)
+        assert closed._alternants(row) is first
+        # An equal row that is another object is computed afresh; a
+        # changed row never matches a held one.
+        copy = tuple(list(row))
+        assert copy is not row
+        again = closed._alternants(copy)
+        assert again == first and again is not first
+        changed = row[:2] + (row[2] + 1,) + row[3:]
+        assert closed._alternants(changed) != first
+
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):
             d_explicit(2, 3, 3)

@@ -164,32 +164,42 @@ class TestFirstValueChunks:
         assert oracle.first_value_chunks(2, 3, 2) == runs
 
 
-class TestGrayWalk:
-    @pytest.mark.parametrize(
-        "r, n", [(1, 1), (1, 4), (2, 1), (5, 1), (2, 4), (3, 3), (4, 2)]
-    )
-    def test_visits_every_word_once_by_unit_steps(self, r, n):
-        steps = oracle._gray_walk(r, n)
-        words = [(0,) * n] + [word for *_, word in steps]
-        assert sorted(words) == list(itertools.product(range(r), repeat=n))
-        for before, (i, old, new, word) in zip(words, steps):
-            assert abs(new - old) == 1
-            assert (before[i], word[i]) == (old, new)
-            assert before[:i] + before[i + 1 :] == word[:i] + word[i + 1 :]
+def assert_every_slice_matches(r, n):
+    """_count_slice equals reference_slice on every run of consecutive
+    first values, the whole range included."""
+    singles = [reference_slice(r, n, range(v, v + 1)) for v in range(1, n + 1)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 2):
+            expected = tuple(oracle._add(singles[a - 1 : b - 1]))
+            assert oracle._count_slice(r, n, range(a, b)) == expected
 
 
-class TestIncrementalWalk:
+class TestPackedWalk:
     @pytest.mark.parametrize(
         "r, n",
         [(1, 4), (1, 6), (2, 1), (2, 5), (2, 6), (3, 4), (4, 3), (5, 3), (6, 2)],
     )
     def test_matches_summarize_tally_on_every_slice(self, r, n):
-        # Every run of consecutive first values, the whole range included.
-        singles = [reference_slice(r, n, range(v, v + 1)) for v in range(1, n + 1)]
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 2):
-                expected = tuple(oracle._add(singles[a - 1 : b - 1]))
-                assert oracle._count_slice(r, n, range(a, b)) == expected
+        assert_every_slice_matches(r, n)
+
+    @pytest.mark.parametrize("r, n", [(70, 2), (1000, 1)])
+    def test_two_byte_slots_match_on_every_slice(self, r, n):
+        # exc reaches 2r - 1 = 139 and r - 1 = 999: past one byte with
+        # its headroom bit.
+        assert_every_slice_matches(r, n)
+
+    @pytest.mark.parametrize("r, n", [(6, 3), (10, 3)])
+    def test_few_permutations_many_words_match_on_every_slice(self, r, n):
+        # A slice of one first value holds 2 permutations and r**3 words
+        # each, spread over many (csum, colored) classes.
+        assert_every_slice_matches(r, n)
+
+    @pytest.mark.parametrize("r, n", [(2, 4), (3, 3), (1, 5)])
+    def test_slices_longer_than_one_block_match(self, monkeypatch, r, n):
+        # Two permutations per block: every slice of more than one first
+        # value spans several blocks, and some end on a partial one.
+        monkeypatch.setattr(oracle, "BLOCK", 2)
+        assert_every_slice_matches(r, n)
 
     def test_one_call_builds_the_tables_once(self, monkeypatch):
         built = []
@@ -214,15 +224,16 @@ class TestIncrementalWalk:
     @pytest.mark.parametrize(
         "color, by, message",
         [
-            # At color 0 the per-tau summarize anchor sees the skew.
+            # At color 0 the per-tau summarize anchor sees the skew.  The
+            # identity fails at the same element, and the anchor is named.
             (
                 0,
                 1,
-                "Gray walk disagrees with summarize at 2,1,3: "
+                "packed slots disagree with summarize at 2,1,3: "
                 "(exc, exc_A, csum) = (3, 1, 0) != (2, 1, 0)",
             ),
-            # At color 1 only the identity check on the decoded keys can;
-            # it names the first failing element in walk order.
+            # At color 1 only the identity check on the slots can; it names
+            # the first failing element in enumerate_group order.
             (
                 1,
                 1,
@@ -230,7 +241,7 @@ class TestIncrementalWalk:
                 "exc=2, exc_A=0, csum=1",
             ),
             # r + 3 lies outside 0..r, the range of any exceeded count.  The
-            # guard band is sized from the step deltas, so the key still
+            # slots are sized from the skewed table, so the slot still
             # decodes to the element's own statistics.
             (
                 1,
@@ -238,14 +249,25 @@ class TestIncrementalWalk:
                 "exc = r*exc_A + csum or a range bound violated for 2^1,1,3: "
                 "exc=6, exc_A=0, csum=1",
             ),
+            # So does a skew that needs two bytes a slot.
+            (
+                1,
+                300,
+                "exc = r*exc_A + csum or a range bound violated for 2^1,1,3: "
+                "exc=301, exc_A=0, csum=1",
+            ),
         ],
     )
     @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("block", [None, 1], ids=["block", "block1"])
     def test_position_table_skew_is_caught(
-        self, monkeypatch, pool_every_group, color, by, message, workers
+        self, monkeypatch, pool_every_group, color, by, message, workers, block
     ):
         # Negative control: exceeded counts too many where position 1
-        # holds value 2.
+        # holds value 2.  With one permutation a block, the failing
+        # element is named from its own block, as from a shared one.
+        if block:
+            monkeypatch.setattr(oracle, "BLOCK", block)
         build = oracle._position_table
 
         def skewed(r, n):
@@ -260,20 +282,20 @@ class TestIncrementalWalk:
             brute_tables(2, 3, workers=workers)
         assert str(caught.value) == message
 
-    def test_excA_stepping_below_zero_is_caught(self, monkeypatch):
-        # Negative control: position 1 holding 1 is no excedance, yet its
-        # step from color 0 to 1 lowers exc_A as if it were.  The start of
-        # each walk is right, so the summarize anchor cannot see it; the
-        # very first step takes exc_A of the identity to -1.
-        build = oracle._step_deltas
+    def test_excA_below_zero_is_caught(self, monkeypatch):
+        # Negative control: position 1 holding 1 with color 1 adds -1 to
+        # exc_A.  The all-zero word is right, so the summarize anchor
+        # cannot see it; the biased slots decode exc_A of 1^1,2,3 to -1.
+        build = oracle._contributions
 
         def wrong(r, n, table):
-            deltas = build(r, n, table)
-            exc, _, colored, csum = deltas[0][0][0]
-            deltas[0][0][0] = (exc, -1, colored, csum)
-            return deltas
+            exc, excA = build(r, n, table)
+            row = list(excA[0][0])
+            row[1] = -1
+            excA[0][0] = tuple(row)
+            return exc, excA
 
-        monkeypatch.setattr(oracle, "_step_deltas", wrong)
+        monkeypatch.setattr(oracle, "_contributions", wrong)
         with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3)
         assert str(caught.value) == (
