@@ -335,16 +335,17 @@ class _Work:
     """The heavy per-point work of one `check` run, done once per point.
 
     report(r, n) is the oracle's report on Z_r wr S_n, which `lemma` and
-    `recursion` share; a report that raises raises again when read again,
-    as a fresh enumeration would.  images(r, n) is
-    properties.image_ranks(r, n), which `symmetry` reads once per point
-    and hands to both elementwise checks.  Each is computed on its read,
-    unless submit() has handed its point to the pool already; then the
-    read waits for that point's tasks.  Only points of at least
-    oracle.POOL_MIN elements go to the pool, and processes is the most
-    runs of oracle.first_value_chunks among them: the pool is worth
-    opening only when it is more than one.  The pool pickles each task
-    by its module-level name, so a fault injected by replacing
+    `recursion` share; images(r, n) is properties.image_ranks(r, n),
+    which `symmetry` reads once per point and hands to both elementwise
+    checks.  A point's walk goes to the pool exactly when the point is
+    within its suite's cap and oracle.first_value_chunks gives it more
+    than one run; processes is the most runs among those points, and the
+    pool is worth opening only when it is more than one.  Both reads go
+    through _slices, which pops the point's pooled results, so each is
+    released once read, or walks the point inline as one run.  A report
+    is cached once it builds; one that raises raises again when read
+    again, from an inline walk, with the same message.  The pool pickles
+    each task by its module-level name, so a fault injected by replacing
     oracle._count_slice or properties.image_ranks with a closure cannot
     run on it; patch the helpers those call instead, such as
     oracle._position_table and oracle._contributions.
@@ -356,12 +357,14 @@ class _Work:
             walks.append((oracle._count_slice, BRUTE_SUITE_CAP))
         if "symmetry" in names:
             walks.append((properties.image_ranks, ELEMENTWISE_SUITE_CAP))
-        # First the oracle slices, then the image slices, largest group
-        # first in each.
+        # First the oracle slices, then the image slices, in sweep order.
         self._runs = {
-            (walk, r, n): oracle.first_value_chunks(r, n, workers)
+            (walk, r, n): runs
             for walk, cap in walks
-            for r, n in _largest_first(r_max, n_max, oracle.POOL_MIN, cap)
+            for r, n in _sweep(r_max, n_max)
+            if GroupParams(r, n).size <= cap
+            for runs in [oracle.first_value_chunks(r, n, workers)]
+            if len(runs) > 1
         }
         self.processes = max(map(len, self._runs.values()), default=1)
         self._tasks = {}
@@ -375,36 +378,23 @@ class _Work:
             futures = [pool.submit(walk, r, n, run) for run in runs]
             self._tasks[walk, r, n] = started, futures
 
-    def cancel(self) -> None:
-        """Cancel every submitted task that has not started."""
-        for _, futures in self._tasks.values():
-            for future in futures:
-                future.cancel()
+    def _slices(self, walk, r, n) -> tuple[float, list]:
+        """(start time, slice results) of walk on Z_r wr S_n."""
+        entry = self._tasks.pop((walk, r, n), None)
+        if entry is None:
+            return time.perf_counter(), [walk(r, n, range(1, n + 1))]
+        started, futures = entry
+        return started, [future.result() for future in futures]
 
     def _report(self, r, n):
-        entry = self._tasks.get((oracle._count_slice, r, n))
-        if entry is None:
-            return oracle.brute_tables(r, n)
-        started, futures = entry
-        return oracle.merge_slices(r, n, [f.result() for f in futures], started)
+        started, slices = self._slices(oracle._count_slice, r, n)
+        return oracle.merge_slices(r, n, slices, started)
 
     def images(self, r, n):
-        # Popped, so that the arrays go once the suite is done with them.
-        entry = self._tasks.pop((properties.image_ranks, r, n), None)
-        if entry is None:
-            return properties.image_ranks(r, n)
-        _, futures = entry
         ranks = array("q")
-        for future in futures:
-            ranks.extend(future.result())
+        for part in self._slices(properties.image_ranks, r, n)[1]:
+            ranks.extend(part)
         return ranks
-
-
-def _largest_first(r_max: int, n_max: int, least: int, cap: int) -> list:
-    """Sweep points with least to cap elements, largest group first."""
-    sizes = {(r, n): GroupParams(r, n).size for r, n in _sweep(r_max, n_max)}
-    points = [p for p in sizes if least <= sizes[p] <= cap]
-    return sorted(points, key=sizes.get, reverse=True)
 
 
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
@@ -412,26 +402,19 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
 
     Every suite takes (r_max, n_max, work), where work is the run's _Work,
     so that each enumeration and each symmetry walk is done once per run.
-    The work of the points of at least oracle.POOL_MIN elements goes to
-    one pool before any suite runs; the pool has as many processes as
-    the most runs of oracle.first_value_chunks(r, n, workers) among
-    those points, and opens only when that is more than one.  Every
-    other point is walked inline when a suite reads it.  The pool closes
-    on return; if the run stops on an error, the tasks not yet started
-    are cancelled first.
+    Before any suite runs, the pooled points' work goes to one pool in
+    sweep order; the pool has as many processes as the most runs of
+    oracle.first_value_chunks(r, n, workers) among those points, and
+    opens only when that is more than one.  Every other point is walked
+    inline when a suite reads it.  The pool closes on return; if the run
+    stops on an error, oracle.worker_pool cancels the tasks not yet
+    started first.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
     work = _Work(names, r_max, n_max, workers or 1)
-    entries = []
     with oracle.worker_pool(work.processes) as pool:
-        try:
-            if pool is not None:
-                work.submit(pool)
-            for name in names:
-                entries.extend(_SUITES[name](r_max, n_max, work))
-        finally:
-            work.cancel()
-    return entries
+        work.submit(pool)
+        return [entry for name in names for entry in _SUITES[name](r_max, n_max, work)]
 
 
 def _entry_line(e) -> str:

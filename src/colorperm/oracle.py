@@ -6,7 +6,8 @@ exact counts:
 
 * joint table of (color sum, exc_A),
 * joint table of (number of nonzero colors, exc_A),
-* the distribution of exc, tallied directly rather than derived.
+* the distribution of exc, each element counted at r*exc_A + csum,
+  which its own exc was checked to equal.
 
 Every statistic is a sum over positions.  Position i + 1 holding tau(i+1)
 with color c adds to exc the number of letters i^0, ..., i^(r-1) that its
@@ -48,10 +49,13 @@ Every slot is checked at once:
 * The slots of the all-zero word, class (0, 0), must equal the exc and
   exc_A of stats.summarize, which scans all r*n letters of each tau.
 
-The same counts give exact Python-int tallies: exc_A from its slots at
-1..n-1, and exc from its own slots at the values r*a + csum below r*n
-that the identity leaves; the difference of the counts at two
-neighbouring values counts the slots between.  A block with a failing slot is decoded
+The same counts give exact Python-int tallies: the difference of the
+counts at a and a + 1 is the number of slots of exc_A a, and each of
+them is counted at a in both joint tables and at r*a + csum in the exc
+row.  That row is exact, because a class is tallied only when all of
+its slots pass: then each slot's own exc equals r*a + csum, and the
+threshold at r*n, which the identity and the exc_A bounds do not imply,
+puts that value inside the row.  A block with a failing slot is decoded
 slot by slot, and an AssertionError names the first failing element in
 enumerate_group order and its statistics; where an element breaks both
 the anchor and the identity, the anchor is named.
@@ -63,8 +67,9 @@ merge by plain addition (merge_slices).  A group with fewer than
 POOL_MIN elements is one run, range(1, n + 1), whatever the workers, as
 is every serial call.  brute_tables runs the tasks on a pool when there
 is more than one and inline otherwise.  `check`'s sweep submits the
-_count_slice tasks of its points of at least POOL_MIN elements to one
-pool, sized by the most runs of any of them, before it reads the first.
+_count_slice tasks of every point that first_value_chunks splits into
+more than one run to one pool, sized by the most runs of any of them,
+in sweep order and before it reads the first.
 """
 
 from __future__ import annotations
@@ -308,47 +313,40 @@ def _count_slice(r: int, n: int, first_values: range):
             excA = int.from_bytes(packed_excA[start:stop], "little")
             if slots not in ones_of:
                 ones = int.from_bytes(b"\1".ljust(width, b"\0") * slots, "little")
-                ones_of[slots] = ones, head * ones, r * ones
-            ones, heads, r_ones = ones_of[slots]
+                ones_of[slots] = ones, head * ones
+            ones, heads = ones_of[slots]
             # The slots of the all-zero word must hold summarize's figures.
             anchored = csum > 0 or _anchored(
                 r, chunk, exc, excA, width, bias_e, bias_a
             )
             # Slots that hold at least a, for exc_A at a = 0..n, and for exc
-            # at the values r*a + csum below r*n that the identity leaves,
-            # then at r*n: x + (head - threshold) carries into the top bit
-            # of a slot exactly when the slot holds at least threshold.
+            # at r*n: x + (head - threshold) carries into the top bit of a
+            # slot exactly when the slot holds at least threshold.
             excA_at_least = []
             above = excA + (head - bias_a) * ones
             for _ in range(n + 1):
                 excA_at_least.append((above & heads).bit_count())
                 above -= ones
-            levels = range(csum, r * n, r)
-            exc_at_least = []
-            above = exc + (head - bias_e - csum) * ones
-            for _ in levels:
-                exc_at_least.append((above & heads).bit_count())
-                above -= r_ones
-            above = exc + (head - bias_e - r * n) * ones
-            exc_at_least.append((above & heads).bit_count())
+            exc_too_large = (exc + (head - bias_e - r * n) * ones) & heads
             if (
                 not anchored
                 or exc + r * bias_a * ones != r * excA + (csum + bias_e) * ones
                 or excA_at_least[0] != slots
                 or excA_at_least[n]
-                or exc_at_least[-1]
+                or exc_too_large
             ):
                 words = list(zip(*(column[first : first + count] for column in digits)))
                 failures += _failures(
                     r, chunk, words, csum, exc, excA, width, bias_e, bias_a
                 )
             else:
-                for a in range(n):
-                    tally = excA_at_least[a] - excA_at_least[a + 1]
+                tallies = [excA_at_least[a] - excA_at_least[a + 1] for a in range(n)]
+                for a, tally in enumerate(tallies):
                     by_csum[csum * n + a] += tally
                     by_colored[colored * n + a] += tally
-                for a, level in enumerate(levels):
-                    exc_row[level] += exc_at_least[a] - exc_at_least[a + 1]
+                # Every slot of exc_A a holds exc r*a + csum, below r*n.
+                for level, tally in zip(range(csum, r * n, r), tallies):
+                    exc_row[level] += tally
             start, first = stop, first + count
         if failures:
             # The first failing element in enumerate_group order.
@@ -425,7 +423,8 @@ def first_value_chunks(r: int, n: int, workers: int) -> list[range]:
     """1..n cut into runs of consecutive values, one per task of a walk
     of Z_r wr S_n: at most min(workers, n) runs, or the single run
     range(1, n + 1) when the group has fewer than POOL_MIN elements, on
-    which starting a pool costs more than the walk."""
+    which starting a pool costs more than the walk.  A walk goes to a
+    pool exactly when it has more than one run."""
     runs = min(workers, n) if GroupParams(r, n).size >= POOL_MIN else 1
     size = -(-n // max(1, runs))
     return [range(v, min(v + size, n + 1)) for v in range(1, n + 1, size)]
@@ -484,12 +483,17 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
 def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     """Yield None for ``workers`` <= 1, else a fresh pool of that many
     processes, started at its first task and joined when the block ends.
+    When the block raises, the tasks not yet started are cancelled first.
     """
     if workers <= 1:
         yield None
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield pool
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def compare(left: JointTable, right: JointTable) -> list[TableDiff]:

@@ -360,37 +360,51 @@ class TestCheck:
     ):
         # lemma and recursion read one oracle report per point; (2, 3)
         # with its 48 elements lies above the cap and is never enumerated.
-        # A serial run enumerates through brute_tables; a threaded one, with
-        # every group pooled, submits each point's runs of first values to
-        # the run's pool once.
-        calls = []
-        exact = oracle.brute_tables
-
-        def counted(r, n, workers=None):
-            calls.append((r, n))
-            return exact(r, n, workers)
-
-        monkeypatch.setattr(oracle, "brute_tables", counted)
+        # A serial run walks each point inline as the one run 1..n.  A
+        # threaded one, with every group pooled, submits the runs of each
+        # point of more than one run to the run's pool once, and walks the
+        # points of n = 1 inline once each.
         monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
+        points = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+        calls = []
+        if threads:
+            # A closure cannot be pickled onto the pool, so the inline
+            # walks are counted by the tables each _count_slice call builds
+            # first; the workers' calls stay in the workers.
+            exact = oracle._stored_tables
+
+            def counted(r, n):
+                calls.append((r, n))
+                return exact(r, n)
+
+            monkeypatch.setattr(oracle, "_stored_tables", counted)
+        else:
+            exact = oracle._count_slice
+
+            def counted(r, n, first_values):
+                calls.append((r, n, first_values))
+                return exact(r, n, first_values)
+
+            monkeypatch.setattr(oracle, "_count_slice", counted)
         code, _, _ = run_cli(
             capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", suite, *threads
         )
         assert code == 0
-        points = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
-        walks = sorted(
+        walks = [
             (r, n, tuple(run))
             for name, r, n, run, _ in submitted
             if name == "_count_slice"
-        )
+        ]
         if threads:
-            assert calls == []
+            assert sorted(calls) == [(1, 1), (2, 1)]
             assert walks == [
                 (r, n, tuple(run))
-                for r, n in points
+                for r, n in [(1, 2), (1, 3), (2, 2)]
                 for run in oracle.first_value_chunks(r, n, 2)
             ]
         else:
-            assert sorted(calls) == points and walks == []
+            assert calls == [(r, n, range(1, n + 1)) for r, n in points]
+            assert walks == []
 
     @pytest.mark.parametrize("suite", ["logconcave", "closed"])
     def test_excA_recurrence_runs_once_per_r(self, capsys, monkeypatch, suite):
@@ -669,12 +683,42 @@ class TestCheck:
         assert opened_pools == [2]
         assert multiprocessing.active_children() == []
 
+    def test_a_failing_pooled_report_fails_alike_when_read_again(
+        self, capsys, monkeypatch, pool_every_group
+    ):
+        # lemma reads the pooled report of (2, 2) and gets the fault the
+        # workers inherit; recursion reads it again, now inline, and must
+        # print the same counterexample, as a serial run does.
+        build = oracle._position_table
+
+        def skewed(r, n):
+            table = build(r, n)
+            if (r, n) == (2, 2):
+                row = list(table[0][1])
+                row[1] += 1
+                table[0][1] = tuple(row)
+            return table
+
+        monkeypatch.setattr(oracle, "_position_table", skewed)
+        argv = ("check", "--suite", "all", "--r-max", "2", "--n-max", "3")
+        serial = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv, "--threads", "2") == serial
+        fails = {
+            line.split(": ", 1)[0]: line.split(": ", 1)[1]
+            for line in serial[1].splitlines()
+            if line.startswith("FAIL") and " r=2 n=2: " in line
+        }
+        lemma = fails["FAIL lemma_exc_decomposition r=2 n=2"]
+        assert fails["FAIL dp_matches_enumeration r=2 n=2"] == lemma
+        assert multiprocessing.active_children() == []
+
     def test_threads_submit_the_whole_sweep_before_the_first_read(
         self, capsys, monkeypatch, submitted, pool_every_group
     ):
-        # Enumerations first, then symmetry images, largest group first in
-        # each, every point in at most two tasks of consecutive first
-        # values; no report is read before the last submission.
+        # Enumerations first, then symmetry images, each in sweep order,
+        # every point of n >= 2 in two tasks of consecutive first values;
+        # the points of n = 1 are one run each and walked inline.  No
+        # report is read before the last submission.
         reads = []
         merge = oracle.merge_slices
 
@@ -689,12 +733,12 @@ class TestCheck:
             "--threads", "2",
         )
         assert (code, err) == (0, "")
-        largest_first = [(2, 3), (2, 2), (1, 3), (1, 2), (2, 1), (1, 1)]
-        chunks = {1: [(1,)], 2: [(1,), (2,)], 3: [(1, 2), (3,)]}
+        pooled = [(1, 2), (1, 3), (2, 2), (2, 3)]
+        chunks = {2: [(1,), (2,)], 3: [(1, 2), (3,)]}
         assert [(name, r, n, tuple(vs)) for name, r, n, vs, _ in submitted] == [
             (name, r, n, vs)
             for name in ("_count_slice", "image_ranks")
-            for r, n in largest_first
+            for r, n in pooled
             for vs in chunks[n]
         ]
         sweep = [(r, n) for r in (1, 2) for n in (1, 2, 3)]

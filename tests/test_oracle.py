@@ -3,6 +3,7 @@
 import ast
 import itertools
 import multiprocessing
+import time
 from math import factorial
 from pathlib import Path
 
@@ -133,6 +134,18 @@ class TestBruteTables:
 
     def test_elapsed_recorded(self):
         assert brute_tables(2, 2).elapsed_seconds >= 0.0
+
+    def test_worker_pool_cancels_queued_tasks_when_its_block_raises(self):
+        # Two processes start two tasks and queue one more; the rest are
+        # still pending when the block raises, and are cancelled rather
+        # than run before the pool joins.
+        with pytest.raises(RuntimeError, match="stop"):
+            with oracle.worker_pool(2) as pool:
+                futures = [pool.submit(time.sleep, 0.05) for _ in range(12)]
+                raise RuntimeError("stop")
+        assert all(future.done() for future in futures)
+        assert any(future.cancelled() for future in futures)
+        assert multiprocessing.active_children() == []
 
 
 class TestFirstValueChunks:
@@ -301,6 +314,33 @@ class TestPackedWalk:
         assert str(caught.value) == (
             "exc = r*exc_A + csum or a range bound violated for 1^1,2,3: "
             "exc=1, exc_A=-1, csum=1"
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_exc_above_its_range_is_caught(
+        self, monkeypatch, pool_every_group, workers
+    ):
+        # Negative control: position 2 holding 1 with color 1 adds 1 to
+        # exc_A and r to exc.  The identity still holds and exc_A stays
+        # at most n - 1, so only the threshold of exc at r*n can see that
+        # 2,1^1,3^1 reaches exc = 6 in Z_2 wr S_3.
+        build = oracle._contributions
+
+        def wrong(r, n, table):
+            exc, excA = build(r, n, table)
+            exc = [list(rows) for rows in exc]
+            for field, by in ((exc, r), (excA, 1)):
+                row = list(field[1][0])
+                row[1] += by
+                field[1][0] = tuple(row)
+            return exc, excA
+
+        monkeypatch.setattr(oracle, "_contributions", wrong)
+        with pytest.raises(AssertionError) as caught:
+            brute_tables(2, 3, workers=workers)
+        assert str(caught.value) == (
+            "exc = r*exc_A + csum or a range bound violated for 2,1^1,3^1: "
+            "exc=6, exc_A=2, csum=2"
         )
 
 
