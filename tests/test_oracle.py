@@ -328,7 +328,6 @@ class TestPackedWalk:
 
         def wrong(r, n, table):
             exc, excA = build(r, n, table)
-            exc = [list(rows) for rows in exc]
             for field, by in ((exc, r), (excA, 1)):
                 row = list(field[1][0])
                 row[1] += by
