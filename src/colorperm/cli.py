@@ -27,7 +27,6 @@ import io
 import json
 import sys
 import time
-from array import array
 from dataclasses import replace
 from functools import cache, partial
 from itertools import repeat
@@ -286,7 +285,7 @@ def suite_symmetry(r_max, n_max, work) -> list:
         if skipped:
             return verdicts + skipped
         # One walk of the map serves both checks.
-        images = work.images(r, n)
+        images = properties.image_ranks(r, n)
         return verdicts + [
             properties.check_exc_complement(r, n, images=images),
             properties.check_involution(r, n, images=images),
@@ -332,37 +331,29 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 class _Work:
-    """The heavy per-point work of one `check` run, done once per point.
+    """The oracle's reports of one `check` run, each walked once per point.
 
     report(r, n) is the oracle's report on Z_r wr S_n, which `lemma` and
-    `recursion` share; images(r, n) is properties.image_ranks(r, n),
-    which `symmetry` reads once per point and hands to both elementwise
-    checks.  A point's walk goes to the pool exactly when the point is
-    within its suite's cap and oracle.first_value_chunks gives it more
-    than one run; processes is the most runs among those points, and the
-    pool is worth opening only when it is more than one.  Both reads go
-    through _slices, which pops the point's pooled results, so each is
-    released once read, or walks the point inline as one run.  A report
-    is cached once it builds; one that raises raises again when read
-    again, from an inline walk, with the same message.  The pool pickles
-    each task by its module-level name, so a fault injected by replacing
-    oracle._count_slice or properties.image_ranks with a closure cannot
-    run on it; patch the helpers those call instead, such as
-    oracle._position_table and oracle._contributions.
+    `recursion` share.  A point's walk goes to the pool exactly when one
+    of those suites runs, the point is within BRUTE_SUITE_CAP and
+    oracle.first_value_chunks gives it more than one run; processes is
+    the most runs among those points, and the pool is worth opening only
+    when it is more than one.  A read pops the point's pooled slices, so
+    each is released once read, or walks the point inline as one run.  A
+    report is cached once it builds; one that raises raises again when
+    read again, from an inline walk, with the same message.  The pool
+    pickles each task by its module-level name, so a fault injected by
+    replacing oracle._count_slice with a closure cannot run on it; patch
+    the helpers it calls instead, such as oracle._position_table and
+    oracle._contributions.
     """
 
     def __init__(self, names, r_max: int, n_max: int, workers: int):
-        walks = []
-        if {"lemma", "recursion"} & set(names):
-            walks.append((oracle._count_slice, BRUTE_SUITE_CAP))
-        if "symmetry" in names:
-            walks.append((properties.image_ranks, ELEMENTWISE_SUITE_CAP))
-        # First the oracle slices, then the image slices, in sweep order.
+        walked = {"lemma", "recursion"} & set(names)
         self._runs = {
-            (walk, r, n): runs
-            for walk, cap in walks
+            (r, n): runs
             for r, n in _sweep(r_max, n_max)
-            if GroupParams(r, n).size <= cap
+            if walked and GroupParams(r, n).size <= BRUTE_SUITE_CAP
             for runs in [oracle.first_value_chunks(r, n, workers)]
             if len(runs) > 1
         }
@@ -371,44 +362,35 @@ class _Work:
         self.report = cache(self._report)
 
     def submit(self, pool) -> None:
-        """Submit every pooled point's runs to the pool, in plan order.
-        Both walks take one task shape, walk(r, n, run)."""
-        for (walk, r, n), runs in self._runs.items():
+        """Submit every pooled point's runs to the pool, in sweep order."""
+        for (r, n), runs in self._runs.items():
             started = time.perf_counter()
-            futures = [pool.submit(walk, r, n, run) for run in runs]
-            self._tasks[walk, r, n] = started, futures
-
-    def _slices(self, walk, r, n) -> tuple[float, list]:
-        """(start time, slice results) of walk on Z_r wr S_n."""
-        entry = self._tasks.pop((walk, r, n), None)
-        if entry is None:
-            return time.perf_counter(), [walk(r, n, range(1, n + 1))]
-        started, futures = entry
-        return started, [future.result() for future in futures]
+            futures = [pool.submit(oracle._count_slice, r, n, run) for run in runs]
+            self._tasks[r, n] = started, futures
 
     def _report(self, r, n):
-        started, slices = self._slices(oracle._count_slice, r, n)
+        entry = self._tasks.pop((r, n), None)
+        if entry is None:
+            started = time.perf_counter()
+            slices = [oracle._count_slice(r, n, range(1, n + 1))]
+        else:
+            started, futures = entry
+            slices = [future.result() for future in futures]
         return oracle.merge_slices(r, n, slices, started)
-
-    def images(self, r, n):
-        ranks = array("q")
-        for part in self._slices(properties.image_ranks, r, n)[1]:
-            ranks.extend(part)
-        return ranks
 
 
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     """Verdicts and Skip entries of the named suite (or all), in sweep order.
 
     Every suite takes (r_max, n_max, work), where work is the run's _Work,
-    so that each enumeration and each symmetry walk is done once per run.
-    Before any suite runs, the pooled points' work goes to one pool in
-    sweep order; the pool has as many processes as the most runs of
+    so that each enumeration is done once per run.  Before any suite
+    runs, the pooled points' enumerations go to one pool in sweep order;
+    the pool has as many processes as the most runs of
     oracle.first_value_chunks(r, n, workers) among those points, and
     opens only when that is more than one.  Every other point is walked
-    inline when a suite reads it.  The pool closes on return; if the run
-    stops on an error, oracle.worker_pool cancels the tasks not yet
-    started first.
+    inline when a suite reads it, and the symmetry suite's image walk
+    always is.  The pool closes on return; if the run stops on an error,
+    oracle.worker_pool cancels the tasks not yet started first.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
     work = _Work(names, r_max, n_max, workers or 1)

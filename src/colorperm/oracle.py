@@ -90,17 +90,15 @@ from .tables import JointTable
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
 #: Groups with fewer elements than this are walked inline as one run.
-#: The bound is sized by `check`'s symmetry image walk, the slower of
-#: the two walks a pool runs: starting a pool of two processes and
-#: running one trivial task on it takes about 11 ms, and an image takes
-#: about 2.6 us (0.0925 s for the default sweep's 35,722 elements), so
-#: 10**4 elements take about 26 ms serially (shared 2-vCPU host, CPython
-#: 3.11).  The oracle takes well under 0.2 us an element, so on its own
-#: it gains from a pool only from a few hundred thousand elements:
-#: brute_tables(2, 6) takes about 9 ms serially and 19 ms with two
-#: workers, (2, 7) 60 ms and 44 ms.  Results never depend on it,
+#: The bound is sized by the oracle walk, the only walk a pool runs.
+#: Medians of brute_tables serially against workers=2, each in a fresh
+#: process (shared 2-vCPU host, CPython 3.11): (3, 5) 2.0 against
+#: 13.5 ms, (2, 6) 4.5 against 17.3, (4, 5) 9.5 against 16.0, (5, 5)
+#: 21.6 against 21.3, (3, 6) 32.5 against 29.6 and (2, 7) 42.7 against
+#: 32.0.  A pool of two gains only from a few hundred thousand elements,
+#: where (5, 5), with 375,000, breaks even.  Results never depend on it,
 #: because the runs of any split merge to the same tallies.
-POOL_MIN = 10**4
+POOL_MIN = 4 * 10**5
 #: A block holds at most BLOCK permutations tau, with all r**n color
 #: words each, and fewer when that would take it past BLOCK_SLOTS
 #: elements, which bounds the memory of a block.

@@ -4,25 +4,27 @@ The involution reverses the window while complementing values, sending
 position i < n to position n - i with color negated and the last position
 to itself with color c mapped to r - 1 - c.  It exchanges exc with
 r*n - 1 - exc, which forces the distribution of exc to be palindromic.
+It maps the value word and the color word apart: symmetry_map is
+value_half on the values and color_half on the colors.
 
 The two elementwise checks walk Z_r wr S_n in enumerate_group order and
 look each element's image up by its rank in that order (value-word index
-times r**n plus color-word index).  image_ranks applies symmetry_map once
-per element and returns the ranks as an array; an image that is not an
-element of Z_r wr S_n has no rank and fails the check, naming p and its
-image.  A caller running both checks at one point, as `check`'s symmetry
-suite does, computes the array once at that (r, n) and passes it to both
-as ``images``; without it, each check computes its own.  image_ranks
-takes the oracle's unit of work, a run of consecutive first values, and
-computes that slice of the array; the slices of first_value_chunks run
-in parallel and concatenate to the whole.
+times r**n plus color-word index).  image_ranks applies value_half once
+per value word and color_half once per color word, and builds the ranks
+of each value word's r**n elements as the outer sum of the two; an
+image that is not an element of Z_r wr S_n has no rank and fails the
+check, naming p and its image.  A caller running both checks at one
+point, as `check`'s symmetry suite does, computes the array once at that
+(r, n) and passes it to both as ``images``; without it, each check
+computes its own.
 check_involution tests image(image(k)) = k.  check_exc_complement reads
 exc of every element from an array built per tau as an outer sum of the
 oracle's per-position exceeded-letter rows, anchored to summarize at each
 tau's all-zero color word, and tests exc(k) + exc(image(k)) = r*n - 1.
-A failure names the first failing element in enumeration order; both
-checks build it through one helper, so the two share the message for an
-image outside the group.
+Each check compares whole arrays first and scans element by element only
+when that comparison fails, so a failure names the first failing element
+in enumeration order; both checks build it through one helper, so the
+two share the message for an image outside the group.
 
 Sequence checks (palindrome, log-concavity, unimodality) work on any
 list of nonnegative counts.  Every check returns a PropertyVerdict, which
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import count, islice, product
+from operator import eq
 
 from . import oracle
 from .perm import (
@@ -73,6 +76,19 @@ class PropertyVerdict:
         return obj
 
 
+def value_half(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The involution on a value word: the values at positions 1..n-1
+    reversed, the last kept in place, and every value j sent to n+1-j."""
+    n = len(values)
+    return tuple(n + 1 - j for j in values[-2::-1]) + (n + 1 - values[-1],)
+
+
+def color_half(colors: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The involution on a color word: colors 1..n-1 reversed with each b
+    sent to (r-b) mod r, and the last color c kept in place as r-1-c."""
+    return tuple((r - b) % r for b in colors[-2::-1]) + (r - 1 - colors[-1],)
+
+
 def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     """The involution complementing exc to r*n - 1 - exc.
 
@@ -80,43 +96,29 @@ def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     window has letter (n+1-j)^((r-b) mod r) at position n-i; the last
     position keeps its place and maps j^b to (n+1-j)^(r-1-b).
     """
-    r, n = p.r, p.n
-    values = [0] * n
-    colors = [0] * n
-    for i in range(1, n):
-        j = p.values[i - 1]
-        b = p.colors[i - 1]
-        values[n - i - 1] = n + 1 - j
-        colors[n - i - 1] = (r - b) % r
-    j = p.values[n - 1]
-    b = p.colors[n - 1]
-    values[n - 1] = n + 1 - j
-    colors[n - 1] = r - 1 - b
-    return ColoredPermutation(tuple(values), tuple(colors), r)
+    return ColoredPermutation(value_half(p.values), color_half(p.colors, p.r), p.r)
 
 
-def image_ranks(r: int, n: int, first_values: range | None = None) -> array:
+def image_ranks(r: int, n: int) -> array:
     """Rank of symmetry_map(p) for each p, in enumerate_group order.
 
     The rank of an element is its index in enumerate_group order: the
     index of its value word among value_words(n) times r**n, plus the
     index of its color word among the base-r words.  An image that is not
-    an element of Z_r wr S_n has no rank and reads -1.  With
-    ``first_values``, only the elements whose window starts with a value
-    in that run: slices of consecutive runs concatenate in order.
+    an element of Z_r wr S_n has no rank and reads -1.
     """
     color_words = list(product(range(r), repeat=n))
     by_values = {w: i * len(color_words) for i, w in enumerate(value_words(n))}
     by_colors = {c: i for i, c in enumerate(color_words)}
+    color_ranks = [by_colors.get(color_half(c, r), -1) for c in color_words]
+    inside = -1 not in color_ranks
     ranks = array("q")
-    for values in value_words(n, first_values):
-        for colors in color_words:
-            q = symmetry_map(ColoredPermutation(values, colors, r))
-            try:
-                rank = by_values[q.values] + by_colors[q.colors] if q.r == r else -1
-            except (KeyError, TypeError):
-                rank = -1
-            ranks.append(rank)
+    for values in by_values:
+        rank = by_values.get(value_half(values), -1)
+        if inside and rank >= 0:
+            ranks.extend(map(rank.__add__, color_ranks))
+        else:
+            ranks.extend(-1 if rank < 0 or c < 0 else rank + c for c in color_ranks)
     return ranks
 
 
@@ -140,6 +142,13 @@ def _failure(name: str, r: int, n: int, k: int, image: int, detail) -> PropertyV
         f"{format_window(p)} -> {format_window(q)}: "
         f"image is not an element of Z_{r} wr S_{n}",
     )
+
+
+def _holds(images: array, values: array, expected) -> bool:
+    """Whether every element has an image rank and values at the image of
+    the k-th element is the k-th item of expected: one comparison in C
+    over the whole array, which stops at the first mismatch."""
+    return min(images) >= 0 and all(map(eq, map(values.__getitem__, images), expected))
 
 
 def _exc_by_rank(r: int, n: int) -> array:
@@ -179,13 +188,14 @@ def check_exc_complement(
     images = image_ranks(r, n) if images is None else images
     target = r * n - 1
     excs = _exc_by_rank(r, n)
-    for k, image in enumerate(images):
-        if image < 0 or excs[k] + excs[image] != target:
-            return _failure(
-                "exc_complement", r, n, k, image,
-                lambda p, q: f"{format_window(p)} -> {format_window(q)}: "
-                f"exc {excs[k]} + {excs[image]} != {target}",
-            )
+    if not _holds(images, excs, map(target.__sub__, excs)):
+        for k, image in enumerate(images):
+            if image < 0 or excs[k] + excs[image] != target:
+                return _failure(
+                    "exc_complement", r, n, k, image,
+                    lambda p, q: f"{format_window(p)} -> {format_window(q)}: "
+                    f"exc {excs[k]} + {excs[image]} != {target}",
+                )
     return PropertyVerdict("exc_complement", r, n)
 
 
@@ -198,13 +208,14 @@ def check_involution(
     """
     check_params(r, n)
     images = image_ranks(r, n) if images is None else images
-    for k, image in enumerate(images):
-        if image < 0 or images[image] != k:
-            return _failure(
-                "symmetry_involution", r, n, k, image,
-                lambda p, q: f"{format_window(p)} maps twice to "
-                f"{format_window(symmetry_map(q))}",
-            )
+    if not _holds(images, images, count()):
+        for k, image in enumerate(images):
+            if image < 0 or images[image] != k:
+                return _failure(
+                    "symmetry_involution", r, n, k, image,
+                    lambda p, q: f"{format_window(p)} maps twice to "
+                    f"{format_window(symmetry_map(q))}",
+                )
     return PropertyVerdict("symmetry_involution", r, n)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from colorperm import cli, closed, dist, oracle, properties
 from colorperm.cli import main
-from colorperm.perm import ColoredPermutation, GroupParams
+from colorperm.perm import GroupParams
 
 #: Exit status and stdout of every subcommand in every format at small
 #: points; any change to these bytes is a change to the CLI's output.
@@ -526,14 +526,12 @@ class TestCheck:
         )
 
     @staticmethod
-    def _last_color_map(last):
-        """symmetry_map with the last color b of p sent to last(r, b)."""
-        exact = properties.symmetry_map
+    def _last_color_half(last):
+        """color_half with the last color b sent to last(r, b)."""
+        exact = properties.color_half
 
-        def mapped(p):
-            q = exact(p)
-            colors = q.colors[:-1] + (last(p.r, p.colors[-1]),)
-            return ColoredPermutation(q.values, colors, p.r)
+        def mapped(colors, r):
+            return exact(colors, r)[:-1] + (last(r, colors[-1]),)
 
         return mapped
 
@@ -541,7 +539,7 @@ class TestCheck:
         # Color r - b at the last position is r itself when b = 0: no
         # element has it, so neither check may pass or crash.
         monkeypatch.setattr(
-            properties, "symmetry_map", self._last_color_map(lambda r, b: r - b)
+            properties, "color_half", self._last_color_half(lambda r, b: r - b)
         )
         code, out, err = run_cli(
             capsys, "check", "--suite", "symmetry", "--r-max", "2", "--n-max", "2"
@@ -560,8 +558,8 @@ class TestCheck:
         # is the one the per-element summarize version printed.
         monkeypatch.setattr(
             properties,
-            "symmetry_map",
-            self._last_color_map(lambda r, b: (r - b) % r),
+            "color_half",
+            self._last_color_half(lambda r, b: (r - b) % r),
         )
         code, out, err = run_cli(
             capsys, "check", "--suite", "symmetry", "--r-max", "2", "--n-max", "2"
@@ -585,18 +583,34 @@ class TestCheck:
             "12 checks, 10 passed, 2 failed\n"
         )
 
+    def test_value_half_without_complement_is_caught(self, capsys, monkeypatch):
+        # Negative control: the values reversed but not complemented.  The
+        # map is still an involution, so only the complement check sees it.
+        monkeypatch.setattr(
+            properties, "value_half", lambda values: values[-2::-1] + values[-1:]
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "2", "--n-max", "3"
+        )
+        lines = out.splitlines()
+        first = next(line for line in lines if line.startswith("FAIL"))
+        assert code == 1 and err == ""
+        assert first == "FAIL exc_complement r=1 n=2: 1,2 -> 1,2: exc 0 + 0 != 1"
+        assert not any(line.startswith("FAIL symmetry_involution") for line in lines)
+        assert lines[-1] == "18 checks, 14 passed, 4 failed"
+
     def test_symmetry_suite_maps_each_element_once(self, capsys, monkeypatch):
-        # The suite maps every element once per point and hands the ranks
-        # to both elementwise checks; exc comes from per-tau rows, with
-        # one summarize anchor per permutation tau.
-        counts = {"symmetry_map": 0, "summarize": 0}
+        # The suite maps each value word and each color word once per
+        # point and hands the ranks to both elementwise checks; exc comes
+        # from per-tau rows, with one summarize anchor per permutation tau.
+        counts = {"value_half": 0, "color_half": 0, "summarize": 0}
 
         def counted(name):
             exact = getattr(properties, name)
 
-            def wrapper(p):
+            def wrapper(*args):
                 counts[name] += 1
-                return exact(p)
+                return exact(*args)
 
             return wrapper
 
@@ -608,7 +622,8 @@ class TestCheck:
         points = [GroupParams(r, n) for r in range(1, 4) for n in range(1, 5)]
         assert code == 0
         assert counts == {
-            "symmetry_map": sum(g.size for g in points),
+            "value_half": sum(g.size // g.r**g.n for g in points),
+            "color_half": sum(g.r**g.n for g in points),
             "summarize": sum(g.size // g.r**g.n for g in points),
         }
 
@@ -715,9 +730,9 @@ class TestCheck:
     def test_threads_submit_the_whole_sweep_before_the_first_read(
         self, capsys, monkeypatch, submitted, pool_every_group
     ):
-        # Enumerations first, then symmetry images, each in sweep order,
-        # every point of n >= 2 in two tasks of consecutive first values;
-        # the points of n = 1 are one run each and walked inline.  No
+        # Enumerations only, in sweep order, every point of n >= 2 in two
+        # tasks of consecutive first values; the points of n = 1 are one
+        # run each and walked inline, as is every symmetry image.  No
         # report is read before the last submission.
         reads = []
         merge = oracle.merge_slices
@@ -736,10 +751,7 @@ class TestCheck:
         pooled = [(1, 2), (1, 3), (2, 2), (2, 3)]
         chunks = {2: [(1,), (2,)], 3: [(1, 2), (3,)]}
         assert [(name, r, n, tuple(vs)) for name, r, n, vs, _ in submitted] == [
-            (name, r, n, vs)
-            for name in ("_count_slice", "image_ranks")
-            for r, n in pooled
-            for vs in chunks[n]
+            ("_count_slice", r, n, vs) for r, n in pooled for vs in chunks[n]
         ]
         sweep = [(r, n) for r in (1, 2) for n in (1, 2, 3)]
         assert reads == [(r, n, len(submitted)) for r, n in sweep]
@@ -760,9 +772,9 @@ class TestCheck:
     def test_symmetry_controls_fail_alike_with_threads(
         self, capsys, monkeypatch, pool_every_group, last
     ):
-        # Forked workers inherit the faulty map, so the image slices they
-        # compute carry the fault and the FAIL lines are the serial ones.
-        monkeypatch.setattr(properties, "symmetry_map", self._last_color_map(last))
+        # The image walk stays in the parent whatever --threads says, so
+        # the FAIL lines are the serial ones.
+        monkeypatch.setattr(properties, "color_half", self._last_color_half(last))
         argv = ("check", "--suite", "symmetry", "--r-max", "2", "--n-max", "3")
         serial = run_cli(capsys, *argv)
         assert serial[0] == 1

@@ -97,13 +97,13 @@ class TestBruteTables:
         "r, n, workers, pools",
         [
             (3, 3, 2, []),
-            (3, 5, 2, [2]),
-            (3, 5, 3, [3]),
+            (3, 6, 2, [2]),
+            (3, 6, 3, [3]),
             (3, 3, 9, []),
             (3, 1, 2, []),
             (2, 3, 2, []),
         ],
-        ids=["3", "5", "5-w3", "3-w9", "1-w2", "r2-3"],
+        ids=["3", "6", "6-w3", "3-w9", "1-w2", "r2-3"],
     )
     def test_parallel_matches_serial(self, opened_pools, r, n, workers, pools):
         serial = brute_tables(r, n)
@@ -161,7 +161,7 @@ class TestFirstValueChunks:
                 assert all(run.step == 1 and len(run) > 0 for run in runs)
                 assert [v for run in runs for v in run] == list(range(1, n + 1))
 
-    def test_uneven_split(self):
+    def test_uneven_split(self, pool_every_group):
         assert oracle.first_value_chunks(3, 5, 3) == [
             range(1, 3), range(3, 5), range(5, 6)
         ]

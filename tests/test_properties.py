@@ -1,11 +1,9 @@
 """The complementing involution and sequence-shape checks."""
 
-from array import array
-
 import pytest
 from hypothesis import given, strategies as st
 
-from colorperm import oracle, properties
+from colorperm import properties
 from colorperm.perm import (
     ColoredPermutation,
     GroupParams,
@@ -80,37 +78,65 @@ class TestElementwiseChecks:
         expected = [summarize(p).exc for p in enumerate_group(GroupParams(r, n))]
         assert list(properties._exc_by_rank(r, n)) == expected
 
-    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 2)])
+    @pytest.mark.parametrize(
+        "r, n", [(1, 4), (2, 3), (3, 2), (1, 5), (2, 5), (3, 4), (4, 3)]
+    )
     def test_ranks_follow_enumeration_order(self, r, n):
         elements = list(enumerate_group(GroupParams(r, n)))
         rank = {p: k for k, p in enumerate(elements)}
         images = list(properties.image_ranks(r, n))
         assert images == [rank[symmetry_map(p)] for p in elements]
-        assert [properties._element(r, n, k) for k in range(len(elements))] == elements
 
-    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 4), (3, 5)])
-    def test_first_value_slices_concatenate_to_the_ranks(
-        self, pool_every_group, r, n
-    ):
-        # `check --threads` computes the ranks slice by slice on its pool.
-        whole = properties.image_ranks(r, n)
-        for workers in (1, 2, n):
-            runs = oracle.first_value_chunks(r, n, workers)
-            slices = [properties.image_ranks(r, n, run) for run in runs]
-            assert [len(s) for s in slices] == [len(whole) // n * len(run) for run in runs]
-            assert sum(slices, array("q")) == whole
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 2)])
+    def test_element_at_each_rank(self, r, n):
+        elements = list(enumerate_group(GroupParams(r, n)))
+        assert [properties._element(r, n, k) for k in range(len(elements))] == elements
 
     def test_involution_names_the_first_element_mapped_twice_elsewhere(
         self, monkeypatch
     ):
-        def raise_last(p):
-            colors = p.colors[:-1] + ((p.colors[-1] + 1) % p.r,)
-            return ColoredPermutation(p.values, colors, p.r)
-
-        monkeypatch.setattr(properties, "symmetry_map", raise_last)
+        # The last color raised by one, everything else kept.
+        monkeypatch.setattr(properties, "value_half", lambda values: values)
+        monkeypatch.setattr(
+            properties, "color_half",
+            lambda colors, r: colors[:-1] + ((colors[-1] + 1) % r,),
+        )
         verdict = check_involution(3, 2)
         assert verdict.counterexample == "1,2 maps twice to 1,2^2"
         assert check_involution(2, 2).passed
+
+    def test_a_corrupt_rank_is_found_past_the_whole_array_comparison(self):
+        # The last element of Z_3 wr S_4 sent to rank 0 instead of its
+        # image 3^1,2^1,1^1,4: the complement fails at the last element
+        # itself, and the involution first at the element mapped there.
+        images = properties.image_ranks(3, 4)
+        images[-1] = 0
+        complement = check_exc_complement(3, 4, images=images)
+        assert complement.counterexample == (
+            "4^2,3^2,2^2,1^2 -> 3^1,2^1,1^1,4: exc 8 + 0 != 11"
+        )
+        involution = check_involution(3, 4, images=images)
+        assert involution.counterexample == (
+            "3^1,2^1,1^1,4 maps twice to 3^1,2^1,1^1,4"
+        )
+
+    def test_a_corrupt_exc_is_found_past_the_whole_array_comparison(
+        self, monkeypatch
+    ):
+        # exc of the last element raised by one: the first element whose
+        # pair sums wrong is its image, 3^1,2^1,1^1,4.
+        exact = properties._exc_by_rank
+
+        def raised(r, n):
+            excs = exact(r, n)
+            excs[-1] += 1
+            return excs
+
+        monkeypatch.setattr(properties, "_exc_by_rank", raised)
+        assert check_exc_complement(3, 4).counterexample == (
+            "3^1,2^1,1^1,4 -> 4^2,3^2,2^2,1^2: exc 3 + 9 != 11"
+        )
+        assert check_involution(3, 4).passed
 
     @pytest.mark.parametrize("check", [check_exc_complement, check_involution])
     def test_given_ranks_serve_the_check(self, check):
