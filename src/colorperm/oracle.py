@@ -92,13 +92,18 @@ FEASIBILITY_LIMIT = 10**8
 #: Groups with fewer elements than this are walked inline as one run.
 #: The bound is sized by the oracle walk, the only walk a pool runs.
 #: Medians of brute_tables serially against workers=2, each in a fresh
-#: process (shared 2-vCPU host, CPython 3.11): (3, 5) 2.0 against
-#: 13.5 ms, (2, 6) 4.5 against 17.3, (4, 5) 9.5 against 16.0, (5, 5)
-#: 21.6 against 21.3, (3, 6) 32.5 against 29.6 and (2, 7) 42.7 against
-#: 32.0.  A pool of two gains only from a few hundred thousand elements,
-#: where (5, 5), with 375,000, breaks even.  Results never depend on it,
-#: because the runs of any split merge to the same tallies.
-POOL_MIN = 4 * 10**5
+#: process (shared 2-vCPU host, CPython 3.11), from three sessions:
+#:   (3, 5)    29,160 elements   2.0 / 13.5 ms    3.9 / 17.0
+#:   (2, 6)    46,080            4.5 / 17.3       8.7 / 22.2
+#:   (4, 5)   122,880            9.5 / 16.0       7.1 / 24.1
+#:   (5, 5)   375,000           21.6 / 21.3      19.4 / 28.1
+#:   (3, 6)   524,880           32.5 / 29.6      36.6 / 38.3    36.7 / 43.5
+#:   (2, 7)   645,120           42.7 / 32.0      71.0 / 63.5    77.3 / 65.4
+#:   (6, 5)   933,120                                           75.0 / 68.9
+#: (3, 6) is at break-even, and a pool of two gains in every session
+#: only from (2, 7) on, so the bound lies between the two.  Results never
+#: depend on it, because the runs of any split merge to the same tallies.
+POOL_MIN = 6 * 10**5
 #: A block holds at most BLOCK permutations tau, with all r**n color
 #: words each, and fewer when that would take it past BLOCK_SLOTS
 #: elements, which bounds the memory of a block.

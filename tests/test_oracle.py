@@ -97,13 +97,13 @@ class TestBruteTables:
         "r, n, workers, pools",
         [
             (3, 3, 2, []),
-            (3, 6, 2, [2]),
-            (3, 6, 3, [3]),
+            (2, 7, 2, [2]),
+            (2, 7, 3, [3]),
             (3, 3, 9, []),
             (3, 1, 2, []),
             (2, 3, 2, []),
         ],
-        ids=["3", "6", "6-w3", "3-w9", "1-w2", "r2-3"],
+        ids=["3", "r2-7", "r2-7-w3", "3-w9", "1-w2", "r2-3"],
     )
     def test_parallel_matches_serial(self, opened_pools, r, n, workers, pools):
         serial = brute_tables(r, n)
