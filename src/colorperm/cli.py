@@ -39,8 +39,6 @@ from .stats import summarize
 
 #: Brute-force suites skip parameter points with more elements than this.
 BRUTE_SUITE_CAP = 10**6
-#: Elementwise involution suites use a tighter cap.
-ELEMENTWISE_SUITE_CAP = 10**5
 
 # Every cmd_* returns (exit status, JSON object, CSV rows, text); main
 # renders the one that --format asks for.  CSV rows of None mean the text
@@ -276,19 +274,14 @@ def suite_eq2(r_max, n_max, work) -> list:
 
 
 def suite_symmetry(r_max, n_max, work) -> list:
-    """Palindromic exc distribution, plus the involution elementwise."""
+    """Palindromic exc distribution, plus the involution by its data."""
     name = "exc_complement_and_involution"
 
     def check(r, n):
-        verdicts = [properties.check_symmetry_dist(dist.exc_dist(r, n), r, n)]
-        skipped = _over_cap(name, r, n, ELEMENTWISE_SUITE_CAP)
-        if skipped:
-            return verdicts + skipped
-        # One walk of the map serves both checks.
-        images = properties.image_ranks(r, n)
-        return verdicts + [
-            properties.check_exc_complement(r, n, images=images),
-            properties.check_involution(r, n, images=images),
+        return [
+            properties.check_symmetry_dist(dist.exc_dist(r, n), r, n),
+            properties.check_exc_complement(r, n),
+            properties.check_involution(r, n),
         ]
 
     return _run_points(name, _sweep(r_max, n_max), check)
@@ -388,9 +381,9 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     the pool has as many processes as the most runs of
     oracle.first_value_chunks(r, n, workers) among those points, and
     opens only when that is more than one.  Every other point is walked
-    inline when a suite reads it, and the symmetry suite's image walk
-    always is.  The pool closes on return; if the run stops on an error,
-    oracle.worker_pool cancels the tasks not yet started first.
+    inline when a suite reads it.  The pool closes on return; if the run
+    stops on an error, oracle.worker_pool cancels the tasks not yet
+    started first.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
     work = _Work(names, r_max, n_max, workers or 1)

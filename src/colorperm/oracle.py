@@ -76,16 +76,18 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import gt
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .perm import ColoredLetter, ColoredPermutation, GroupParams, value_words
 from .stats import summarize
 from .tables import JointTable
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
@@ -487,10 +489,14 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
     """Yield None for ``workers`` <= 1, else a fresh pool of that many
     processes, started at its first task and joined when the block ends.
     When the block raises, the tasks not yet started are cancelled first.
+    concurrent.futures.ProcessPoolExecutor is looked up only here, so
+    importing the package does not import multiprocessing.
     """
     if workers <= 1:
         yield None
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
             yield pool

@@ -1,30 +1,53 @@
 """Structural properties: the complementing involution and sequence shape.
 
-The involution reverses the window while complementing values, sending
-position i < n to position n - i with color negated and the last position
-to itself with color c mapped to r - 1 - c.  It exchanges exc with
-r*n - 1 - exc, which forces the distribution of exc to be palindromic.
-It maps the value word and the color word apart: symmetry_map is
-value_half on the values and color_half on the colors.
+The involution is defined by its per-position data.  It sends the letter
+v^c at position i of the window to position sigma(i), as the letter
+kappa(v)^gamma_i(c), where
 
-The two elementwise checks walk Z_r wr S_n in enumerate_group order and
-look each element's image up by its rank in that order (value-word index
-times r**n plus color-word index).  image_ranks applies value_half once
-per value word and color_half once per color word, and builds the ranks
-of each value word's r**n elements as the outer sum of the two; an
-image that is not an element of Z_r wr S_n has no rank and fails the
-check, naming p and its image.  A caller running both checks at one
-point, as `check`'s symmetry suite does, computes the array once at that
-(r, n) and passes it to both as ``images``; without it, each check
-computes its own.
-check_involution tests image(image(k)) = k.  check_exc_complement reads
-exc of every element from an array built per tau as an outer sum of the
-oracle's per-position exceeded-letter rows, anchored to summarize at each
-tau's all-zero color word, and tests exc(k) + exc(image(k)) = r*n - 1.
-Each check compares whole arrays first and scans element by element only
-when that comparison fails, so a failure names the first failing element
-in enumeration order; both checks build it through one helper, so the
-two share the message for an image outside the group.
+* sigma(i) = n - i for i < n, and sigma(n) = n (position_map);
+* kappa(v) = n + 1 - v (value_map);
+* gamma_i(c) = (r - c) mod r for i < n, and r - 1 - c at i = n
+  (color_map).
+
+sigma and kappa are tuples of length n, and gamma is a function of
+(r, n, i, c), so that mapping one element builds nothing of size r.
+symmetry_map builds an image from this data in one pass over the
+positions.  Both checks read the data itself, so a fault that lives in
+symmetry_map alone, such as one coupling two positions, is out of their
+sight; the tests compare symmetry_map with the letter scan element by
+element.
+
+The map exchanges exc with r*n - 1 - exc, which forces the distribution
+of exc to be palindromic.  exc is a sum over positions: position i
+holding v^c adds T[i][v][c], the exceeded-letter count of
+oracle._position_table.  As sigma is a permutation, exc(p) + exc(p') is
+the sum over i of g_{i,tau(i)}(c_i), where
+
+    g_{i,v}(c) = T[i][v][c] + T[sigma(i)][kappa(v)][gamma_i(c)].
+
+That sum is r*n - 1 on every element exactly when
+
+(a) each g_{i,v} is constant in c; call that constant h(i, v);
+(b) h(i, v) - h(i, 1) - h(1, v) + h(1, 1) = 0 for all i and v;
+(c) h(1, 1) + ... + h(n, n) = r*n - 1.
+
+If they hold, h(i, v) = h(i, 1) + h(1, v) - h(1, 1), so every tau gives
+the identity's sum, which (c) makes r*n - 1.  Conversely, two elements
+that differ only in the color at position i have sums that differ by a
+difference of values of g_{i,v}; two that swap the values 1 and v
+between positions 1 and i, by the left side of (b); and the identity's
+sum is the left side of (c).  So each failure has a witness among those
+elements.  check_exc_complement tests (a)-(c) in O(n^2 r) and names the
+broken data and the first witness whose pair sum summarize, scanning
+letter by letter, confirms to be wrong; at every point it also anchors
+the table to summarize at the identity and its image.  check_involution
+tests that sigma and kappa are involutions and that gamma_sigma(i)
+undoes gamma_i, in O(n r), and names the broken data and an element
+that symmetry_map, applied twice, does not bring back.  Both first
+require sigma and kappa to be permutations of 1..n and every gamma_i(c)
+to be a color, so an image outside Z_r wr S_n is a failure, not a
+crash.  A witness that does not fail raises AssertionError: symmetry_map
+then disagrees with the data, or the table with summarize.
 
 Sequence checks (palindrome, log-concavity, unimodality) work on any
 list of nonnegative counts.  Every check returns a PropertyVerdict, which
@@ -33,20 +56,11 @@ passes exactly when it carries no counterexample.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import count, islice, product
-from operator import eq
+from itertools import product
 
 from . import oracle
-from .perm import (
-    ColoredPermutation,
-    GroupParams,
-    check_params,
-    enumerate_group,
-    format_window,
-    value_words,
-)
+from .perm import ColoredPermutation, check_params, format_window
 from .stats import summarize
 
 
@@ -76,147 +90,142 @@ class PropertyVerdict:
         return obj
 
 
-def value_half(values: tuple[int, ...]) -> tuple[int, ...]:
-    """The involution on a value word: the values at positions 1..n-1
-    reversed, the last kept in place, and every value j sent to n+1-j."""
-    n = len(values)
-    return tuple(n + 1 - j for j in values[-2::-1]) + (n + 1 - values[-1],)
+def position_map(n: int) -> tuple[int, ...]:
+    """sigma: the image position of each position 1..n."""
+    return (*range(n - 1, 0, -1), n)
 
 
-def color_half(colors: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """The involution on a color word: colors 1..n-1 reversed with each b
-    sent to (r-b) mod r, and the last color c kept in place as r-1-c."""
-    return tuple((r - b) % r for b in colors[-2::-1]) + (r - 1 - colors[-1],)
+def value_map(n: int) -> tuple[int, ...]:
+    """kappa: the image value of each value 1..n."""
+    return tuple(range(n, 0, -1))
+
+
+def color_map(r: int, n: int, i: int, c: int) -> int:
+    """gamma_i(c): the image color of color c at position i."""
+    return (r - c) % r if i < n else r - 1 - c
 
 
 def symmetry_map(p: ColoredPermutation) -> ColoredPermutation:
     """The involution complementing exc to r*n - 1 - exc.
 
-    For source positions i = 1..n-1 with window letter j^b, the image
-    window has letter (n+1-j)^((r-b) mod r) at position n-i; the last
-    position keeps its place and maps j^b to (n+1-j)^(r-1-b).
+    The letter v^c at position i of p's window becomes the letter
+    kappa(v)^gamma_i(c) at position sigma(i) of the image's: for
+    i = 1..n-1, (n+1-v)^((r-c) mod r) at position n-i, and at i = n,
+    (n+1-v)^(r-1-c) in place.
     """
-    return ColoredPermutation(value_half(p.values), color_half(p.colors, p.r), p.r)
-
-
-def image_ranks(r: int, n: int) -> array:
-    """Rank of symmetry_map(p) for each p, in enumerate_group order.
-
-    The rank of an element is its index in enumerate_group order: the
-    index of its value word among value_words(n) times r**n, plus the
-    index of its color word among the base-r words.  An image that is not
-    an element of Z_r wr S_n has no rank and reads -1.
-    """
-    color_words = list(product(range(r), repeat=n))
-    by_values = {w: i * len(color_words) for i, w in enumerate(value_words(n))}
-    by_colors = {c: i for i, c in enumerate(color_words)}
-    color_ranks = [by_colors.get(color_half(c, r), -1) for c in color_words]
-    inside = -1 not in color_ranks
-    ranks = array("q")
-    for values in by_values:
-        rank = by_values.get(value_half(values), -1)
-        if inside and rank >= 0:
-            ranks.extend(map(rank.__add__, color_ranks))
-        else:
-            ranks.extend(-1 if rank < 0 or c < 0 else rank + c for c in color_ranks)
-    return ranks
-
-
-def _element(r: int, n: int, rank: int) -> ColoredPermutation:
-    """The element of Z_r wr S_n at a rank of enumerate_group order."""
-    return next(islice(enumerate_group(GroupParams(r, n)), rank, None))
-
-
-def _failure(name: str, r: int, n: int, k: int, image: int, detail) -> PropertyVerdict:
-    """The FAIL verdict for the element p at rank k, whose image q has rank image.
-
-    detail(p, q) says how p fails the check; an image outside the group
-    (rank -1) is named as such instead.
-    """
-    p = _element(r, n, k)
-    q = symmetry_map(p)
-    if image >= 0:
-        return PropertyVerdict(name, r, n, detail(p, q))
-    return PropertyVerdict(
-        name, r, n,
-        f"{format_window(p)} -> {format_window(q)}: "
-        f"image is not an element of Z_{r} wr S_{n}",
+    r, n, kappa = p.r, p.n, value_map(p.n)
+    # The image's letters, put in order by their positions.
+    letters = sorted(
+        (s, kappa[v - 1], color_map(r, n, i, c))
+        for i, (s, v, c) in enumerate(zip(position_map(n), p.values, p.colors), 1)
     )
+    _, values, colors = zip(*letters)
+    return ColoredPermutation(values, colors, r)
 
 
-def _holds(images: array, values: array, expected) -> bool:
-    """Whether every element has an image rank and values at the image of
-    the k-th element is the k-th item of expected: one comparison in C
-    over the whole array, which stops at the first mismatch."""
-    return min(images) >= 0 and all(map(eq, map(values.__getitem__, images), expected))
+def _element(r: int, n: int, *swaps, at: int = 1, color: int = 0) -> ColoredPermutation:
+    """The identity of Z_r wr S_n with the values at each pair of positions
+    in swaps exchanged, in turn, and the given color at position at."""
+    values = list(range(1, n + 1))
+    for a, b in swaps:
+        values[a - 1], values[b - 1] = values[b - 1], values[a - 1]
+    colors = tuple(color if k == at else 0 for k in range(1, n + 1))
+    return ColoredPermutation(tuple(values), colors, r)
 
 
-def _exc_by_rank(r: int, n: int) -> array:
-    """exc of every element of Z_r wr S_n, in enumerate_group order.
-
-    For each tau, exc over its r**n color words is the outer sum over
-    positions of the oracle's exceeded-letter rows, the first position
-    most significant.  At the all-zero word it must equal summarize's
-    letter scan; a disagreement raises AssertionError.
-    """
+def _complement_failures(r: int, n: int, sigma, kappa, gamma):
+    """(broken data, its witnesses) for each failure of (a), (b) and (c)."""
     table = oracle._position_table(r, n)
-    zeros = (0,) * n
-    excs = array("q")
-    for tau in value_words(n):
-        sums = [0]
-        for rows, v in zip(table, tau):
-            row = rows[v - 1]
-            sums = [s + x for s in sums for x in row]
-        s = summarize(ColoredPermutation(tau, zeros, r))
-        if s.exc != sums[0]:
+    h = {}
+    for i, v in product(range(1, n + 1), repeat=2):
+        image = table[sigma[i - 1] - 1][kappa[v - 1] - 1]
+        g = [x + image[y] for x, y in zip(table[i - 1][v - 1], gamma[i - 1])]
+        for c in range(r):
+            if g[c] != g[0]:
+                witnesses = [_element(r, n, (i, v), at=i, color=k) for k in (c, 0)]
+                yield f"position {i} value {v} color {c}", witnesses
+        h[i, v] = g[0]
+    for i, v in product(range(2, n + 1), repeat=2):
+        if h[i, v] - h[i, 1] - h[1, v] + h[1, 1]:
+            witnesses = [_element(r, n, (i, v)), _element(r, n, (i, v), (1, i))]
+            yield f"values 1 and {v} at positions 1 and {i}", witnesses
+    # The anchor: the identity and its image, scanned letter by letter.
+    identity = _element(r, n)
+    diagonal = sum(h[i, i] for i in range(1, n + 1))
+    if _complement_detail(identity) or diagonal != r * n - 1:
+        yield "identity", [identity]
+
+
+def _involution_failures(r: int, n: int, sigma, kappa, gamma):
+    """(broken data, its witness) for each datum the map does not undo."""
+    for what, images in (("position", sigma), ("value", kappa)):
+        for k, x in enumerate(images, 1):
+            if images[x - 1] != k:
+                yield f"{what} {k} -> {x} -> {images[x - 1]}", [_element(r, n)]
+    for i, c in product(range(1, n + 1), range(r)):
+        g = gamma[i - 1][c]
+        if (back := gamma[sigma[i - 1] - 1][g]) != c:
+            witness = _element(r, n, at=i, color=c)
+            yield f"position {i} color {c} -> {g} -> {back}", [witness]
+
+
+def _complement_detail(p: ColoredPermutation) -> str | None:
+    q = symmetry_map(p)
+    exc, image_exc, target = summarize(p).exc, summarize(q).exc, p.r * p.n - 1
+    if exc + image_exc == target:
+        return None
+    return f"{format_window(p)} -> {format_window(q)}: exc {exc} + {image_exc} != {target}"
+
+
+def _involution_detail(p: ColoredPermutation) -> str | None:
+    twice = symmetry_map(symmetry_map(p))
+    return None if twice == p else f"{format_window(p)} maps twice to {format_window(twice)}"
+
+
+def _verdict(name: str, r: int, n: int, failures, detail) -> PropertyVerdict:
+    """The verdict of a check of the map's data at (r, n).
+
+    A failure names the broken data and the first of its witnesses p for
+    which detail(p) is a counterexample; AssertionError when none is.
+    """
+    check_params(r, n)
+    sigma, kappa = position_map(n), value_map(n)
+    gamma = [[color_map(r, n, i, c) for c in range(r)] for i in range(1, n + 1)]
+    group = f"Z_{r} wr S_{n}"
+    for what, images in (("position", sigma), ("value", kappa)):
+        if sorted(images) != list(range(1, n + 1)):
+            return PropertyVerdict(name, r, n, (
+                f"{what} map {','.join(map(str, images))} is not a permutation "
+                f"of 1..{n}: no image is an element of {group}"
+            ))
+    for i, c in product(range(1, n + 1), range(r)):
+        if not 0 <= gamma[i - 1][c] < r:
+            p = _element(r, n, at=i, color=c)
+            return PropertyVerdict(name, r, n, (
+                f"position {i} color {c} -> {gamma[i - 1][c]}: {format_window(p)} -> "
+                f"{format_window(symmetry_map(p))}: image is not an element of {group}"
+            ))
+    for broken, witnesses in failures(r, n, sigma, kappa, gamma):
+        found = next(filter(None, map(detail, witnesses)), None)
+        if found is None:
             raise AssertionError(
-                f"exceeded-letter rows disagree with summarize at {s.perm}: "
-                f"exc {sums[0]} != {s.exc}"
+                f"{broken}, yet {' and '.join(map(format_window, witnesses))} "
+                "pass elementwise"
             )
-        excs.extend(sums)
-    return excs
+        return PropertyVerdict(name, r, n, f"{broken}: {found}")
+    return PropertyVerdict(name, r, n)
 
 
-def check_exc_complement(
-    r: int, n: int, *, images: array | None = None
-) -> PropertyVerdict:
-    """Verify exc(image) = r*n - 1 - exc(p) for every element of Z_r wr S_n.
-
-    ``images`` is image_ranks(r, n), when the caller has it already.
-    """
-    check_params(r, n)
-    images = image_ranks(r, n) if images is None else images
-    target = r * n - 1
-    excs = _exc_by_rank(r, n)
-    if not _holds(images, excs, map(target.__sub__, excs)):
-        for k, image in enumerate(images):
-            if image < 0 or excs[k] + excs[image] != target:
-                return _failure(
-                    "exc_complement", r, n, k, image,
-                    lambda p, q: f"{format_window(p)} -> {format_window(q)}: "
-                    f"exc {excs[k]} + {excs[image]} != {target}",
-                )
-    return PropertyVerdict("exc_complement", r, n)
+def check_exc_complement(r: int, n: int) -> PropertyVerdict:
+    """Verify exc(p) + exc(symmetry_map(p)) = r*n - 1 on all of Z_r wr S_n,
+    by conditions (a)-(c) on the map's data."""
+    return _verdict("exc_complement", r, n, _complement_failures, _complement_detail)
 
 
-def check_involution(
-    r: int, n: int, *, images: array | None = None
-) -> PropertyVerdict:
-    """Verify the map squares to the identity on all of Z_r wr S_n.
-
-    ``images`` is image_ranks(r, n), when the caller has it already.
-    """
-    check_params(r, n)
-    images = image_ranks(r, n) if images is None else images
-    if not _holds(images, images, count()):
-        for k, image in enumerate(images):
-            if image < 0 or images[image] != k:
-                return _failure(
-                    "symmetry_involution", r, n, k, image,
-                    lambda p, q: f"{format_window(p)} maps twice to "
-                    f"{format_window(symmetry_map(q))}",
-                )
-    return PropertyVerdict("symmetry_involution", r, n)
+def check_involution(r: int, n: int) -> PropertyVerdict:
+    """Verify the map squares to the identity on all of Z_r wr S_n, by its
+    data: sigma and kappa are involutions, and gamma_sigma(i) undoes gamma_i."""
+    return _verdict("symmetry_involution", r, n, _involution_failures, _involution_detail)
 
 
 def check_symmetry_dist(

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from colorperm import oracle
@@ -25,33 +27,35 @@ def oracle_cache():
     return OracleCache()
 
 
+# oracle.worker_pool looks concurrent.futures.ProcessPoolExecutor up each
+# time it opens a pool, so that attribute is the seam for recording pools.
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """max_workers of every oracle.ProcessPoolExecutor the test builds."""
+    """max_workers of every pool that oracle.worker_pool opens in the test."""
     opened = []
 
-    class Counted(oracle.ProcessPoolExecutor):
+    class Counted(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             opened.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
     return opened
 
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """(function name, *arguments, future) of every task submitted to an
-    oracle.ProcessPoolExecutor the test builds."""
+    """(function name, *arguments, future) of every task submitted to a
+    pool that oracle.worker_pool opens in the test."""
     tasks = []
 
-    class Recorded(oracle.ProcessPoolExecutor):
+    class Recorded(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             future = super().submit(fn, *args, **kwargs)
             tasks.append((fn.__name__, *args, future))
             return future
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     return tasks
 
 

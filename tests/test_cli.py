@@ -8,7 +8,6 @@ import pytest
 
 from colorperm import cli, closed, dist, oracle, properties
 from colorperm.cli import main
-from colorperm.perm import GroupParams
 
 #: Exit status and stdout of every subcommand in every format at small
 #: points; any change to these bytes is a change to the CLI's output.
@@ -287,18 +286,6 @@ class TestCheck:
             "lemma_exc_decomposition,2,3,skip,48 elements above the cap 10"
         )
 
-    def test_symmetry_reports_skipped_elementwise_checks(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ELEMENTWISE_SUITE_CAP", 2)
-        code, out, _ = run_cli(
-            capsys, "check", "--r-max", "1", "--n-max", "3", "--suite", "symmetry"
-        )
-        assert code == 0
-        assert out.splitlines()[-3:] == [
-            "PASS exc_distribution_palindrome r=1 n=3",
-            "SKIP exc_complement_and_involution r=1 n=3: 6 elements above the cap 2",
-            "7 checks, 7 passed, 0 failed, 1 skipped",
-        ]
-
     @pytest.mark.parametrize(
         "module, suite, name",
         [
@@ -526,47 +513,68 @@ class TestCheck:
         )
 
     @staticmethod
-    def _last_color_half(last):
-        """color_half with the last color b sent to last(r, b)."""
-        exact = properties.color_half
+    def _last_color(last):
+        """color_map with the color c at the last position sent to last(r, n, c)."""
+        exact = properties.color_map
 
-        def mapped(colors, r):
-            return exact(colors, r)[:-1] + (last(r, colors[-1]),)
+        def mapped(r, n, i, c):
+            return last(r, n, c) if i == n else exact(r, n, i, c)
 
         return mapped
 
     def test_image_outside_the_group_is_a_fail_line(self, capsys, monkeypatch):
-        # Color r - b at the last position is r itself when b = 0: no
+        # Color r - c at the last position is r itself when c = 0: no
         # element has it, so neither check may pass or crash.
         monkeypatch.setattr(
-            properties, "color_half", self._last_color_half(lambda r, b: r - b)
+            properties, "color_map", self._last_color(lambda r, n, c: r - c)
         )
         argv = ("check", "--suite", "symmetry", "--r-max", "2", "--n-max", "2")
         code, out, err = run_cli(capsys, *argv)
         lines = out.splitlines()
         assert code == 1 and err == ""
         for name in ("exc_complement", "symmetry_involution"):
-            assert f"FAIL {name} r=1 n=1: 1 -> 1^1: image is not an element of Z_1 wr S_1" in lines
-            assert f"FAIL {name} r=2 n=2: 1,2 -> 2,1^2: image is not an element of Z_2 wr S_2" in lines
+            assert (
+                f"FAIL {name} r=1 n=1: position 1 color 0 -> 1: "
+                "1 -> 1^1: image is not an element of Z_1 wr S_1"
+            ) in lines
+            assert (
+                f"FAIL {name} r=2 n=2: position 2 color 0 -> 2: "
+                "1,2 -> 2,1^2: image is not an element of Z_2 wr S_2"
+            ) in lines
         assert lines[-1] == "12 checks, 4 passed, 8 failed"
         # The symmetry suite opens no pool, so --threads prints the same bytes.
         assert run_cli(capsys, *argv, "--threads", "2") == (code, out, err)
 
+    def test_position_out_of_range_is_a_fail_line(self, capsys, monkeypatch):
+        # The last position sent to n + 1: no image is an element, and
+        # neither check may crash on it.
+        exact = properties.position_map
+        monkeypatch.setattr(
+            properties, "position_map", lambda n: exact(n)[:-1] + (n + 1,)
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "1", "--n-max", "2"
+        )
+        assert code == 1 and err == ""
+        assert out.splitlines()[-4:] == [
+            "PASS exc_distribution_palindrome r=1 n=2",
+            "FAIL exc_complement r=1 n=2: position map 1,3 is not a permutation "
+            "of 1..2: no image is an element of Z_1 wr S_2",
+            "FAIL symmetry_involution r=1 n=2: position map 1,3 is not a "
+            "permutation of 1..2: no image is an element of Z_1 wr S_2",
+            "6 checks, 2 passed, 4 failed",
+        ]
+
     def test_last_position_color_slip_is_caught(self, capsys, monkeypatch):
         # Negative control: the last position mapped like the others, by
-        # (r - b) mod r instead of r - 1 - b.  The map is still an
-        # involution, so only the complement check can see it; the output
-        # is the one the per-element summarize version printed.
+        # (r - c) mod r instead of r - 1 - c.  The map is still an
+        # involution, so only the complement check can see it.
         monkeypatch.setattr(
-            properties,
-            "color_half",
-            self._last_color_half(lambda r, b: (r - b) % r),
+            properties, "color_map", self._last_color(lambda r, n, c: (r - c) % r)
         )
         argv = ("check", "--suite", "symmetry", "--r-max", "2", "--n-max", "2")
         code, out, err = run_cli(capsys, *argv)
-        first = next(line for line in out.splitlines() if line.startswith("FAIL"))
         assert code == 1 and err == ""
-        assert first == "FAIL exc_complement r=2 n=1: 1 -> 1: exc 0 + 0 != 1"
         assert run_cli(capsys, *argv, "--threads", "2") == (code, out, err)
         assert out == (
             "PASS exc_distribution_palindrome r=1 n=1\n"
@@ -576,57 +584,74 @@ class TestCheck:
             "PASS exc_complement r=1 n=2\n"
             "PASS symmetry_involution r=1 n=2\n"
             "PASS exc_distribution_palindrome r=2 n=1\n"
-            "FAIL exc_complement r=2 n=1: 1 -> 1: exc 0 + 0 != 1\n"
+            "FAIL exc_complement r=2 n=1: position 1 value 1 color 1: "
+            "1^1 -> 1^1: exc 1 + 1 != 1\n"
             "PASS symmetry_involution r=2 n=1\n"
             "PASS exc_distribution_palindrome r=2 n=2\n"
-            "FAIL exc_complement r=2 n=2: 1,2 -> 2,1: exc 0 + 2 != 3\n"
+            "FAIL exc_complement r=2 n=2: position 2 value 1 color 1: "
+            "2,1^1 -> 1,2^1: exc 3 + 1 != 3\n"
             "PASS symmetry_involution r=2 n=2\n"
             "12 checks, 10 passed, 2 failed\n"
         )
+        _, out, _ = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "4", "--n-max", "4"
+        )
+        fails = [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")]
+        assert {"FAIL exc_complement r=3 n=4", "FAIL exc_complement r=4 n=3"} <= set(fails)
+
+    def test_fault_above_the_old_elementwise_cap_is_caught(self, capsys, monkeypatch):
+        # The last color kept, only at r >= 3 and n >= 6, where no group
+        # has fewer than 524,880 elements: the first FAIL is at (3, 6).
+        monkeypatch.setattr(
+            properties,
+            "color_map",
+            self._last_color(lambda r, n, c: c if r >= 3 and n >= 6 else r - 1 - c),
+        )
+        code, out, err = run_cli(
+            capsys, "check", "--suite", "symmetry", "--r-max", "4", "--n-max", "7"
+        )
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert not any(line.startswith("SKIP") for line in lines)
+        assert next(line for line in lines if line.startswith("FAIL")) == (
+            "FAIL exc_complement r=3 n=6: position 6 value 1 color 1: "
+            "6,2,3,4,5,1 -> 2,3,4,5,1,6: exc 3 + 12 != 17"
+        )
+        assert lines[-1] == "84 checks, 80 passed, 4 failed"
 
     def test_value_half_without_complement_is_caught(self, capsys, monkeypatch):
         # Negative control: the values reversed but not complemented.  The
         # map is still an involution, so only the complement check sees it.
-        monkeypatch.setattr(
-            properties, "value_half", lambda values: values[-2::-1] + values[-1:]
-        )
+        monkeypatch.setattr(properties, "value_map", lambda n: tuple(range(1, n + 1)))
         code, out, err = run_cli(
             capsys, "check", "--suite", "symmetry", "--r-max", "2", "--n-max", "3"
         )
         lines = out.splitlines()
         first = next(line for line in lines if line.startswith("FAIL"))
         assert code == 1 and err == ""
-        assert first == "FAIL exc_complement r=1 n=2: 1,2 -> 1,2: exc 0 + 0 != 1"
+        assert first == (
+            "FAIL exc_complement r=1 n=2: values 1 and 2 at positions 1 and 2: "
+            "1,2 -> 1,2: exc 0 + 0 != 1"
+        )
         assert not any(line.startswith("FAIL symmetry_involution") for line in lines)
         assert lines[-1] == "18 checks, 14 passed, 4 failed"
 
-    def test_symmetry_suite_maps_each_element_once(self, capsys, monkeypatch):
-        # The suite maps each value word and each color word once per
-        # point and hands the ranks to both elementwise checks; exc comes
-        # from per-tau rows, with one summarize anchor per permutation tau.
-        counts = {"value_half": 0, "color_half": 0, "summarize": 0}
+    def test_symmetry_suite_calls_summarize_twice_per_point(self, capsys, monkeypatch):
+        # Each passing point anchors the per-position check with the
+        # identity and its image, and scans no other element.
+        calls = []
+        exact = properties.summarize
 
-        def counted(name):
-            exact = getattr(properties, name)
+        def counted(p):
+            calls.append((p.r, p.n))
+            return exact(p)
 
-            def wrapper(*args):
-                counts[name] += 1
-                return exact(*args)
-
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(properties, name, counted(name))
+        monkeypatch.setattr(properties, "summarize", counted)
         code, _, _ = run_cli(
             capsys, "check", "--suite", "symmetry", "--r-max", "3", "--n-max", "4"
         )
-        points = [GroupParams(r, n) for r in range(1, 4) for n in range(1, 5)]
         assert code == 0
-        assert counts == {
-            "value_half": sum(g.size // g.r**g.n for g in points),
-            "color_half": sum(g.r**g.n for g in points),
-            "summarize": sum(g.size // g.r**g.n for g in points),
-        }
+        assert calls == [(r, n) for r in range(1, 4) for n in range(1, 5) for _ in "pq"]
 
     def test_threads_open_one_pool_per_run(
         self, capsys, opened_pools, pool_every_group

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from colorperm import properties
+from colorperm import oracle, properties
 from colorperm.perm import (
     ColoredPermutation,
     GroupParams,
@@ -23,6 +23,16 @@ from colorperm.properties import (
 from colorperm.stats import summarize
 
 
+def complement_failures(r, n):
+    """The elementwise reference: every element of Z_r wr S_n whose exc
+    and its image's exc, each by summarize, do not sum to r*n - 1."""
+    return [
+        p
+        for p in enumerate_group(GroupParams(r, n))
+        if summarize(p).exc + summarize(properties.symmetry_map(p)).exc != r * n - 1
+    ]
+
+
 class TestSymmetryMap:
     def test_worked_example(self):
         p = parse_window("2^1,1^2,4^1,3", r=3)
@@ -38,11 +48,21 @@ class TestSymmetryMap:
             p = ColoredPermutation((1,), (b,), r=3)
             assert format_window(symmetry_map(p)) == expected
 
-    def test_exc_complement_exhaustive(self):
-        for r, n in [(1, 4), (2, 3), (2, 4), (3, 2), (3, 3)]:
-            target = r * n - 1
-            for p in enumerate_group(GroupParams(r, n)):
-                assert summarize(p).exc + summarize(symmetry_map(p)).exc == target
+    def test_per_position_data(self):
+        assert properties.position_map(4) == (3, 2, 1, 4)
+        assert properties.value_map(4) == (4, 3, 2, 1)
+        assert [properties.color_map(3, 4, 2, c) for c in range(3)] == [0, 2, 1]
+        assert [properties.color_map(3, 4, 4, c) for c in range(3)] == [2, 1, 0]
+        # An element of a group with a huge r maps without building
+        # anything of size r.
+        p = ColoredPermutation((2, 1), (1, 0), r=10**18)
+        assert symmetry_map(p) == ColoredPermutation((1, 2), (10**18 - 1,) * 2, r=10**18)
+
+    @pytest.mark.parametrize(
+        "r, n", [(1, 4), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (2, 5)]
+    )
+    def test_exc_complement_exhaustive(self, r, n):
+        assert complement_failures(r, n) == []
 
     def test_involution_exhaustive(self):
         for r, n in [(1, 4), (2, 3), (3, 3), (4, 2)]:
@@ -59,8 +79,27 @@ class TestSymmetryMap:
         assert symmetry_map(symmetry_map(p)) == p
         assert summarize(p).exc + summarize(symmetry_map(p)).exc == r * n - 1
 
+    def test_map_coupling_two_positions_fails_the_reference(self, monkeypatch):
+        # Negative control: the image's first two colors swapped whenever
+        # the source's first two colors differ.  The checks read only the
+        # per-position data, which this fault leaves alone, so they pass;
+        # the elementwise reference is what sees it.
+        exact = properties.symmetry_map
 
-class TestElementwiseChecks:
+        def coupled(p):
+            q = exact(p)
+            if p.colors[0] == p.colors[1]:
+                return q
+            colors = (q.colors[1], q.colors[0]) + q.colors[2:]
+            return ColoredPermutation(q.values, colors, q.r)
+
+        monkeypatch.setattr(properties, "symmetry_map", coupled)
+        failures = complement_failures(2, 3)
+        assert format_window(failures[0]) == "1,3^1,2"
+        assert check_exc_complement(2, 3).passed and check_involution(2, 3).passed
+
+
+class TestDataChecks:
     def test_complement_verdict_passes(self):
         verdict = check_exc_complement(2, 3)
         assert verdict.passed
@@ -71,76 +110,73 @@ class TestElementwiseChecks:
     def test_involution_verdict_passes(self):
         assert check_involution(3, 2).passed
 
-    @pytest.mark.parametrize("r, n", [(1, 5), (2, 4), (3, 3), (4, 3)])
-    def test_exc_rows_follow_enumeration_order(self, r, n):
-        # The outer sum over positions must list exc in enumerate_group
-        # order, so that a rank indexes the right element.
-        expected = [summarize(p).exc for p in enumerate_group(GroupParams(r, n))]
-        assert list(properties._exc_by_rank(r, n)) == expected
-
-    @pytest.mark.parametrize(
-        "r, n", [(1, 4), (2, 3), (3, 2), (1, 5), (2, 5), (3, 4), (4, 3)]
-    )
-    def test_ranks_follow_enumeration_order(self, r, n):
-        elements = list(enumerate_group(GroupParams(r, n)))
-        rank = {p: k for k, p in enumerate(elements)}
-        images = list(properties.image_ranks(r, n))
-        assert images == [rank[symmetry_map(p)] for p in elements]
-
-    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 2)])
-    def test_element_at_each_rank(self, r, n):
-        elements = list(enumerate_group(GroupParams(r, n)))
-        assert [properties._element(r, n, k) for k in range(len(elements))] == elements
+    def test_checks_pass_far_beyond_enumeration(self):
+        for r, n in [(1, 40), (2, 40), (5, 12), (3, 60)]:
+            assert check_exc_complement(r, n).passed, (r, n)
+            assert check_involution(r, n).passed, (r, n)
 
     def test_involution_names_the_first_element_mapped_twice_elsewhere(
         self, monkeypatch
     ):
-        # The last color raised by one, everything else kept.
-        monkeypatch.setattr(properties, "value_half", lambda values: values)
+        # Positions and values kept, and the last color raised by one.
+        monkeypatch.setattr(properties, "position_map", lambda n: tuple(range(1, n + 1)))
+        monkeypatch.setattr(properties, "value_map", lambda n: tuple(range(1, n + 1)))
         monkeypatch.setattr(
-            properties, "color_half",
-            lambda colors, r: colors[:-1] + ((colors[-1] + 1) % r,),
+            properties, "color_map", lambda r, n, i, c: c if i < n else (c + 1) % r
         )
         verdict = check_involution(3, 2)
-        assert verdict.counterexample == "1,2 maps twice to 1,2^2"
+        assert verdict.counterexample == (
+            "position 2 color 0 -> 1 -> 2: 1,2 maps twice to 1,2^2"
+        )
         assert check_involution(2, 2).passed
 
-    def test_a_corrupt_rank_is_found_past_the_whole_array_comparison(self):
-        # The last element of Z_3 wr S_4 sent to rank 0 instead of its
-        # image 3^1,2^1,1^1,4: the complement fails at the last element
-        # itself, and the involution first at the element mapped there.
-        images = properties.image_ranks(3, 4)
-        images[-1] = 0
-        complement = check_exc_complement(3, 4, images=images)
-        assert complement.counterexample == (
-            "4^2,3^2,2^2,1^2 -> 3^1,2^1,1^1,4: exc 8 + 0 != 11"
+    def test_each_condition_names_a_witness(self, monkeypatch):
+        # (a): the colors at the last position kept instead of mapped to
+        # r-1-c, so a pair term varies with the color.
+        exact = properties.color_map
+        monkeypatch.setattr(
+            properties, "color_map", lambda r, n, i, c: c if i == n else exact(r, n, i, c)
         )
-        involution = check_involution(3, 4, images=images)
-        assert involution.counterexample == (
-            "3^1,2^1,1^1,4 maps twice to 3^1,2^1,1^1,4"
+        assert check_exc_complement(3, 2).counterexample == (
+            "position 2 value 1 color 1: 2,1 -> 1,2: exc 3 + 0 != 5"
+        )
+        # (b): values reversed but not complemented, at r = 1, where no
+        # pair term can vary with the color.
+        monkeypatch.setattr(properties, "color_map", exact)
+        monkeypatch.setattr(properties, "value_map", lambda n: tuple(range(1, n + 1)))
+        assert check_exc_complement(1, 3).counterexample == (
+            "values 1 and 2 at positions 1 and 3: 2,3,1 -> 3,2,1: exc 2 + 1 != 2"
         )
 
-    def test_a_corrupt_exc_is_found_past_the_whole_array_comparison(
-        self, monkeypatch
-    ):
-        # exc of the last element raised by one: the first element whose
-        # pair sums wrong is its image, 3^1,2^1,1^1,4.
-        exact = properties._exc_by_rank
+    def test_a_table_that_disagrees_with_summarize_is_an_assertion(self, monkeypatch):
+        # One exceeded count too many at color 1 where position 1 holds
+        # value 2: the pair term varies with the color, yet summarize finds
+        # both witnesses sound, so no FAIL can name an element.
+        build = oracle._position_table
 
-        def raised(r, n):
-            excs = exact(r, n)
-            excs[-1] += 1
-            return excs
+        def skewed(r, n):
+            table = build(r, n)
+            row = list(table[0][1])
+            row[1] += 1
+            table[0][1] = tuple(row)
+            return table
 
-        monkeypatch.setattr(properties, "_exc_by_rank", raised)
-        assert check_exc_complement(3, 4).counterexample == (
-            "3^1,2^1,1^1,4 -> 4^2,3^2,2^2,1^2: exc 3 + 9 != 11"
+        monkeypatch.setattr(oracle, "_position_table", skewed)
+        message = r"^position 1 value 1 color 1, yet 1\^1,2 and 1,2 pass elementwise$"
+        with pytest.raises(AssertionError, match=message):
+            check_exc_complement(2, 2)
+        assert check_involution(2, 2).passed
+
+    def test_an_image_outside_the_group_is_named(self, monkeypatch):
+        exact = properties.position_map
+        monkeypatch.setattr(
+            properties, "position_map", lambda n: exact(n)[:-1] + (n + 1,)
         )
-        assert check_involution(3, 4).passed
-
-    @pytest.mark.parametrize("check", [check_exc_complement, check_involution])
-    def test_given_ranks_serve_the_check(self, check):
-        assert check(2, 3, images=properties.image_ranks(2, 3)).passed
+        for check in (check_exc_complement, check_involution):
+            assert check(2, 2).counterexample == (
+                "position map 1,3 is not a permutation of 1..2: "
+                "no image is an element of Z_2 wr S_2"
+            )
 
     @pytest.mark.parametrize("check", [check_exc_complement, check_involution])
     @pytest.mark.parametrize("r, n", [(0, 2), (2, 0), (True, 2)])
