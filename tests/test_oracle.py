@@ -3,6 +3,9 @@
 import ast
 import itertools
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from math import factorial
 from pathlib import Path
@@ -146,6 +149,23 @@ class TestBruteTables:
         assert all(future.done() for future in futures)
         assert any(future.cancelled() for future in futures)
         assert multiprocessing.active_children() == []
+
+    def test_importing_the_cli_imports_no_process_pool(self):
+        # worker_pool imports the pool machinery only when it opens a pool.
+        src = Path(oracle.__file__).resolve().parents[1]
+        code = (
+            "import sys, colorperm.cli; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout == "False\n"
 
 
 class TestFirstValueChunks:

@@ -48,6 +48,16 @@ class TestSymmetryMap:
             p = ColoredPermutation((1,), (b,), r=3)
             assert format_window(symmetry_map(p)) == expected
 
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 3), (4, 3), (2, 5)])
+    def test_map_follows_the_window_formula(self, r, n):
+        # The window formula, written out: values 1..n-1 reversed, the
+        # last in place, every value v sent to n+1-v; colors 1..n-1
+        # reversed with each c sent to (r-c) mod r, the last c to r-1-c.
+        for p in enumerate_group(GroupParams(r, n)):
+            values = tuple(n + 1 - v for v in p.values[-2::-1]) + (n + 1 - p.values[-1],)
+            colors = tuple((r - c) % r for c in p.colors[-2::-1]) + (r - 1 - p.colors[-1],)
+            assert symmetry_map(p) == ColoredPermutation(values, colors, r)
+
     def test_per_position_data(self):
         assert properties.position_map(4) == (3, 2, 1, 4)
         assert properties.value_map(4) == (4, 3, 2, 1)
@@ -110,10 +120,31 @@ class TestDataChecks:
     def test_involution_verdict_passes(self):
         assert check_involution(3, 2).passed
 
-    def test_checks_pass_far_beyond_enumeration(self):
-        for r, n in [(1, 40), (2, 40), (5, 12), (3, 60)]:
-            assert check_exc_complement(r, n).passed, (r, n)
-            assert check_involution(r, n).passed, (r, n)
+    @pytest.mark.parametrize("r, n", [(1, 40), (2, 40), (5, 12), (3, 60)])
+    def test_checks_pass_far_beyond_enumeration(self, r, n):
+        assert check_exc_complement(r, n).passed
+        assert check_involution(r, n).passed
+
+    def test_position_map_that_is_no_involution_is_named(self, monkeypatch):
+        # sigma a 3-cycle of the positions: a permutation, so every image
+        # is an element, but applying the map twice moves the letters.
+        monkeypatch.setattr(properties, "position_map", lambda n: (2, 3, 1))
+        assert check_involution(1, 3).counterexample == (
+            "position 1 -> 2 -> 3: 1,2,3 maps twice to 2,3,1"
+        )
+
+    def test_last_color_raised_by_one_fails_both_checks(self, monkeypatch):
+        # gamma_n(c) = c + 1 at r = 3: still a color, but neither
+        # undone by applying it again nor complementing exc.
+        exact = properties.color_map
+        monkeypatch.setattr(
+            properties,
+            "color_map",
+            lambda r, n, i, c: (c + 1) % r if i == n else exact(r, n, i, c),
+        )
+        for n in (1, 2, 3):
+            assert not check_exc_complement(3, n).passed, n
+            assert not check_involution(3, n).passed, n
 
     def test_involution_names_the_first_element_mapped_twice_elsewhere(
         self, monkeypatch
