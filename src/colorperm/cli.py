@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import replace
 from functools import cache, partial
 from itertools import repeat
@@ -185,7 +184,7 @@ def _per_n(r: int, n_max: int, *streams):
     return zip(repeat(r), range(1, n_max + 1), *streams)
 
 
-def suite_lemma(r_max, n_max, work) -> list:
+def suite_lemma(r_max, n_max, report) -> list:
     """exc = r*exc_A + csum on every element of every feasible group.
 
     The oracle asserts the identity and the range bounds on every element
@@ -199,13 +198,13 @@ def suite_lemma(r_max, n_max, work) -> list:
         skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
         if skipped:
             return skipped
-        work.report(r, n)
+        report(r, n)
         return [PropertyVerdict(name, r, n)]
 
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_recursion(r_max, n_max, work) -> list:
+def suite_recursion(r_max, n_max, report) -> list:
     """DP joint table and exc row against full enumeration."""
     name = "dp_matches_enumeration"
 
@@ -213,7 +212,7 @@ def suite_recursion(r_max, n_max, work) -> list:
         skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
         if skipped:
             return skipped
-        brute = work.report(r, n)
+        brute = report(r, n)
         table = dist.joint_table(r, n)
         diffs = oracle.compare(table, brute.joint_by_csum)
         joint = None
@@ -235,7 +234,7 @@ def suite_recursion(r_max, n_max, work) -> list:
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_closed(r_max, n_max, work) -> list:
+def suite_closed(r_max, n_max, report) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
     name = "excA_distribution_agreement"
 
@@ -261,7 +260,7 @@ def suite_closed(r_max, n_max, work) -> list:
     return _run_points(name, _per_r(r_max), check)
 
 
-def suite_eq2(r_max, n_max, work) -> list:
+def suite_eq2(r_max, n_max, report) -> list:
     """Derivative recurrence for the generating polynomial."""
     name = "polynomial_derivative_recurrence"
 
@@ -273,7 +272,7 @@ def suite_eq2(r_max, n_max, work) -> list:
     return _run_points(name, _per_r(r_max), check)
 
 
-def suite_symmetry(r_max, n_max, work) -> list:
+def suite_symmetry(r_max, n_max, report) -> list:
     """Palindromic exc distribution, plus the involution by its data."""
     name = "exc_complement_and_involution"
 
@@ -287,7 +286,7 @@ def suite_symmetry(r_max, n_max, work) -> list:
     return _run_points(name, _sweep(r_max, n_max), check)
 
 
-def suite_logconcave(r_max, n_max, work) -> list:
+def suite_logconcave(r_max, n_max, report) -> list:
     """Log-concavity (and hence unimodality) of the exc_A distribution.
 
     For r <= 2 this always holds; for larger r the verdicts carry an
@@ -323,73 +322,18 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-class _Work:
-    """The oracle's reports of one `check` run, each walked once per point.
-
-    report(r, n) is the oracle's report on Z_r wr S_n, which `lemma` and
-    `recursion` share.  A point's walk goes to the pool exactly when one
-    of those suites runs, the point is within BRUTE_SUITE_CAP and
-    oracle.first_value_chunks gives it more than one run; processes is
-    the most runs among those points, and the pool is worth opening only
-    when it is more than one.  A read pops the point's pooled slices, so
-    each is released once read, or walks the point inline as one run.  A
-    report is cached once it builds; one that raises raises again when
-    read again, from an inline walk, with the same message.  The pool
-    pickles each task by its module-level name, so a fault injected by
-    replacing oracle._count_slice with a closure cannot run on it; patch
-    the helpers it calls instead, such as oracle._position_table and
-    oracle._contributions.
-    """
-
-    def __init__(self, names, r_max: int, n_max: int, workers: int):
-        walked = {"lemma", "recursion"} & set(names)
-        self._runs = {
-            (r, n): runs
-            for r, n in _sweep(r_max, n_max)
-            if walked and GroupParams(r, n).size <= BRUTE_SUITE_CAP
-            for runs in [oracle.first_value_chunks(r, n, workers)]
-            if len(runs) > 1
-        }
-        self.processes = max(map(len, self._runs.values()), default=1)
-        self._tasks = {}
-        self.report = cache(self._report)
-
-    def submit(self, pool) -> None:
-        """Submit every pooled point's runs to the pool, in sweep order."""
-        for (r, n), runs in self._runs.items():
-            started = time.perf_counter()
-            futures = [pool.submit(oracle._count_slice, r, n, run) for run in runs]
-            self._tasks[r, n] = started, futures
-
-    def _report(self, r, n):
-        entry = self._tasks.pop((r, n), None)
-        if entry is None:
-            started = time.perf_counter()
-            slices = [oracle._count_slice(r, n, range(1, n + 1))]
-        else:
-            started, futures = entry
-            slices = [future.result() for future in futures]
-        return oracle.merge_slices(r, n, slices, started)
-
-
 def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     """Verdicts and Skip entries of the named suite (or all), in sweep order.
 
-    Every suite takes (r_max, n_max, work), where work is the run's _Work,
-    so that each enumeration is done once per run.  Before any suite
-    runs, the pooled points' enumerations go to one pool in sweep order;
-    the pool has as many processes as the most runs of
-    oracle.first_value_chunks(r, n, workers) among those points, and
-    opens only when that is more than one.  Every other point is walked
-    inline when a suite reads it.  The pool closes on return; if the run
-    stops on an error, oracle.worker_pool cancels the tasks not yet
-    started first.
+    Every suite takes (r_max, n_max, report), where report(r, n) is
+    oracle.brute_tables(r, n, workers=workers), cached for the run, so
+    that `lemma` and `recursion` share one enumeration per point.  A
+    report that raises is not cached: read again, it walks the group
+    again and raises the same message.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
-    work = _Work(names, r_max, n_max, workers or 1)
-    with oracle.worker_pool(work.processes) as pool:
-        work.submit(pool)
-        return [entry for name in names for entry in _SUITES[name](r_max, n_max, work)]
+    report = cache(partial(oracle.brute_tables, workers=workers))
+    return [entry for name in names for entry in _SUITES[name](r_max, n_max, report)]
 
 
 def _entry_line(e) -> str:

@@ -63,13 +63,12 @@ the anchor and the identity, the anchor is named.
 The unit of work is a slice: the elements whose window starts with a
 value in a run of consecutive first values.  Slices of disjoint runs are
 disjoint, the runs of first_value_chunks cover the group, and slices
-merge by plain addition (merge_slices).  A group with fewer than
-POOL_MIN elements is one run, range(1, n + 1), whatever the workers, as
-is every serial call.  brute_tables runs the tasks on a pool when there
-is more than one and inline otherwise.  `check`'s sweep submits the
-_count_slice tasks of every point that first_value_chunks splits into
-more than one run to one pool, sized by the most runs of any of them,
-in sweep order and before it reads the first.
+merge by plain addition (_add).  A group with fewer than POOL_MIN
+elements is one run, range(1, n + 1), whatever the workers, as is every
+serial call.  brute_tables is the one driver of the walk: it runs the
+tasks of a group on a pool of its own when there is more than one and
+inline otherwise, and merges them.  `dist`, `joint` and `check`'s
+`lemma` and `recursion` suites all read a group through it.
 """
 
 from __future__ import annotations
@@ -435,38 +434,17 @@ def first_value_chunks(r: int, n: int, workers: int) -> list[range]:
     return [range(v, min(v + size, n + 1)) for v in range(1, n + 1, size)]
 
 
-def merge_slices(r: int, n: int, slices, started: float) -> OracleReport:
-    """The OracleReport of slice tallies that cover Z_r wr S_n.
-
-    ``started`` is the perf_counter reading the enumeration began at.
-    """
-    by_csum, by_colored, exc_row = _add(slices)
-    elapsed = time.perf_counter() - started
-    table_csum, table_colored = (
-        JointTable(r, n, [flat[i : i + n] for i in range(0, len(flat), n)])
-        for flat in (by_csum, by_colored)
-    )
-    return OracleReport(
-        r=r,
-        n=n,
-        size=GroupParams(r, n).size,
-        joint_by_csum=table_csum,
-        joint_by_colored_count=table_colored,
-        exc_row=exc_row,
-        elapsed_seconds=elapsed,
-    )
-
-
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
 
     The slices of first_value_chunks(r, n, workers) run on a pool of one
     process each when there is more than one, and inline otherwise, as
     they are on any group below POOL_MIN; the result does not depend on
-    ``workers``.  A pool task is pickled by name, so _count_slice
-    replaced by a closure runs inline only.  Emits
-    a RuntimeWarning when the group order exceeds FEASIBILITY_LIMIT,
-    then proceeds.
+    ``workers``.  A pool task is pickled by its module-level name, so a
+    fault injected by replacing _count_slice with a closure runs inline
+    only; to reach the workers, patch a helper it calls, such as
+    _position_table or _contributions.  Emits a RuntimeWarning when the
+    group order exceeds FEASIBILITY_LIMIT, then proceeds.
     """
     size = GroupParams(r, n).size
     if size > FEASIBILITY_LIMIT:
@@ -481,7 +459,13 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     with worker_pool(len(chunks)) as pool:
         run = map if pool is None else pool.map
         slices = list(run(_count_slice, repeat(r), repeat(n), chunks))
-    return merge_slices(r, n, slices, started)
+    by_csum, by_colored, exc_row = _add(slices)
+    elapsed = time.perf_counter() - started
+    table_csum, table_colored = (
+        JointTable(r, n, [flat[i : i + n] for i in range(0, len(flat), n)])
+        for flat in (by_csum, by_colored)
+    )
+    return OracleReport(r, n, size, table_csum, table_colored, exc_row, elapsed)
 
 
 @contextmanager

@@ -45,15 +45,15 @@ def opened_pools(monkeypatch):
 
 @pytest.fixture
 def submitted(monkeypatch):
-    """(function name, *arguments, future) of every task submitted to a
-    pool that oracle.worker_pool opens in the test."""
+    """(function name, *arguments) of every task that a pool opened by
+    oracle.worker_pool in the test is given through map, in order."""
     tasks = []
 
     class Recorded(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            future = super().submit(fn, *args, **kwargs)
-            tasks.append((fn.__name__, *args, future))
-            return future
+        def map(self, fn, *iterables, **kwargs):
+            calls = list(zip(*iterables))
+            tasks.extend((fn.__name__, *args) for args in calls)
+            return super().map(fn, *zip(*calls), **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
     return tasks

@@ -348,9 +348,9 @@ class TestCheck:
         # lemma and recursion read one oracle report per point; (2, 3)
         # with its 48 elements lies above the cap and is never enumerated.
         # A serial run walks each point inline as the one run 1..n.  A
-        # threaded one, with every group pooled, submits the runs of each
-        # point of more than one run to the run's pool once, and walks the
-        # points of n = 1 inline once each.
+        # threaded one, with every group pooled, hands the runs of each
+        # point of more than one run to that point's pool once, and walks
+        # the points of n = 1 inline once each.
         monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
         points = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
         calls = []
@@ -379,7 +379,7 @@ class TestCheck:
         assert code == 0
         walks = [
             (r, n, tuple(run))
-            for name, r, n, run, _ in submitted
+            for name, r, n, run in submitted
             if name == "_count_slice"
         ]
         if threads:
@@ -392,6 +392,34 @@ class TestCheck:
         else:
             assert calls == [(r, n, range(1, n + 1)) for r, n in points]
             assert walks == []
+
+    @pytest.mark.parametrize("threads", [None, 2], ids=["serial", "2"])
+    def test_brute_suites_read_each_point_through_brute_tables_once(
+        self, capsys, monkeypatch, threads
+    ):
+        # brute_tables is the one seam of check's enumerations: once per
+        # point within the cap, with the --threads value, for lemma and
+        # recursion together; the other suites never call it.
+        monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
+        calls = []
+        exact = oracle.brute_tables
+
+        def counted(r, n, workers=None):
+            calls.append((r, n, workers))
+            return exact(r, n, workers=workers)
+
+        monkeypatch.setattr(oracle, "brute_tables", counted)
+        flag = ["--threads", str(threads)] if threads else []
+        sweep = ("--r-max", "2", "--n-max", "3")
+        code, _, _ = run_cli(capsys, "check", "--suite", "all", *sweep, *flag)
+        assert code == 0
+        points = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+        assert calls == [(r, n, threads) for r, n in points]
+        calls.clear()
+        for suite in ("closed", "eq2", "symmetry", "logconcave"):
+            code, _, _ = run_cli(capsys, "check", "--suite", suite, *sweep, *flag)
+            assert code == 0, suite
+        assert calls == []
 
     @pytest.mark.parametrize("suite", ["logconcave", "closed"])
     def test_excA_recurrence_runs_once_per_r(self, capsys, monkeypatch, suite):
@@ -653,9 +681,11 @@ class TestCheck:
         assert code == 0
         assert calls == [(r, n) for r in range(1, 4) for n in range(1, 5) for _ in "pq"]
 
-    def test_threads_open_one_pool_per_run(
+    def test_threads_open_one_pool_per_pooled_point(
         self, capsys, opened_pools, pool_every_group
     ):
+        # Every point of n >= 2 is split in two and walked on a pool of
+        # its own, opened when a suite first reads it.
         code, out, err = run_cli(
             capsys,
             "check", "--suite", "all", "--r-max", "3", "--n-max", "4",
@@ -663,7 +693,7 @@ class TestCheck:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "111 checks, 111 passed, 0 failed"
-        assert opened_pools == [2]
+        assert opened_pools == [2] * 9
         assert multiprocessing.active_children() == []
 
     def test_sweep_of_small_groups_opens_no_pool(self, capsys, opened_pools):
@@ -676,11 +706,12 @@ class TestCheck:
             assert run_cli(capsys, *argv, "--format", fmt, "--threads", "2") == serial
         assert opened_pools == []
 
-    def test_pool_has_as_many_processes_as_the_most_runs(
+    def test_each_pool_has_as_many_processes_as_its_point_has_runs(
         self, capsys, monkeypatch, opened_pools, pool_every_group
     ):
-        # Under the cap only Z_1 wr S_n for n <= 3 is enumerated, so no
-        # point has more than 3 runs, whatever --threads says.
+        # Under the cap only Z_1 wr S_n for n <= 3 is enumerated, so a
+        # point has at most n runs, whatever --threads says; (1, 1) is one
+        # run, walked inline.
         monkeypatch.setattr(cli, "BRUTE_SUITE_CAP", 10)
         code, out, err = run_cli(
             capsys,
@@ -689,15 +720,15 @@ class TestCheck:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "3 checks, 3 passed, 0 failed, 9 skipped"
-        assert opened_pools == [3]
+        assert opened_pools == [2, 3]
         assert multiprocessing.active_children() == []
 
     def test_pool_is_closed_after_a_failing_run(
         self, capsys, monkeypatch, opened_pools, pool_every_group
     ):
         # A fault that the forked workers inherit and raise at (2, 2): the
-        # FAIL comes back through the open pool, the next point still runs
-        # on it, and the run shuts it down.
+        # FAIL comes back through that point's pool, the next point still
+        # runs on a pool of its own, and every pool is shut down.
         build = oracle._position_table
 
         def skewed(r, n):
@@ -721,15 +752,15 @@ class TestCheck:
             "6 checks, 5 passed, 1 failed",
         ]
         assert lines[-3].startswith("FAIL lemma_exc_decomposition r=2 n=2: ")
-        assert opened_pools == [2]
+        assert opened_pools == [2] * 4
         assert multiprocessing.active_children() == []
 
     def test_a_failing_pooled_report_fails_alike_when_read_again(
         self, capsys, monkeypatch, pool_every_group
     ):
         # lemma reads the pooled report of (2, 2) and gets the fault the
-        # workers inherit; recursion reads it again, now inline, and must
-        # print the same counterexample, as a serial run does.
+        # workers inherit; recursion reads it again, on a fresh pool, and
+        # must print the same counterexample, as a serial run does.
         build = oracle._position_table
 
         def skewed(r, n):
@@ -752,35 +783,6 @@ class TestCheck:
         lemma = fails["FAIL lemma_exc_decomposition r=2 n=2"]
         assert fails["FAIL dp_matches_enumeration r=2 n=2"] == lemma
         assert multiprocessing.active_children() == []
-
-    def test_threads_submit_the_whole_sweep_before_the_first_read(
-        self, capsys, monkeypatch, submitted, pool_every_group
-    ):
-        # Enumerations only, in sweep order, every point of n >= 2 in two
-        # tasks of consecutive first values; the points of n = 1 are one
-        # run each and walked inline, as is every symmetry image.  No
-        # report is read before the last submission.
-        reads = []
-        merge = oracle.merge_slices
-
-        def logged(r, n, slices, started):
-            reads.append((r, n, len(submitted)))
-            return merge(r, n, slices, started)
-
-        monkeypatch.setattr(oracle, "merge_slices", logged)
-        code, _, err = run_cli(
-            capsys,
-            "check", "--suite", "all", "--r-max", "2", "--n-max", "3",
-            "--threads", "2",
-        )
-        assert (code, err) == (0, "")
-        pooled = [(1, 2), (1, 3), (2, 2), (2, 3)]
-        chunks = {2: [(1,), (2,)], 3: [(1, 2), (3,)]}
-        assert [(name, r, n, tuple(vs)) for name, r, n, vs, _ in submitted] == [
-            ("_count_slice", r, n, vs) for r, n in pooled for vs in chunks[n]
-        ]
-        sweep = [(r, n) for r in (1, 2) for n in (1, 2, 3)]
-        assert reads == [(r, n, len(submitted)) for r, n in sweep]
 
     def test_threaded_sweep_prints_the_serial_bytes(self, capsys, pool_every_group):
         # The text bytes of both runs are goldens; this compares the JSON
@@ -839,20 +841,23 @@ class TestCheck:
         assert lines[-1] == summary
         assert run_cli(capsys, *argv, "--threads", "2") == serial
 
-    def test_unexpected_error_cancels_the_queued_work(
-        self, capsys, monkeypatch, submitted, pool_every_group
+    def test_unexpected_error_in_a_worker_stops_the_run(
+        self, monkeypatch, opened_pools, pool_every_group
     ):
-        # A TypeError in the parent is no FAIL line: it stops the run, and
-        # the tasks still queued are cancelled, not waited for.
-        def broken(*args):
+        # A TypeError is no FAIL line: raised in the workers of the first
+        # pooled point, (1, 2), it stops the run, and the pool is shut
+        # down.  The inline walk of (1, 1) runs in the parent and passes.
+        build = oracle._position_table
+
+        def broken(r, n):
+            if multiprocessing.parent_process() is None:
+                return build(r, n)
             raise TypeError("injected")
 
-        monkeypatch.setattr(cli, "_over_cap", broken)
+        monkeypatch.setattr(oracle, "_position_table", broken)
         with pytest.raises(TypeError, match="injected"):
             main(["check", "--r-max", "3", "--n-max", "5", "--threads", "2"])
-        futures = [task[-1] for task in submitted]
-        assert futures and all(future.done() for future in futures)
-        assert any(future.cancelled() for future in futures)
+        assert opened_pools == [2]
         assert multiprocessing.active_children() == []
 
     def test_dropped_excA_recurrence_term_is_caught_by_closed(
