@@ -9,13 +9,9 @@ exact counts:
 * the distribution of exc, each element counted at r*exc_A + csum,
   which its own exc was checked to equal.
 
-Every statistic is a sum over positions.  Position i + 1 holding tau(i+1)
-with color c adds to exc the number of letters i^0, ..., i^(r-1) that its
-image exceeds, counted by the letter order itself (_position_table); to
-exc_A its indicator (c = 0, tau(i+1) > i + 1, i + 1 < n); and c and
-[c > 0] to csum and to the nonzero-color count ("colored").
-_contributions gives the (exc, exc_A) entry of each (position, value,
-color).
+Every statistic is a sum over positions (see stats): the exc and exc_A
+entries come from stats.contributions, and the number of nonzero colors
+is called "colored" below.
 
 The elements are taken a block at a time: up to BLOCK permutations tau,
 each with all r**n color words.  exc and exc_A each get one Python int
@@ -78,10 +74,10 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import gt
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .perm import ColoredLetter, ColoredPermutation, GroupParams, value_words
+from . import stats
+from .perm import ColoredPermutation, GroupParams, value_words
 from .stats import summarize
 from .tables import JointTable
 
@@ -132,47 +128,6 @@ class TableDiff(NamedTuple):
     k: int
     left: int
     right: int
-
-
-def _position_table(r: int, n: int) -> list[list[tuple[int, ...]]]:
-    """table[i][v - 1][c]: exceeded letters at position i + 1.
-
-    Counts the letters x = (i+1)^b, b in 0..r-1, with pi(x) > x in the
-    letter order when the window holds v^c at position i + 1, so that
-    pi(x) = v^((c + b) mod r).
-    """
-    # rank[v][c]: place of the letter v^c in the letter order.
-    rank = [[0] * r for _ in range(n + 1)]
-    letters = (ColoredLetter(v, c) for v in range(1, n + 1) for c in range(r))
-    for place, x in enumerate(sorted(letters)):
-        rank[x.value][x.color] = place
-    # The image of i^b is v^((c + b) mod r): compare rank[v] rotated by c,
-    # a window of rank[v] written twice, with rank[i], letter by letter.
-    twice = [ranks + ranks for ranks in rank]
-    return [
-        [
-            tuple(sum(map(gt, twice[v][c : c + r], rank[i])) for c in range(r))
-            for v in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
-
-
-def _contributions(r: int, n: int, table):
-    """(exc, exc_A): the amounts that position i + 1 adds to an element
-    while it holds v with color c, as exc[i][v - 1][c] and exc_A[i][v - 1][c].
-
-    ``table`` is _position_table(r, n), which is the exc part; exc_A is 1
-    when c = 0, v > i + 1 and i + 1 < n, else 0.
-    """
-    ascents = [
-        [
-            tuple(int(c == 0 and i < n - 1 and v > i + 1) for c in range(r))
-            for v in range(1, n + 1)
-        ]
-        for i in range(n)
-    ]
-    return table, ascents
 
 
 def _classes(r: int, n: int) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
@@ -228,14 +183,14 @@ def _classes(r: int, n: int) -> tuple[list[tuple[int, int, int]], list[list[int]
 def _stored_tables(r: int, n: int):
     """(width, bias_e, bias_a, translations) of the packed slots of Z_r wr S_n.
 
-    The fields are exc and exc_A, with entries from _contributions.
+    The fields are exc and exc_A, with entries from stats.contributions.
     Each entry is stored plus its field's lift, the least amount that
     makes every entry of the field nonnegative, so a slot holds its
     element's field plus the bias, n times the lift.  translations[f][i]
     [c][b] maps the byte v to byte b of the stored entry of position i + 1
     holding v with color c.
     """
-    fields = _contributions(r, n, _position_table(r, n))
+    fields = stats.contributions(r, n)
     lifts = [max(0, -min(min(map(min, rows)) for rows in field)) for field in fields]
     bias_e, bias_a = (n * lift for lift in lifts)
     top_e, top_a = (
@@ -442,9 +397,9 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     they are on any group below POOL_MIN; the result does not depend on
     ``workers``.  A pool task is pickled by its module-level name, so a
     fault injected by replacing _count_slice with a closure runs inline
-    only; to reach the workers, patch a helper it calls, such as
-    _position_table or _contributions.  Emits a RuntimeWarning when the
-    group order exceeds FEASIBILITY_LIMIT, then proceeds.
+    only; to reach the workers, patch a function it calls, such as
+    stats.contributions.  Emits a RuntimeWarning when the group order
+    exceeds FEASIBILITY_LIMIT, then proceeds.
     """
     size = GroupParams(r, n).size
     if size > FEASIBILITY_LIMIT:

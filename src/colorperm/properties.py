@@ -19,9 +19,9 @@ element.
 
 The map exchanges exc with r*n - 1 - exc, which forces the distribution
 of exc to be palindromic.  exc is a sum over positions: position i
-holding v^c adds T[i][v][c], the exceeded-letter count of
-oracle._position_table.  As sigma is a permutation, exc(p) + exc(p') is
-the sum over i of g_{i,tau(i)}(c_i), where
+holding v^c adds T[i][v][c], the exc entry of stats.contributions.  As
+sigma is a permutation, exc(p) + exc(p') is the sum over i of
+g_{i,tau(i)}(c_i), where
 
     g_{i,v}(c) = T[i][v][c] + T[sigma(i)][kappa(v)][gamma_i(c)].
 
@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from . import oracle
+from . import stats
 from .perm import ColoredPermutation, check_params, format_window
 from .stats import summarize
 
@@ -135,7 +135,7 @@ def _element(r: int, n: int, *swaps, at: int = 1, color: int = 0) -> ColoredPerm
 
 def _complement_failures(r: int, n: int, sigma, kappa, gamma):
     """(broken data, its witnesses) for each failure of (a), (b) and (c)."""
-    table = oracle._position_table(r, n)
+    table, _ = stats.contributions(r, n)
     h = {}
     for i, v in product(range(1, n + 1), repeat=2):
         image = table[sigma[i - 1] - 1][kappa[v - 1] - 1]

@@ -19,10 +19,20 @@ which ``summarize`` verifies on every element it touches: exc is found by
 the direct scan of all r*n letters, the other two from their own
 definitions, and the identity is asserted to hold.  StatSummary keeps the
 counts and computes the sets of letters and positions on each access.
+
+Every statistic is a sum over positions.  Position i holding tau(i) with
+color c adds to exc the number of letters i^b, b in 0..r-1, that pi
+sends above themselves, pi(i^b) = tau(i)^((c + b) mod r), counted by the
+letter order itself; to exc_A its indicator [c = 0, tau(i) > i, i < n];
+and c and [c > 0] to csum and to the number of nonzero colors.
+contributions(r, n) gives the (exc, exc_A) entry of each (position,
+value, color): the oracle tallies whole groups from it, and properties
+proves the symmetry of exc on it.
 """
 
 from __future__ import annotations
 
+from operator import gt
 from typing import NamedTuple
 
 from .perm import ColoredLetter, ColoredPermutation, apply_extended, iter_alphabet
@@ -118,3 +128,34 @@ def summarize(p: ColoredPermutation) -> StatSummary:
     if not (n_exc <= r * n - 1 and n_exc_A <= n - 1 and n_csum <= (r - 1) * n):
         raise AssertionError(f"statistic out of range for {p}")
     return StatSummary(p, n_exc, n_exc_A, n_csum)
+
+
+def contributions(r: int, n: int):
+    """(exc, exc_A): the amounts that position i + 1 adds to an element of
+    Z_r wr S_n while it holds v with color c, as exc[i][v - 1][c] and
+    exc_A[i][v - 1][c].
+
+    exc counts the letters x = (i+1)^b, b in 0..r-1, with pi(x) > x in the
+    letter order, where pi(x) = v^((c + b) mod r); exc_A is 1 when c = 0,
+    v > i + 1 and i + 1 < n, else 0.
+    """
+    # rank[v][c]: place of the letter v^c in the letter order.
+    rank = [[0] * r for _ in range(n + 1)]
+    letters = (ColoredLetter(v, c) for v in range(1, n + 1) for c in range(r))
+    for place, x in enumerate(sorted(letters)):
+        rank[x.value][x.color] = place
+    # The image of i^b is v^((c + b) mod r): compare rank[v] rotated by c,
+    # a window of rank[v] written twice, with rank[i], letter by letter.
+    twice = [ranks + ranks for ranks in rank]
+    exc = [
+        [
+            tuple(sum(map(gt, twice[v][c : c + r], rank[i])) for c in range(r))
+            for v in range(1, n + 1)
+        ]
+        for i in range(1, n + 1)
+    ]
+    ascents = [
+        [(int(i < n - 1 and v > i + 1),) + (0,) * (r - 1) for v in range(1, n + 1)]
+        for i in range(n)
+    ]
+    return exc, ascents

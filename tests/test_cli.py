@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from colorperm import cli, closed, dist, oracle, properties
+from colorperm import cli, closed, dist, oracle, properties, stats
 from colorperm.cli import main
 
 #: Exit status and stdout of every subcommand in every format at small
@@ -322,17 +322,17 @@ class TestCheck:
         # Negative control: one exceeded count too many at color 1 where
         # position 1 holds value 2.  Only the oracle's per-element identity
         # check can see it, so the lemma verdict must come from there.
-        build = oracle._position_table
+        build = stats.contributions
 
         def skewed(r, n):
-            table = build(r, n)
+            table, ascents = build(r, n)
             if r > 1 and n > 1:
                 row = list(table[0][1])
                 row[1] += 1
                 table[0][1] = tuple(row)
-            return table
+            return table, ascents
 
-        monkeypatch.setattr(oracle, "_position_table", skewed)
+        monkeypatch.setattr(stats, "contributions", skewed)
         code, out, err = run_cli(
             capsys, "check", "--r-max", "2", "--n-max", "3", "--suite", "lemma"
         )
@@ -729,17 +729,17 @@ class TestCheck:
         # A fault that the forked workers inherit and raise at (2, 2): the
         # FAIL comes back through that point's pool, the next point still
         # runs on a pool of its own, and every pool is shut down.
-        build = oracle._position_table
+        build = stats.contributions
 
         def skewed(r, n):
-            table = build(r, n)
+            table, ascents = build(r, n)
             if (r, n) == (2, 2):
                 row = list(table[0][1])
                 row[1] += 1
                 table[0][1] = tuple(row)
-            return table
+            return table, ascents
 
-        monkeypatch.setattr(oracle, "_position_table", skewed)
+        monkeypatch.setattr(stats, "contributions", skewed)
         code, out, err = run_cli(
             capsys,
             "check", "--suite", "lemma", "--r-max", "2", "--n-max", "3",
@@ -760,18 +760,19 @@ class TestCheck:
     ):
         # lemma reads the pooled report of (2, 2) and gets the fault the
         # workers inherit; recursion reads it again, on a fresh pool, and
-        # must print the same counterexample, as a serial run does.
-        build = oracle._position_table
+        # must print the same counterexample, as a serial run does.  The
+        # symmetry suite reads the same table in the parent and fails too.
+        build = stats.contributions
 
         def skewed(r, n):
-            table = build(r, n)
+            table, ascents = build(r, n)
             if (r, n) == (2, 2):
                 row = list(table[0][1])
                 row[1] += 1
                 table[0][1] = tuple(row)
-            return table
+            return table, ascents
 
-        monkeypatch.setattr(oracle, "_position_table", skewed)
+        monkeypatch.setattr(stats, "contributions", skewed)
         argv = ("check", "--suite", "all", "--r-max", "2", "--n-max", "3")
         serial = run_cli(capsys, *argv)
         assert run_cli(capsys, *argv, "--threads", "2") == serial
@@ -782,6 +783,9 @@ class TestCheck:
         }
         lemma = fails["FAIL lemma_exc_decomposition r=2 n=2"]
         assert fails["FAIL dp_matches_enumeration r=2 n=2"] == lemma
+        assert fails["FAIL exc_complement_and_involution r=2 n=2"] == (
+            "position 1 value 1 color 1, yet 1^1,2 and 1,2 pass elementwise"
+        )
         assert multiprocessing.active_children() == []
 
     def test_threaded_sweep_prints_the_serial_bytes(self, capsys, pool_every_group):
@@ -847,14 +851,14 @@ class TestCheck:
         # A TypeError is no FAIL line: raised in the workers of the first
         # pooled point, (1, 2), it stops the run, and the pool is shut
         # down.  The inline walk of (1, 1) runs in the parent and passes.
-        build = oracle._position_table
+        build = stats.contributions
 
         def broken(r, n):
             if multiprocessing.parent_process() is None:
                 return build(r, n)
             raise TypeError("injected")
 
-        monkeypatch.setattr(oracle, "_position_table", broken)
+        monkeypatch.setattr(stats, "contributions", broken)
         with pytest.raises(TypeError, match="injected"):
             main(["check", "--r-max", "3", "--n-max", "5", "--threads", "2"])
         assert opened_pools == [2]

@@ -1,0 +1,50 @@
+"""Every module-level import of the package is used or exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import colorperm
+
+PACKAGE = Path(colorperm.__file__).parent
+
+
+def module_level_imports(tree):
+    """(bound name, line) of each import outside function and class
+    bodies, __future__ aside."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__":
+                for alias in node.names:
+                    yield alias.asname or alias.name, node.lineno
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def exported(tree):
+    """The names listed in the module's __all__, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_every_module_level_import_is_used_or_exported(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"{name} (line {line})"
+        for name, line in module_level_imports(tree)
+        if name not in used | exported(tree)
+    ]
+    assert unused == []

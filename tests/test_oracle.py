@@ -20,7 +20,7 @@ from colorperm.oracle import (
     brute_tables,
     compare,
 )
-from colorperm import oracle
+from colorperm import oracle, stats
 from colorperm.perm import GroupParams, enumerate_group
 from colorperm.stats import summarize
 from colorperm.tables import JointTable
@@ -236,13 +236,13 @@ class TestPackedWalk:
 
     def test_one_call_builds_the_tables_once(self, monkeypatch):
         built = []
-        build = oracle._position_table
+        build = stats.contributions
 
         def counted(r, n):
             built.append((r, n))
             return build(r, n)
 
-        monkeypatch.setattr(oracle, "_position_table", counted)
+        monkeypatch.setattr(stats, "contributions", counted)
         oracle._count_slice(2, 4, range(1, 5))
         assert built == [(2, 4)]
 
@@ -301,16 +301,16 @@ class TestPackedWalk:
         # element is named from its own block, as from a shared one.
         if block:
             monkeypatch.setattr(oracle, "BLOCK", block)
-        build = oracle._position_table
+        build = stats.contributions
 
         def skewed(r, n):
-            table = build(r, n)
+            table, ascents = build(r, n)
             row = list(table[0][1])
             row[color] += by
             table[0][1] = tuple(row)
-            return table
+            return table, ascents
 
-        monkeypatch.setattr(oracle, "_position_table", skewed)
+        monkeypatch.setattr(stats, "contributions", skewed)
         with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3, workers=workers)
         assert str(caught.value) == message
@@ -319,16 +319,16 @@ class TestPackedWalk:
         # Negative control: position 1 holding 1 with color 1 adds -1 to
         # exc_A.  The all-zero word is right, so the summarize anchor
         # cannot see it; the biased slots decode exc_A of 1^1,2,3 to -1.
-        build = oracle._contributions
+        build = stats.contributions
 
-        def wrong(r, n, table):
-            exc, excA = build(r, n, table)
+        def wrong(r, n):
+            exc, excA = build(r, n)
             row = list(excA[0][0])
             row[1] = -1
             excA[0][0] = tuple(row)
             return exc, excA
 
-        monkeypatch.setattr(oracle, "_contributions", wrong)
+        monkeypatch.setattr(stats, "contributions", wrong)
         with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3)
         assert str(caught.value) == (
@@ -344,17 +344,17 @@ class TestPackedWalk:
         # exc_A and r to exc.  The identity still holds and exc_A stays
         # at most n - 1, so only the threshold of exc at r*n can see that
         # 2,1^1,3^1 reaches exc = 6 in Z_2 wr S_3.
-        build = oracle._contributions
+        build = stats.contributions
 
-        def wrong(r, n, table):
-            exc, excA = build(r, n, table)
+        def wrong(r, n):
+            exc, excA = build(r, n)
             for field, by in ((exc, r), (excA, 1)):
                 row = list(field[1][0])
                 row[1] += by
                 field[1][0] = tuple(row)
             return exc, excA
 
-        monkeypatch.setattr(oracle, "_contributions", wrong)
+        monkeypatch.setattr(stats, "contributions", wrong)
         with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3, workers=workers)
         assert str(caught.value) == (
@@ -433,10 +433,12 @@ ROUTES = ("oracle", "dist", "closed")
 
 
 class TestRouteIndependence:
-    @pytest.mark.parametrize("route", ROUTES)
+    # properties proves the symmetry on stats.contributions alone, so it
+    # may reach none of the routes.
+    @pytest.mark.parametrize("route", [*ROUTES, "properties"])
     def test_route_reaches_neither_other_route(self, route):
         # Follow the package-relative imports of each module's source,
-        # function bodies included, starting from the route, without
+        # function bodies included, starting from the module, without
         # importing anything.
         package = Path(oracle.__file__).parent
         reached, pending = set(), [route]

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from colorperm import oracle, properties
+from colorperm import properties, stats
 from colorperm.perm import (
     ColoredPermutation,
     GroupParams,
@@ -183,16 +183,16 @@ class TestDataChecks:
         # One exceeded count too many at color 1 where position 1 holds
         # value 2: the pair term varies with the color, yet summarize finds
         # both witnesses sound, so no FAIL can name an element.
-        build = oracle._position_table
+        build = stats.contributions
 
         def skewed(r, n):
-            table = build(r, n)
+            table, ascents = build(r, n)
             row = list(table[0][1])
             row[1] += 1
             table[0][1] = tuple(row)
-            return table
+            return table, ascents
 
-        monkeypatch.setattr(oracle, "_position_table", skewed)
+        monkeypatch.setattr(stats, "contributions", skewed)
         message = r"^position 1 value 1 color 1, yet 1\^1,2 and 1,2 pass elementwise$"
         with pytest.raises(AssertionError, match=message):
             check_exc_complement(2, 2)
