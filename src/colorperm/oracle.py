@@ -73,7 +73,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import stats
@@ -130,54 +130,17 @@ class TableDiff(NamedTuple):
     right: int
 
 
-def _classes(r: int, n: int) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
-    """The r**n color words of Z_r wr S_n, class by class.
+def _classes(r: int, n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """The r**n color words of Z_r wr S_n, grouped by class.
 
-    Returns (csum, colored, size) for each (csum, colored) pair that some
-    word has, by colored and then by descending csum, and digits[i], the
-    color at position i + 1 of every word: the words of the first class,
-    then of the second, and so on, each class in product order.  The
-    first class, (0, 0, 1), is the all-zero word alone.
+    Maps each (csum, colored) pair that some word has to the list of its
+    words, each a tuple of n colors, in product order.  The first class
+    is (0, 0), the all-zero word alone.
     """
-    # level[m]: (sizes, starts, columns) of the words of k colors with m
-    # nonzero, class by class in descending csum, (r-1)*m down to m:
-    # columns[i] holds color i + 1 of every word, and class j starts at
-    # starts[j].
-    level = {0: ([1], [0, 1], [])}
-    for k in range(n):
-        grown = {}
-        for m in range(k + 2 if r > 1 else 1):
-            sizes, columns = [], [[] for _ in range(k + 1)]
-            for csum in range((r - 1) * m, m - 1, -1):
-                # First color 0 before the class (csum, m), then the colors
-                # c = 1..r-1 before the classes (csum - c, m - 1), which
-                # lie next to each other, csum descending as c ascends.
-                size = 0
-                for old_m, c_lo, c_hi in (
-                    (m, 0, 0),
-                    (m - 1, max(1, csum - (r - 1) * (m - 1)), min(r - 1, csum - m + 1)),
-                ):
-                    if old_m in level:
-                        old_sizes, starts, old = level[old_m]
-                        j = (r - 1) * old_m - csum + c_lo
-                        runs = old_sizes[j : j + c_hi - c_lo + 1]
-                        lo, hi = starts[j], starts[j + len(runs)]
-                        firsts = map(repeat, range(c_lo, c_hi + 1), runs)
-                        columns[0].extend(chain.from_iterable(firsts))
-                        for column, part in zip(columns[1:], old):
-                            column.extend(part[lo:hi])
-                        size += hi - lo
-                sizes.append(size)
-            grown[m] = sizes, list(accumulate(sizes, initial=0)), columns
-        level = grown
-    classes = []
-    digits = [[] for _ in range(n)]
-    for m, (sizes, _, columns) in sorted(level.items()):
-        csums = range((r - 1) * m, -1, -1)
-        classes += [(csum, m, size) for csum, size in zip(csums, sizes)]
-        for column, part in zip(digits, columns):
-            column.extend(part)
-    return classes, digits
+    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for word in product(range(r), repeat=n):
+        classes.setdefault((sum(word), n - word.count(0)), []).append(word)
+    return classes
 
 
 def _stored_tables(r: int, n: int):
@@ -251,7 +214,8 @@ def _count_slice(r: int, n: int, first_values: range):
     """
     width, bias_e, bias_a, translations = _stored_tables(r, n)
     head = 1 << (8 * width - 1)
-    classes, digits = _classes(r, n)
+    classes = _classes(r, n)
+    digits = list(zip(*chain.from_iterable(classes.values())))
     ones_of: dict[int, tuple[int, int, int]] = {}
     by_csum = [0] * (((r - 1) * n + 1) * n)
     by_colored = [0] * (((r - 1) * n + 1) * n)
@@ -264,9 +228,9 @@ def _count_slice(r: int, n: int, first_values: range):
             _packed(chunk, width, field, digits) for field in translations
         )
         failures = []
-        start = first = 0
-        for csum, colored, count in classes:
-            slots = size * count
+        start = 0
+        for (csum, colored), words in classes.items():
+            slots = size * len(words)
             stop = start + slots * width
             exc = int.from_bytes(packed_exc[start:stop], "little")
             excA = int.from_bytes(packed_excA[start:stop], "little")
@@ -294,7 +258,6 @@ def _count_slice(r: int, n: int, first_values: range):
                 or excA_at_least[n]
                 or exc_too_large
             ):
-                words = list(zip(*(column[first : first + count] for column in digits)))
                 failures += _failures(
                     r, chunk, words, csum, exc, excA, width, bias_e, bias_a
                 )
@@ -306,7 +269,7 @@ def _count_slice(r: int, n: int, first_values: range):
                 # Every slot of exc_A a holds exc r*a + csum, below r*n.
                 for level, tally in zip(range(csum, r * n, r), tallies):
                     exc_row[level] += tally
-            start, first = stop, first + count
+            start = stop
         if failures:
             # The first failing element in enumerate_group order.
             raise AssertionError(min(failures)[1])

@@ -48,3 +48,44 @@ def test_every_module_level_import_is_used_or_exported(module):
         if name not in used | exported(tree)
     ]
     assert unused == []
+
+
+def private_definitions(tree):
+    """(name, node) of each function, class or assignment at module level
+    whose name starts with an underscore, dunder names aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def references(node):
+    """Every name that the node reads, as a bare name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_every_private_name_is_referenced_elsewhere(module):
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    orphans = [
+        f"{name} (line {definition.lineno})"
+        for name, definition in private_definitions(trees[module])
+        if not any(
+            name in references(node)
+            for tree in trees.values()
+            for node in tree.body
+            if node is not definition
+        )
+    ]
+    assert orphans == []

@@ -207,6 +207,34 @@ def assert_every_slice_matches(r, n):
             assert oracle._count_slice(r, n, range(a, b)) == expected
 
 
+class TestClasses:
+    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 3), (10, 3), (70, 2)])
+    def test_every_word_once_under_its_own_class_in_product_order(self, r, n):
+        classes = oracle._classes(r, n)
+        words = list(itertools.product(range(r), repeat=n))
+        for (csum, colored), members in classes.items():
+            assert all(
+                (sum(word), n - word.count(0)) == (csum, colored) for word in members
+            )
+            assert members == sorted(members)
+        assert sorted(itertools.chain.from_iterable(classes.values())) == words
+
+
+def misfile(monkeypatch, csum_by, colored_by):
+    """Patch oracle._classes to file the first word of class (1, 1), in
+    product order, under (1 + csum_by, 1 + colored_by).  _count_slice
+    looks _classes up as a module global, so forked workers see it too."""
+    classes = oracle._classes
+
+    def misfiled(r, n):
+        found = classes(r, n)
+        word = found[1, 1].pop(0)
+        found.setdefault((1 + csum_by, 1 + colored_by), []).append(word)
+        return found
+
+    monkeypatch.setattr(oracle, "_classes", misfiled)
+
+
 class TestPackedWalk:
     @pytest.mark.parametrize(
         "r, n",
@@ -315,6 +343,18 @@ class TestPackedWalk:
             brute_tables(2, 3, workers=workers)
         assert str(caught.value) == message
 
+    def test_word_filed_under_the_next_csum_is_caught(self, monkeypatch):
+        # Negative control: 1,2,3^1 is tallied with class (2, 1).  Its
+        # slots hold its own exc and exc_A, so the identity check fails
+        # at the class's csum.
+        misfile(monkeypatch, csum_by=1, colored_by=0)
+        with pytest.raises(AssertionError) as caught:
+            brute_tables(2, 3)
+        assert str(caught.value) == (
+            "exc = r*exc_A + csum or a range bound violated for 1,2,3^1: "
+            "exc=1, exc_A=0, csum=2"
+        )
+
     def test_excA_below_zero_is_caught(self, monkeypatch):
         # Negative control: position 1 holding 1 with color 1 adds -1 to
         # exc_A.  The all-zero word is right, so the summarize anchor
@@ -364,10 +404,10 @@ class TestPackedWalk:
 
 
 class TestTallyMiscount:
-    """Negative control: one count moved to the next exc_A column.
-
-    The move keeps every total, so no mass check can see it; the DP
-    comparison and the k = 0 closed form (C08) must.
+    """Negative controls that keep every total, so no mass check can see
+    them: one count moved to the next exc_A column, which the DP
+    comparison and the k = 0 closed form (C08) must catch, and one word
+    filed under the next colored count, which only C08 can.
     """
 
     @pytest.fixture
@@ -396,8 +436,16 @@ class TestTallyMiscount:
             "cell (i=1, k=0): dp=3 enumeration=2"
         )
 
+    @pytest.fixture
+    def colored_misfiled(self, monkeypatch):
+        # Every check inside the oracle passes: they read csum, and nothing
+        # in check reads the colored-count table (ROADMAP item 7).
+        misfile(monkeypatch, csum_by=0, colored_by=1)
+
+    @pytest.mark.parametrize("fault", ["miscount", "colored_misfiled"])
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_caught_by_the_initial_condition(self, miscount, n):
+    def test_caught_by_the_initial_condition(self, request, fault, n):
+        request.getfixturevalue(fault)
         report = brute_tables(3, n)
         assert initial_condition_diagnostic(3, n, report).verdict == "neither"
 
