@@ -55,22 +55,13 @@ def _insertion_weights(m: int, k: int) -> tuple[int, int]:
 def eulerian_row(n: int) -> list[int]:
     """Row n of the Eulerian triangle: permutations of S_n by excedances.
 
-    n = 0 gives [1] (the empty permutation).
+    S_n is Z_1 wr S_n, where exc_A is the classical excedance number, so
+    the row is excA_dist(1, n): the colored recursion at r = 1, as in the
+    paper.  n = 0 gives [1] (the empty permutation).
     """
-    if not (isinstance(n, int) and n >= 0):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
         raise ValueError(f"degree n must be an integer >= 0, got {n!r}")
-    if n == 0:
-        return [1]
-    row = [1]
-    for m in range(2, n + 1):
-        new = []
-        for k in range(m):
-            raising, keeping = _insertion_weights(m, k)
-            above = row[k] if k < m - 1 else 0
-            below = row[k - 1] if k >= 1 else 0
-            new.append(keeping * above + raising * below)
-        row = new
-    return row
+    return excA_dist(1, n) if n else [1]
 
 
 def _packed_columns(r: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:

@@ -71,18 +71,14 @@ from __future__ import annotations
 
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import stats
 from .perm import ColoredPermutation, GroupParams, value_words
 from .stats import summarize
 from .tables import JointTable
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 #: Group orders above this raise eyebrows; enumeration proceeds after a warning.
 FEASIBILITY_LIMIT = 10**8
@@ -358,11 +354,15 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     The slices of first_value_chunks(r, n, workers) run on a pool of one
     process each when there is more than one, and inline otherwise, as
     they are on any group below POOL_MIN; the result does not depend on
-    ``workers``.  A pool task is pickled by its module-level name, so a
-    fault injected by replacing _count_slice with a closure runs inline
-    only; to reach the workers, patch a function it calls, such as
-    stats.contributions.  Emits a RuntimeWarning when the group order
-    exceeds FEASIBILITY_LIMIT, then proceeds.
+    ``workers``.  With one process per slice no task ever waits in the
+    queue, so an error in one slice closes the pool once the running
+    slices end.  concurrent.futures is imported only when a pool opens,
+    so importing the package does not import multiprocessing.  A pool
+    task is pickled by its module-level name, so a fault injected by
+    replacing _count_slice with a closure runs inline only; to reach the
+    workers, patch a function it calls, such as stats.contributions.
+    Emits a RuntimeWarning when the group order exceeds
+    FEASIBILITY_LIMIT, then proceeds.
     """
     size = GroupParams(r, n).size
     if size > FEASIBILITY_LIMIT:
@@ -374,9 +374,13 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
         )
     started = time.perf_counter()
     chunks = first_value_chunks(r, n, workers or 1)
-    with worker_pool(len(chunks)) as pool:
-        run = map if pool is None else pool.map
-        slices = list(run(_count_slice, repeat(r), repeat(n), chunks))
+    if len(chunks) == 1:
+        slices = [_count_slice(r, n, chunks[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            slices = list(pool.map(_count_slice, repeat(r), repeat(n), chunks))
     by_csum, by_colored, exc_row = _add(slices)
     elapsed = time.perf_counter() - started
     table_csum, table_colored = (
@@ -384,27 +388,6 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
         for flat in (by_csum, by_colored)
     )
     return OracleReport(r, n, size, table_csum, table_colored, exc_row, elapsed)
-
-
-@contextmanager
-def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor | None]:
-    """Yield None for ``workers`` <= 1, else a fresh pool of that many
-    processes, started at its first task and joined when the block ends.
-    When the block raises, the tasks not yet started are cancelled first.
-    concurrent.futures.ProcessPoolExecutor is looked up only here, so
-    importing the package does not import multiprocessing.
-    """
-    if workers <= 1:
-        yield None
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            yield pool
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
 
 
 def compare(left: JointTable, right: JointTable) -> list[TableDiff]:

@@ -87,10 +87,10 @@ class ColoredLetter:
 
 
 def iter_alphabet(params: GroupParams) -> Iterator[ColoredLetter]:
-    """Yield the r*n letters of the extended alphabet in ascending order."""
-    for color in range(params.r - 1, -1, -1):
-        for value in range(1, params.n + 1):
-            yield ColoredLetter(value, color)
+    """Yield the r*n letters of the extended alphabet in ascending order,
+    the one that ColoredLetter's comparison defines."""
+    letters = itertools.product(range(1, params.n + 1), range(params.r))
+    yield from sorted(itertools.starmap(ColoredLetter, letters))
 
 
 class ColoredPermutation:

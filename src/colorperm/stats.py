@@ -35,7 +35,13 @@ from __future__ import annotations
 from operator import gt
 from typing import NamedTuple
 
-from .perm import ColoredLetter, ColoredPermutation, apply_extended, iter_alphabet
+from .perm import (
+    ColoredLetter,
+    ColoredPermutation,
+    GroupParams,
+    apply_extended,
+    iter_alphabet,
+)
 
 
 def csum(p: ColoredPermutation) -> int:
@@ -141,8 +147,7 @@ def contributions(r: int, n: int):
     """
     # rank[v][c]: place of the letter v^c in the letter order.
     rank = [[0] * r for _ in range(n + 1)]
-    letters = (ColoredLetter(v, c) for v in range(1, n + 1) for c in range(r))
-    for place, x in enumerate(sorted(letters)):
+    for place, x in enumerate(iter_alphabet(GroupParams(r, n))):
         rank[x.value][x.color] = place
     # The image of i^b is v^((c + b) mod r): compare rank[v] rotated by c,
     # a window of rank[v] written twice, with rank[i], letter by letter.

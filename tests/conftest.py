@@ -27,11 +27,11 @@ def oracle_cache():
     return OracleCache()
 
 
-# oracle.worker_pool looks concurrent.futures.ProcessPoolExecutor up each
+# oracle.brute_tables looks concurrent.futures.ProcessPoolExecutor up each
 # time it opens a pool, so that attribute is the seam for recording pools.
 @pytest.fixture
 def opened_pools(monkeypatch):
-    """max_workers of every pool that oracle.worker_pool opens in the test."""
+    """max_workers of every pool that oracle.brute_tables opens in the test."""
     opened = []
 
     class Counted(concurrent.futures.ProcessPoolExecutor):
@@ -46,7 +46,7 @@ def opened_pools(monkeypatch):
 @pytest.fixture
 def submitted(monkeypatch):
     """(function name, *arguments) of every task that a pool opened by
-    oracle.worker_pool in the test is given through map, in order."""
+    oracle.brute_tables in the test is given through map, in order."""
     tasks = []
 
     class Recorded(concurrent.futures.ProcessPoolExecutor):

@@ -63,9 +63,10 @@ class TestEulerian:
             row = eulerian_row(n)
             assert row == row[::-1]
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            eulerian_row(-1)
+    @pytest.mark.parametrize("n", [-1, 2.0, True])
+    def test_rejects_negative(self, n):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            eulerian_row(n)
 
     def test_matches_one_color_case(self):
         for n in range(1, 10):

@@ -1,12 +1,12 @@
 """Brute-force enumeration tallies and table comparison."""
 
 import ast
+import concurrent.futures
 import itertools
 import multiprocessing
 import os
 import subprocess
 import sys
-import time
 from math import factorial
 from pathlib import Path
 
@@ -108,9 +108,24 @@ class TestBruteTables:
         ],
         ids=["3", "r2-7", "r2-7-w3", "3-w9", "1-w2", "r2-3"],
     )
-    def test_parallel_matches_serial(self, opened_pools, r, n, workers, pools):
+    def test_parallel_matches_serial(self, monkeypatch, r, n, workers, pools):
+        # [max_workers, tasks handed to map] of every pool the test opens.
+        opened = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.load = [kwargs["max_workers"], 0]
+                opened.append(self.load)
+
+            def map(self, fn, *iterables, **kwargs):
+                calls = list(zip(*iterables))
+                self.load[1] += len(calls)
+                return super().map(fn, *zip(*calls), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         serial = brute_tables(r, n)
-        assert opened_pools == []  # one task, run inline
+        assert opened == []  # one task, run inline
         parallel = brute_tables(r, n, workers=workers)
         assert parallel.joint_by_csum == serial.joint_by_csum
         assert parallel.joint_by_colored_count == serial.joint_by_colored_count
@@ -118,7 +133,10 @@ class TestBruteTables:
         # One process per chunk of first values, on a pool the call closes;
         # Z_3 wr S_3 (162 elements) and Z_2 wr S_3 (48) are below POOL_MIN
         # and one chunk.
-        assert opened_pools == pools
+        assert [size for size, _ in opened] == pools
+        # Every pool is given exactly one task per process, so no task
+        # ever waits in its queue and there is none to cancel.
+        assert all(tasks == size for size, tasks in opened)
         assert multiprocessing.active_children() == []
 
     def test_feasibility_warning(self, monkeypatch):
@@ -138,20 +156,8 @@ class TestBruteTables:
     def test_elapsed_recorded(self):
         assert brute_tables(2, 2).elapsed_seconds >= 0.0
 
-    def test_worker_pool_cancels_queued_tasks_when_its_block_raises(self):
-        # Two processes start two tasks and queue one more; the rest are
-        # still pending when the block raises, and are cancelled rather
-        # than run before the pool joins.
-        with pytest.raises(RuntimeError, match="stop"):
-            with oracle.worker_pool(2) as pool:
-                futures = [pool.submit(time.sleep, 0.05) for _ in range(12)]
-                raise RuntimeError("stop")
-        assert all(future.done() for future in futures)
-        assert any(future.cancelled() for future in futures)
-        assert multiprocessing.active_children() == []
-
     def test_importing_the_cli_imports_no_process_pool(self):
-        # worker_pool imports the pool machinery only when it opens a pool.
+        # brute_tables imports the pool machinery only when it opens a pool.
         src = Path(oracle.__file__).resolve().parents[1]
         code = (
             "import sys, colorperm.cli; "

@@ -39,10 +39,17 @@ class TestGroupParams:
 
 
 class TestLetterOrder:
-    def test_order_chain_r3_n2(self):
-        chain = ["1^2", "2^2", "1^1", "2^1", "1", "2"]
-        letters = list(iter_alphabet(GroupParams(3, 2)))
-        assert [str(x) for x in letters] == chain
+    @pytest.mark.parametrize(
+        "r, n, chain",
+        [
+            (3, 2, "1^2,2^2,1^1,2^1,1,2"),
+            (1, 3, "1,2,3"),
+            (4, 1, "1^3,1^2,1^1,1"),
+        ],
+    )
+    def test_order_chain_r3_n2(self, r, n, chain):
+        letters = list(iter_alphabet(GroupParams(r, n)))
+        assert ",".join(map(str, letters)) == chain
         for a, b in zip(letters, letters[1:]):
             assert a < b and a <= b and b > a and b >= a
             assert not b < a and a != b

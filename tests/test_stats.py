@@ -1,5 +1,7 @@
 """The three statistics and their decomposition identity."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,7 @@ from colorperm.perm import (
     enumerate_group,
     parse_window,
 )
-from colorperm.stats import csum, exc, exc_A, summarize
+from colorperm.stats import contributions, csum, exc, exc_A, summarize
 
 
 def letters(*texts):
@@ -117,3 +119,21 @@ class TestStatisticFacts:
         with pytest.raises(AttributeError):
             s.exc = 0
         assert s.exc == 5
+
+
+class TestContributions:
+    @pytest.mark.parametrize(
+        "r, n", [*itertools.product(range(1, 6), range(1, 7)), (70, 2)]
+    )
+    def test_cells_match_a_letter_scan(self, r, n):
+        # Each cell against summarize's comparison, letter by letter: the
+        # image of (i+1)^b is v^((c + b) mod r), and it lies above (i+1)^b
+        # when its color is below b, or equal to b with v > i + 1.
+        table, ascents = contributions(r, n)
+        for i, v, c in itertools.product(range(n), range(1, n + 1), range(r)):
+            scan = sum(
+                (c + b) % r < b or ((c + b) % r == b and v > i + 1)
+                for b in range(r)
+            )
+            assert table[i][v - 1][c] == scan, (i, v, c)
+            assert ascents[i][v - 1][c] == (c == 0 and v > i + 1 and i + 1 < n)
