@@ -133,12 +133,6 @@ def cmd_bijection(args):
     return (0, obj, *_key_value(obj))
 
 
-def _sweep(r_max: int, n_max: int):
-    for r in range(1, r_max + 1):
-        for n in range(1, n_max + 1):
-            yield r, n
-
-
 class Skip(NamedTuple):
     """A sweep point left unchecked because its group is above a size cap."""
 
@@ -150,12 +144,6 @@ class Skip(NamedTuple):
 
     def reason(self) -> str:
         return f"{self.size} elements above the cap {self.cap}"
-
-
-def _over_cap(name: str, r: int, n: int, cap: int) -> list:
-    """[Skip] when Z_r wr S_n has more than cap elements, else []."""
-    size = GroupParams(r, n).size
-    return [Skip(name, r, n, size, cap)] if size > cap else []
 
 
 def _run_points(name: str, points, check) -> list:
@@ -175,13 +163,32 @@ def _run_points(name: str, points, check) -> list:
     return entries
 
 
-def _per_r(r_max: int):
-    return ((r, None) for r in range(1, r_max + 1))
+def _sweep(name: str, r_max: int, n_max: int, check, streams=lambda r: ()) -> list:
+    """Concatenate check(r, n, *items) over r = 1..r_max and n = 1..n_max,
+    with one item per n from each of the iterables streams(r).
+
+    Each r is also a point of its own: a stream that raises is one FAIL
+    line for its r, in place of that r's verdicts.
+    """
+
+    def per_r(r, _):
+        points = zip(repeat(r), range(1, n_max + 1), *streams(r))
+        return _run_points(name, points, check)
+
+    return _run_points(name, zip(range(1, r_max + 1), repeat(None)), per_r)
 
 
-def _per_n(r: int, n_max: int, *streams):
-    """Points (r, n, *items) for n = 1..n_max, one item from each stream."""
-    return zip(repeat(r), range(1, n_max + 1), *streams)
+def _capped(name: str, check):
+    """check(r, n), or a Skip where Z_r wr S_n has more than
+    BRUTE_SUITE_CAP elements."""
+
+    def capped(r, n):
+        size = GroupParams(r, n).size
+        if size > BRUTE_SUITE_CAP:
+            return [Skip(name, r, n, size, BRUTE_SUITE_CAP)]
+        return check(r, n)
+
+    return capped
 
 
 def suite_lemma(r_max, n_max, report) -> list:
@@ -195,13 +202,10 @@ def suite_lemma(r_max, n_max, report) -> list:
     name = "lemma_exc_decomposition"
 
     def check(r, n):
-        skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
-        if skipped:
-            return skipped
         report(r, n)
         return [PropertyVerdict(name, r, n)]
 
-    return _run_points(name, _sweep(r_max, n_max), check)
+    return _sweep(name, r_max, n_max, _capped(name, check))
 
 
 def suite_recursion(r_max, n_max, report) -> list:
@@ -209,9 +213,6 @@ def suite_recursion(r_max, n_max, report) -> list:
     name = "dp_matches_enumeration"
 
     def check(r, n):
-        skipped = _over_cap(name, r, n, BRUTE_SUITE_CAP)
-        if skipped:
-            return skipped
         brute = report(r, n)
         table = dist.joint_table(r, n)
         diffs = oracle.compare(table, brute.joint_by_csum)
@@ -231,14 +232,14 @@ def suite_recursion(r_max, n_max, report) -> list:
             PropertyVerdict("dp_exc_matches_enumeration", r, n, exc),
         ]
 
-    return _run_points(name, _sweep(r_max, n_max), check)
+    return _sweep(name, r_max, n_max, _capped(name, check))
 
 
 def suite_closed(r_max, n_max, report) -> list:
     """Recurrence, joint-sum, closed form and explicit sum all agree."""
     name = "excA_distribution_agreement"
 
-    def agreement(r, n, recurrence, joint):
+    def check(r, n, recurrence, joint):
         poly = closed.D_closed(r, n)
         rows = {
             "joint": joint,
@@ -251,13 +252,10 @@ def suite_closed(r_max, n_max, report) -> list:
                 return [PropertyVerdict(name, r, n, detail)]
         return [PropertyVerdict(name, r, n)]
 
-    def check(r, _):
-        # One run of each recurrence per r yields its rows one n at a
-        # time; each n is still its own point, so a crash names it.
-        streams = dist.iter_excA_rows(r, n_max), dist.iter_joint_d_rows(r, n_max)
-        return _run_points(name, _per_n(r, n_max, *streams), agreement)
+    def streams(r):
+        return dist.iter_excA_rows(r, n_max), dist.iter_joint_d_rows(r, n_max)
 
-    return _run_points(name, _per_r(r_max), check)
+    return _sweep(name, r_max, n_max, check, streams)
 
 
 def suite_eq2(r_max, n_max, report) -> list:
@@ -265,11 +263,11 @@ def suite_eq2(r_max, n_max, report) -> list:
     name = "polynomial_derivative_recurrence"
 
     def check(r, _):
-        report = closed.check_eq2(r, max(n_max, 2))
-        n = report.n_max if report.passed else report.first_failure_n
-        return [PropertyVerdict(name, r, n, report.detail)]
+        eq2 = closed.check_eq2(r, max(n_max, 2))
+        n = eq2.n_max if eq2.passed else eq2.first_failure_n
+        return [PropertyVerdict(name, r, n, eq2.detail)]
 
-    return _run_points(name, _per_r(r_max), check)
+    return _run_points(name, zip(range(1, r_max + 1), repeat(None)), check)
 
 
 def suite_symmetry(r_max, n_max, report) -> list:
@@ -283,7 +281,7 @@ def suite_symmetry(r_max, n_max, report) -> list:
             properties.check_involution(r, n),
         ]
 
-    return _run_points(name, _sweep(r_max, n_max), check)
+    return _sweep(name, r_max, n_max, check)
 
 
 def suite_logconcave(r_max, n_max, report) -> list:
@@ -294,7 +292,7 @@ def suite_logconcave(r_max, n_max, report) -> list:
     """
     name = "excA_shape"
 
-    def shape(r, n, row):
+    def check(r, n, row):
         suffix = "" if r <= 2 else "_empirical"
         return [
             replace(verdict, name=f"excA_{verdict.name}{suffix}")
@@ -304,11 +302,7 @@ def suite_logconcave(r_max, n_max, report) -> list:
             )
         ]
 
-    def check(r, _):
-        rows = dist.iter_excA_rows(r, n_max)
-        return _run_points(name, _per_n(r, n_max, rows), shape)
-
-    return _run_points(name, _per_r(r_max), check)
+    return _sweep(name, r_max, n_max, check, lambda r: [dist.iter_excA_rows(r, n_max)])
 
 
 _SUITES = {
@@ -329,7 +323,9 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     oracle.brute_tables(r, n, workers=workers), cached for the run, so
     that `lemma` and `recursion` share one enumeration per point.  A
     report that raises is not cached: read again, it walks the group
-    again and raises the same message.
+    again and raises the same message.  Every suite but `eq2` walks its
+    points through _sweep; `lemma` and `recursion` wrap their per-point
+    check in _capped, which skips the groups above BRUTE_SUITE_CAP.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = cache(partial(oracle.brute_tables, workers=workers))

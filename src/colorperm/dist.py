@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .perm import check_params
+from .perm import GroupParams, check_params
 from .tables import JointTable
 
 
@@ -70,8 +70,7 @@ def _packed_columns(r: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:
 
     The list is updated in place at the next step; copy it to keep it.
     """
-    check_params(r, n_max)
-    w = 8 * ((r**n_max * factorial(n_max)).bit_length() // 8 + 1)
+    w = 8 * (GroupParams(r, n_max).size.bit_length() // 8 + 1)
     shifts = [j * w for j in range(1, r)]
 
     def u(below: int, here: int) -> int:

@@ -437,6 +437,46 @@ class TestCheck:
         assert code == 0
         assert calls == [(1, 6), (2, 6), (3, 6)]
 
+    @pytest.mark.parametrize(
+        "suite, fail, summary",
+        [
+            (
+                "closed",
+                "FAIL excA_distribution_agreement r=2: injected at (2, 3)",
+                "9 checks, 8 passed, 1 failed",
+            ),
+            (
+                "logconcave",
+                "FAIL excA_shape r=2: injected at (2, 3)",
+                "17 checks, 16 passed, 1 failed",
+            ),
+        ],
+        ids=["closed", "logconcave"],
+    )
+    def test_stream_fault_is_one_fail_line_for_its_r(
+        self, capsys, monkeypatch, suite, fail, summary
+    ):
+        # A row stream that raises is one FAIL line that names only its
+        # r; the PASS lines of that r before the fault are dropped, and
+        # the sweep goes on to the next r.
+        exact = dist.iter_excA_rows
+
+        def faulty(r, n_max):
+            for n, row in enumerate(exact(r, n_max), 1):
+                if (r, n) == (2, 3):
+                    raise AssertionError("injected at (2, 3)")
+                yield row
+
+        monkeypatch.setattr(dist, "iter_excA_rows", faulty)
+        code, out, err = run_cli(
+            capsys, "check", "--r-max", "3", "--n-max", "4", "--suite", suite
+        )
+        lines = out.splitlines()
+        assert (code, err) == (1, "")
+        assert [line for line in lines if " r=2" in line] == [fail]
+        assert lines[-2].startswith("PASS") and lines[-2].endswith(" r=3 n=4")
+        assert lines[-1] == summary
+
     def test_joint_dp_runs_once_per_recursion_point(self, capsys, monkeypatch):
         # The joint table and the exc row come from one DP run per point.
         calls = []

@@ -70,10 +70,16 @@ class TestLetterOrder:
             letter.value = 2
         assert letter == ColoredLetter(1, 0)
 
-    def test_sorted_matches_compare(self):
-        letters = list(iter_alphabet(GroupParams(3, 3)))
-        shuffled = letters[::-1]
-        assert sorted(shuffled) == letters
+    @pytest.mark.parametrize("r", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_letter_place_in_alphabet(self, r, n):
+        # Colors descend block by block, values ascend within a block:
+        # j^b is letter (r-1-b)*n + j-1, counted from 0.
+        letters = list(iter_alphabet(GroupParams(r, n)))
+        assert len(letters) == r * n
+        for j in range(1, n + 1):
+            for b in range(r):
+                assert letters[(r - 1 - b) * n + j - 1] == ColoredLetter(j, b)
 
 
 class TestParseFormat:
