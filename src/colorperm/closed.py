@@ -49,7 +49,7 @@ def stirling_row(n: int) -> tuple[int, ...]:
 
     Built row by row from S(0, 0) = 1 by S(m, j) = j*S(m-1, j) + S(m-1, j-1).
     """
-    if not (isinstance(n, int) and n >= 0):
+    if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
         raise ValueError(f"set size n must be an integer >= 0, got {n!r}")
     row = [1]
     for m in range(1, n + 1):
@@ -69,11 +69,11 @@ class IntPolynomial:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
+        for c in coeffs:
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an integer")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise ValueError(f"coefficient {c!r} is not an integer")
         self.coeffs = tuple(coeffs)
 
     @property
@@ -200,7 +200,7 @@ def d_explicit(r: int, n: int, k: int) -> int:
     returned.
     """
     check_params(r, n)
-    if not (isinstance(k, int) and 0 <= k <= n - 1):
+    if isinstance(k, bool) or not (isinstance(k, int) and 0 <= k <= n - 1):
         raise ValueError(f"k must be an integer in 0..{n - 1}, got {k!r}")
     alternants = _alternants(stirling_row(n))
     total = 0

@@ -206,7 +206,7 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
     r >= 3 the formula matches the colored-count column only.
     """
     check_params(r, n)
-    if not (isinstance(i, int) and i >= 0):
+    if isinstance(i, bool) or not (isinstance(i, int) and i >= 0):
         raise ValueError(f"statistic value i must be an integer >= 0, got {i!r}")
     if i > n:
         return 0

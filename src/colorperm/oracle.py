@@ -104,7 +104,7 @@ BLOCK = 256
 BLOCK_SLOTS = 2**18
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleReport:
     """Tallies from one full enumeration of Z_r wr S_n."""
 

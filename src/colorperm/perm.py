@@ -28,7 +28,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class WindowParseError(ValueError):
@@ -93,41 +93,25 @@ def iter_alphabet(params: GroupParams) -> Iterator[ColoredLetter]:
     yield from sorted(itertools.starmap(ColoredLetter, letters))
 
 
-class ColoredPermutation:
+class ColoredPermutation(NamedTuple):
     """An element of Z_r wr S_n.
 
     ``values`` is the underlying permutation as a tuple (tau(1), ..., tau(n))
     and ``colors`` the tuple (c_1, ..., c_n) of colors by source position.
-    Instances are treated as immutable; do not assign to the fields.  The
-    constructor trusts its arguments: parse_window is the validated entry.
+    The constructor trusts its arguments: parse_window is the validated entry.
     """
 
-    __slots__ = ("r", "n", "values", "colors")
+    values: tuple[int, ...]
+    colors: tuple[int, ...]
+    r: int
 
-    def __init__(self, values: tuple[int, ...], colors: tuple[int, ...], r: int):
-        self.r = r
-        self.n = len(values)
-        self.values = values
-        self.colors = colors
+    @property
+    def n(self) -> int:
+        return len(self.values)
 
     @property
     def params(self) -> GroupParams:
         return GroupParams(self.r, self.n)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColoredPermutation):
-            return NotImplemented
-        return (
-            self.r == other.r
-            and self.values == other.values
-            and self.colors == other.colors
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.values, self.colors))
-
-    def __repr__(self):
-        return f"ColoredPermutation({self.values!r}, {self.colors!r}, r={self.r})"
 
     def __str__(self):
         return format_window(self)
@@ -136,9 +120,9 @@ class ColoredPermutation:
 def apply_extended(p: ColoredPermutation, letter: ColoredLetter) -> ColoredLetter:
     """Image of a letter of the extended alphabet under p."""
     v, b = letter.value, letter.color
-    if not (isinstance(v, int) and 1 <= v <= p.n):
+    if isinstance(v, bool) or not (isinstance(v, int) and 1 <= v <= p.n):
         raise ValueError(f"letter value {v!r} is not in 1..{p.n}")
-    if not (isinstance(b, int) and 0 <= b < p.r):
+    if isinstance(b, bool) or not (isinstance(b, int) and 0 <= b < p.r):
         raise ValueError(f"letter color {b!r} is not in 0..{p.r - 1}")
     return ColoredLetter(p.values[v - 1], (p.colors[v - 1] + b) % p.r)
 

@@ -104,9 +104,8 @@ def summarize(p: ColoredPermutation) -> StatSummary:
     exc <= r*n - 1, exc_A <= n - 1, csum <= (r-1)*n.  A violation is an
     implementation bug, not bad input.
     """
-    r, n = p.r, p.n
-    values = p.values
-    colors = p.colors
+    values, colors, r = p
+    n = len(values)
 
     # Direct scan: letter v^b maps to tau(v)^{(c_v+b) mod r}, and the image
     # is larger iff its color is smaller, or equal with a larger value.

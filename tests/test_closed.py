@@ -57,6 +57,9 @@ class TestStirling:
             stirling_row(-1)
         with pytest.raises(ValueError):
             stirling_row(2.5)
+        stirling_row(1)  # a cached row for 1 must not answer for True
+        with pytest.raises(ValueError):
+            stirling_row(True)
 
     def test_cold_row_at_large_n(self):
         # S(n, 2) = 2^(n-1) - 1; a cold row is a loop, not n-deep recursion.
@@ -110,6 +113,10 @@ class TestIntPolynomial:
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(ValueError):
             IntPolynomial((1.5,))
+        with pytest.raises(ValueError):
+            IntPolynomial((True, 2))
+        with pytest.raises(ValueError):
+            IntPolynomial((1, 0.0))
 
     def test_evaluation(self):
         p = IntPolynomial((6, 2))
@@ -213,6 +220,8 @@ class TestDExplicit:
             d_explicit(2, 3, 3)
         with pytest.raises(ValueError):
             d_explicit(2, 3, -1)
+        with pytest.raises(ValueError):
+            d_explicit(2, 3, True)
 
 
 class TestEq2:

@@ -213,6 +213,8 @@ class TestInitialCondition:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             initial_condition_formula(2, 2, -1)
+        with pytest.raises(ValueError):
+            initial_condition_formula(2, 3, True)
 
     def test_matches_the_sum_over_subsets(self):
         # The docstring's sum, term by term, as the reference for the DP.

@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -155,6 +156,11 @@ class TestBruteTables:
 
     def test_elapsed_recorded(self):
         assert brute_tables(2, 2).elapsed_seconds >= 0.0
+
+    def test_report_is_frozen(self):
+        report = brute_tables(2, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.exc_row = [0]
 
     def test_importing_the_cli_imports_no_process_pool(self):
         # brute_tables imports the pool machinery only when it opens a pool.

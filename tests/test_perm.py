@@ -17,6 +17,7 @@ from colorperm.perm import (
     parse_window,
     value_words,
 )
+from colorperm.stats import summarize
 
 
 def all_elements(r, n):
@@ -92,6 +93,16 @@ class TestParseFormat:
     def test_format_omits_zero_colors(self):
         p = ColoredPermutation((2, 1), (0, 1), r=2)
         assert format_window(p) == "2,1^1"
+
+    def test_elements_are_immutable(self):
+        p = parse_window("3,1^1,2^2", r=3)
+        kept = {p}
+        for field, value in (("values", (1, 2, 3)), ("colors", (0, 0, 0)), ("r", 4)):
+            with pytest.raises(AttributeError):
+                setattr(p, field, value)
+        assert p in kept
+        s = summarize(p)
+        assert len(s.exc_set) == s.exc == 6
 
     def test_round_trip_whitespace(self):
         p = parse_window(" 2 , 1^1 ", r=2)
@@ -186,6 +197,10 @@ class TestExtendedAction:
             apply_extended(p, ColoredLetter(3, 0))
         with pytest.raises(ValueError):
             apply_extended(p, ColoredLetter(1, 2))
+        with pytest.raises(ValueError):
+            apply_extended(p, ColoredLetter(True, 0))
+        with pytest.raises(ValueError):
+            apply_extended(p, ColoredLetter(1, False))
 
     def test_color_equivariance(self):
         # Raising the input color raises the output color, cyclically.
