@@ -16,16 +16,21 @@ with window[i] = prev[i-1] + ... + prev[i-r+1].
 
 The DP runs on packed columns (Kronecker substitution): column k of the
 table is one Python int P_k = sum_i c[i][k] 2^(i w), so slot i of P_k is
-the cell (i, k).  The window of column k is then r - 1 shifts, the sum of
-P_k << j w over j = 1..r-1, and each column costs a few linear big-int
-operations in C rather than a loop over its cells in Python.  The slot
-width w, in whole bytes, is fixed for a run up to n_max so that
+the cell (i, k).  The window of column k is then the sum of P_k << j w
+over j = 1..r-1: one shift per copy, added onto the first copy, so no sum
+starts from 0.  It is built once per column, and not at all for an
+all-zero column or at r = 1.  A new column thus costs 2r + 1 linear
+big-int passes in C (r - 1 shifts and r - 1 additions for a window and
+the column added to it, then two small multiples and their sum), seven at
+r = 3, rather than a loop over its cells in Python.  The slot width w, in
+whole bytes, is fixed for a run up to n_max so that
 r^n_max n_max! < 2^(w-1).  No slot ever carries into the next: a cell is
 at most r^n n!, and every partial sum is nonnegative and at most the cell
-it goes into.  Unpacking a column asserts that it is nonnegative and that
-the top bit of its top slot is clear, so a fault in the insertion weights
-that drives cells out of their slots is an AssertionError, which `check`
-reports as a FAIL line.
+it goes into.  Unpacking a column writes it to bytes once and decodes its
+slots with int.from_bytes over slices fixed per table.  It first asserts
+that the column is nonnegative and that the top bit of its top slot is
+clear, so a fault in the insertion weights that drives cells out of their
+slots is an AssertionError, which `check` reports as a FAIL line.
 
 From the joint table follow the distribution of exc via
 exc = r*exc_A + csum, the distribution d(r, n, k) of exc_A alone (also
@@ -71,11 +76,16 @@ def _packed_columns(r: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:
     The list is updated in place at the next step; copy it to keep it.
     """
     w = 8 * (GroupParams(r, n_max).size.bit_length() // 8 + 1)
-    shifts = [j * w for j in range(1, r)]
+    shifts = [j * w for j in range(2, r)]
 
     def u(below: int, here: int) -> int:
         # Slot i: prev[i][k-1] + prev[i-1][k] + ... + prev[i-r+1][k].
-        return below + sum(here << shift for shift in shifts)
+        if r == 1 or not here:
+            return below
+        window = here << w
+        for shift in shifts:
+            window += here << shift
+        return window + below
 
     cols = [sum(1 << i * w for i in range(r))]
     yield 1, w, cols
@@ -93,13 +103,15 @@ def _packed_columns(r: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:
 def _unpack(r: int, m: int, w: int, cols: list[int]) -> JointTable:
     """The JointTable of Z_r wr S_m from its packed columns."""
     slots, size = (r - 1) * m + 1, w // 8
+    parts = [slice(at, at + size) for at in range(0, slots * size, size)]
+    orders = ["little"] * slots
     columns = []
     for col in cols:
         if col < 0 or col.bit_length() >= slots * w:
             raise AssertionError(f"joint DP column out of its slots at n={m}")
         data = col.to_bytes(slots * size, "little")
-        slices = (data[at : at + size] for at in range(0, len(data), size))
-        columns.append([int.from_bytes(part, "little") for part in slices])
+        cells = map(int.from_bytes, map(data.__getitem__, parts), orders)
+        columns.append(list(cells))
     return JointTable(r, m, zip(*columns))
 
 
@@ -155,17 +167,10 @@ def iter_excA_rows(r: int, n_max: int) -> Iterator[list[int]]:
     row = [r]
     yield row
     for m in range(2, n_max + 1):
-        new = []
-        for k in range(m):
-            below = row[k - 1] if k >= 1 else 0
-            here = row[k] if k < m - 1 else 0
-            above = row[k + 1] if k + 1 < m - 1 else 0
-            new.append(
-                (m - k) * below
-                + (k + 1 + (r - 1) * (m - k)) * here
-                + (k + 1) * (r - 1) * above
-            )
-        row = new
+        # g[k] = g(k - 1) of excA_dist's second form, for k = 0..m.
+        g = [below + (r - 1) * here for below, here in zip([0, *row], [*row, 0])]
+        g.append(0)
+        row = [(m - k) * g[k] + (k + 1) * g[k + 1] for k in range(m)]
         yield row
 
 
@@ -178,8 +183,15 @@ def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
                    + (k+1 + (r-1)(n-k)) d(r, n-1, k)
                    + (k+1)(r-1) d(r, n-1, k+1)
 
-    with d(r, 1, 0) = r.  It must agree with joint_table(r, n).d_row(),
-    the joint table summed over the color statistic.
+    with d(r, 1, 0) = r.  Grouped by weight, with g(j) the joint DP's
+    window summed over its slots, it reads
+
+        d(r, n, k) = (n-k) g(k-1) + (k+1) g(k),
+        g(j) = d(r, n-1, j) + (r-1) d(r, n-1, j+1),
+
+    and iter_excA_rows runs this second form, building each g(j) once.
+    It must agree with joint_table(r, n).d_row(), the joint table summed
+    over the color statistic.
     """
     check_params(r, n)
     if method != "recurrence":

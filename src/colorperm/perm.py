@@ -80,17 +80,20 @@ class ColoredLetter:
         return str(self.value)
 
     # Order: higher color first, then ascending value.
+    def _key(self) -> tuple[int, int]:
+        return -self.color, self.value
+
     def __lt__(self, other):
         if not isinstance(other, ColoredLetter):
             return NotImplemented
-        return (-self.color, self.value) < (-other.color, other.value)
+        return self._key() < other._key()
 
 
 def iter_alphabet(params: GroupParams) -> Iterator[ColoredLetter]:
     """Yield the r*n letters of the extended alphabet in ascending order,
     the one that ColoredLetter's comparison defines."""
     letters = itertools.product(range(1, params.n + 1), range(params.r))
-    yield from sorted(itertools.starmap(ColoredLetter, letters))
+    yield from sorted(itertools.starmap(ColoredLetter, letters), key=ColoredLetter._key)
 
 
 class ColoredPermutation(NamedTuple):

@@ -117,10 +117,14 @@ class TestJointTable:
                     expected = _four_term(prev, r, n, i, k)
                     assert cur.get(i, k) == expected, (r, n, i, k)
 
-    @pytest.mark.parametrize("r", range(1, 8))
-    def test_packed_dp_matches_the_cell_recursion(self, r):
-        # r = 1 packs one slot per column and shifts nothing.
-        assert list(iter_joint_tables(r, 10)) == list(_reference_joint_tables(r, 10))
+    @pytest.mark.parametrize(
+        "r, n", [(1, 60), (2, 50), (3, 40), (4, 30), (5, 25), (6, 22), (7, 20)]
+    )
+    def test_packed_dp_matches_the_cell_recursion(self, r, n):
+        # Slots several bytes wide at every window width: r = 1 packs one
+        # slot per column and shifts nothing, r = 7 adds six shifted
+        # copies, and the column past the last is all zero at every n.
+        assert list(iter_joint_tables(r, n)) == list(_reference_joint_tables(r, n))
 
     @pytest.mark.parametrize(
         "r, n, digest",
