@@ -18,9 +18,18 @@ each with all r**n color words.  exc and exc_A each get one Python int
 per (csum, colored) class of words, with one fixed-width slot for each
 element of the block whose word is in the class, so csum and colored
 are the class's own.  A slot holds the sum of its element's stored
-entries: bytes.translate maps each position's values, one byte per
-tau, to the stored entries of one color, and joining those columns in
-the order of the words gives one integer per position.
+entries, built from two half sums.  bytes.translate maps each
+position's values, one byte per tau, to the stored entries of one
+color: one column per position and color.  The window is split at
+h = n // 2, and each half is summed once over its own words, r**h of
+the first h positions and r**(n - h) of the rest: joining a position's
+columns in the order of the half's words gives one integer per
+position, and their sum holds one chunk per word of the half.  A half
+of one position takes its columns as they are.  Joining each word's
+chunk of the first half in the order of the words gives one integer,
+its chunks of the second half another, and their sum holds every slot.
+With one color there is one word, which a half sum would only convert
+twice more, so there each position is a part of its own.
 
 Why every slot decodes to its own element.  A stored entry is the
 entry plus its field's lift, the least amount that makes every entry of
@@ -85,7 +94,8 @@ FEASIBILITY_LIMIT = 10**8
 #: Groups with fewer elements than this are walked inline as one run.
 #: The bound is sized by the oracle walk, the only walk a pool runs.
 #: Medians of brute_tables serially against workers=2, each in a fresh
-#: process (shared 2-vCPU host, CPython 3.11), from three sessions:
+#: process (shared 2-vCPU host, CPython 3.11), from three sessions, and
+#: last a fourth, once each block was built from two half sums:
 #:   (3, 5)    29,160 elements   2.0 / 13.5 ms    3.9 / 17.0
 #:   (2, 6)    46,080            4.5 / 17.3       8.7 / 22.2
 #:   (4, 5)   122,880            9.5 / 16.0       7.1 / 24.1
@@ -93,9 +103,14 @@ FEASIBILITY_LIMIT = 10**8
 #:   (3, 6)   524,880           32.5 / 29.6      36.6 / 38.3    36.7 / 43.5
 #:   (2, 7)   645,120           42.7 / 32.0      71.0 / 63.5    77.3 / 65.4
 #:   (6, 5)   933,120                                           75.0 / 68.9
-#: (3, 6) is at break-even, and a pool of two gains in every session
-#: only from (2, 7) on, so the bound lies between the two.  Results never
-#: depend on it, because the runs of any split merge to the same tallies.
+#:   (3, 6)   524,880           24.6 / 25.1      (fourth session)
+#:   (2, 7)   645,120           49.3 / 80.5      (fourth session)
+#: (3, 6) is at break-even, and a pool of two gains in the first three
+#: sessions only from (2, 7) on, so the bound lies between the two.  In
+#: the fourth a pool lost at (2, 7) also with one full-size int per
+#: position (54.4 / 72.9 and 51.3 / 79.2 ms), so the host, not the walk,
+#: moved, and the bound is kept.  Results never depend on it, because the
+#: runs of any split merge to the same tallies.
 POOL_MIN = 6 * 10**5
 #: A block holds at most BLOCK permutations tau, with all r**n color
 #: words each, and fewer when that would take it past BLOCK_SLOTS
@@ -181,25 +196,69 @@ def _stored_tables(r: int, n: int):
     return width, bias_e, bias_a, translations
 
 
-def _packed(chunk, width: int, translations, digits) -> memoryview:
+def _parts(r: int, digits):
+    """(positions, words, places) for each part of the window.
+
+    The parts are the window's halves, cut at h = n // 2, an empty one
+    dropped; with one color, whose one word leaves a half sum nothing to
+    share, they are its single positions.  positions is the part's slice
+    of the window.  words are the digit columns of the part's own words
+    in product order, or None for a part of one position, whose
+    per-color columns are its chunks as they are.  places[j] is the place
+    among those words of word j's part, the words in the order of digits.
+    """
+    n = len(digits)
+    cuts = (0, n // 2, n) if r > 1 else range(n + 1)
+    parts = []
+    for start, stop in zip(cuts, cuts[1:]):
+        part = digits[start:stop]
+        if len(part) == 1:
+            parts.append((slice(start, stop), None, part[0]))
+        elif part:
+            places = part[0]
+            for colors in part[1:]:
+                places = [place * r + color for place, color in zip(places, colors)]
+            words = tuple(zip(*product(range(r), repeat=len(part))))
+            parts.append((slice(start, stop), words, places))
+    return parts
+
+
+def _half_sums(columns, words, size: int) -> list[bytes]:
+    """One chunk of size bytes per word of a half, in product order: the
+    sum over the half's positions of each word's per-color columns."""
+    total = 0
+    for by_color, colors in zip(columns, words):
+        total += int.from_bytes(b"".join(map(by_color.__getitem__, colors)), "little")
+    data = total.to_bytes(len(words[0]) * size, "little")
+    return [data[q : q + size] for q in range(0, len(data), size)]
+
+
+def _packed(chunk, width: int, translations, parts) -> memoryview:
     """One field of every element of the chunk, in slots of width bytes.
 
     Slot j*len(chunk) + t holds the stored field of (chunk[t], word j),
-    the words in the order of digits: the sum over positions of the
-    stored entries, each position's from its values, one byte per tau,
-    through bytes.translate.
+    the words in the order of the parts' places: the sum over positions
+    of the stored entries, each position's from its values, one byte per
+    tau, through bytes.translate.  A half's sums are built once per word
+    of the half, and joining each word's chunk of a part in the order of
+    the words gives one integer per part.
     """
     size = len(chunk)
-    total = 0
-    for values, per_color, colors in zip(map(bytes, zip(*chunk)), translations, digits):
+    columns = []
+    for values, per_color in zip(map(bytes, zip(*chunk)), translations):
         by_color = []
         for per_byte in per_color:
             slots = bytearray(size * width)
             for b, translation in enumerate(per_byte):
                 slots[b::width] = values.translate(translation)
             by_color.append(slots)
-        total += int.from_bytes(b"".join(map(by_color.__getitem__, colors)), "little")
-    return memoryview(total.to_bytes(len(digits[0]) * size * width, "little"))
+        columns.append(by_color)
+    total = 0
+    for positions, words, places in parts:
+        part = columns[positions]
+        chunks = part[0] if words is None else _half_sums(part, words, size * width)
+        total += int.from_bytes(b"".join(map(chunks.__getitem__, places)), "little")
+    return memoryview(total.to_bytes(len(places) * size * width, "little"))
 
 
 def _count_slice(r: int, n: int, first_values: range):
@@ -212,7 +271,8 @@ def _count_slice(r: int, n: int, first_values: range):
     head = 1 << (8 * width - 1)
     classes = _classes(r, n)
     digits = list(zip(*chain.from_iterable(classes.values())))
-    ones_of: dict[int, tuple[int, int, int]] = {}
+    parts = _parts(r, digits)
+    ones_of: dict[int, tuple[int, int]] = {}
     by_csum = [0] * (((r - 1) * n + 1) * n)
     by_colored = [0] * (((r - 1) * n + 1) * n)
     exc_row = [0] * (r * n)
@@ -221,7 +281,7 @@ def _count_slice(r: int, n: int, first_values: range):
     while chunk := list(islice(taus, block)):
         size = len(chunk)
         packed_exc, packed_excA = (
-            _packed(chunk, width, field, digits) for field in translations
+            _packed(chunk, width, field, parts) for field in translations
         )
         failures = []
         start = 0

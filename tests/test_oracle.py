@@ -267,10 +267,11 @@ class TestPackedWalk:
         # each, spread over many (csum, colored) classes.
         assert_every_slice_matches(r, n)
 
-    @pytest.mark.parametrize("r, n", [(2, 4), (3, 3), (1, 5)])
+    @pytest.mark.parametrize("r, n", [(2, 4), (3, 3), (1, 5), (3, 4)])
     def test_slices_longer_than_one_block_match(self, monkeypatch, r, n):
         # Two permutations per block: every slice of more than one first
-        # value spans several blocks, and some end on a partial one.
+        # value spans several blocks, and some end on a partial one.  At
+        # (3, 4) both halves of the window have two positions.
         monkeypatch.setattr(oracle, "BLOCK", 2)
         assert_every_slice_matches(r, n)
 
@@ -366,6 +367,47 @@ class TestPackedWalk:
             "exc = r*exc_A + csum or a range bound violated for 1,2,3^1: "
             "exc=1, exc_A=0, csum=2"
         )
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            # The all-zero word takes the lower-half chunk of color word
+            # 001, so 1,2,3 holds the figures of 1,2,3^1, which only the
+            # summarize anchor can see.
+            (
+                0,
+                1,
+                "packed slots disagree with summarize at 1,2,3: "
+                "(exc, exc_A, csum) = (1, 0, 0) != (0, 0, 0)",
+            ),
+            # Lower halves 01 and 11 trade chunks and no all-zero word is
+            # reached: 1,2,3^1 holds the figures of 1,2^1,3^1, whose csum
+            # the identity sees.
+            (
+                1,
+                3,
+                "exc = r*exc_A + csum or a range bound violated for 1,2,3^1: "
+                "exc=2, exc_A=0, csum=1",
+            ),
+        ],
+    )
+    def test_half_chunk_given_to_another_word_is_caught(
+        self, monkeypatch, a, b, message
+    ):
+        # Negative control: in Z_2 wr S_3 the lower half holds positions
+        # 2 and 3, and half-words a and b trade their summed chunks.
+        # Serial, so the patched step runs in this process.
+        half_sums = oracle._half_sums
+
+        def swapped(columns, words, size):
+            chunks = half_sums(columns, words, size)
+            chunks[a], chunks[b] = chunks[b], chunks[a]
+            return chunks
+
+        monkeypatch.setattr(oracle, "_half_sums", swapped)
+        with pytest.raises(AssertionError) as caught:
+            brute_tables(2, 3)
+        assert str(caught.value) == message
 
     def test_excA_below_zero_is_caught(self, monkeypatch):
         # Negative control: position 1 holding 1 with color 1 adds -1 to
