@@ -335,9 +335,7 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
 def _entry_line(e) -> str:
     if isinstance(e, Skip):
         return f"SKIP {e.name} r={e.r} n={e.n}: {e.reason()}"
-    line = ("PASS " if e.passed else "FAIL ") + e.name
-    if e.r is not None:
-        line += f" r={e.r}"
+    line = f"{'PASS' if e.passed else 'FAIL'} {e.name} r={e.r}"
     if e.n is not None:
         line += f" n={e.n}"
     if e.counterexample:

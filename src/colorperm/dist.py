@@ -17,14 +17,13 @@ with window[i] = prev[i-1] + ... + prev[i-r+1].
 The DP runs on packed columns (Kronecker substitution): column k of the
 table is one Python int P_k = sum_i c[i][k] 2^(i w), so slot i of P_k is
 the cell (i, k).  The window of column k is then the sum of P_k << j w
-over j = 1..r-1: one shift per copy, added onto the first copy, so no sum
-starts from 0.  It is built once per column, and not at all for an
-all-zero column or at r = 1.  A new column thus costs 2r + 1 linear
-big-int passes in C (r - 1 shifts and r - 1 additions for a window and
-the column added to it, then two small multiples and their sum), seven at
-r = 3, rather than a loop over its cells in Python.  The slot width w, in
-whole bytes, is fixed for a run up to n_max so that
-r^n_max n_max! < 2^(w-1).  No slot ever carries into the next: a cell is
+over j = 1..r-1: one shift per copy, each added onto the column below,
+so no sum starts from 0.  It is built once per column.  A new column
+thus costs 2r + 1 linear big-int passes in C (r - 1 shifts and r - 1
+additions that put the window onto the column below, then two small
+multiples and their sum), seven at r = 3, rather than a loop over its
+cells in Python.  The slot width w, in whole bytes, is fixed for a run
+up to n_max so that r^n_max n_max! < 2^(w-1).  No slot ever carries into the next: a cell is
 at most r^n n!, and every partial sum is nonnegative and at most the cell
 it goes into.  Unpacking a column writes it to bytes once and decodes its
 slots with int.from_bytes over slices fixed per table.  It first asserts
@@ -76,16 +75,13 @@ def _packed_columns(r: int, n_max: int) -> Iterator[tuple[int, int, list[int]]]:
     The list is updated in place at the next step; copy it to keep it.
     """
     w = 8 * (GroupParams(r, n_max).size.bit_length() // 8 + 1)
-    shifts = [j * w for j in range(2, r)]
+    shifts = [j * w for j in range(1, r)]
 
     def u(below: int, here: int) -> int:
         # Slot i: prev[i][k-1] + prev[i-1][k] + ... + prev[i-r+1][k].
-        if r == 1 or not here:
-            return below
-        window = here << w
         for shift in shifts:
-            window += here << shift
-        return window + below
+            below += here << shift
+        return below
 
     cols = [sum(1 << i * w for i in range(r))]
     yield 1, w, cols
@@ -193,7 +189,6 @@ def excA_dist(r: int, n: int, method: str = "recurrence") -> list[int]:
     It must agree with joint_table(r, n).d_row(), the joint table summed
     over the color statistic.
     """
-    check_params(r, n)
     if method != "recurrence":
         raise ValueError(f"unknown method {method!r}; use 'recurrence'")
     for row in iter_excA_rows(r, n):

@@ -24,12 +24,10 @@ color: one column per position and color.  The window is split at
 h = n // 2, and each half is summed once over its own words, r**h of
 the first h positions and r**(n - h) of the rest: joining a position's
 columns in the order of the half's words gives one integer per
-position, and their sum holds one chunk per word of the half.  A half
-of one position takes its columns as they are.  Joining each word's
-chunk of the first half in the order of the words gives one integer,
-its chunks of the second half another, and their sum holds every slot.
-With one color there is one word, which a half sum would only convert
-twice more, so there each position is a part of its own.
+position, and their sum holds one chunk per word of the half.  Joining
+each word's chunk of the first half in the order of the words gives one
+integer, its chunks of the second half another, and their sum holds
+every slot.
 
 Why every slot decodes to its own element.  A stored entry is the
 entry plus its field's lift, the least amount that makes every entry of
@@ -197,24 +195,19 @@ def _stored_tables(r: int, n: int):
 
 
 def _parts(r: int, digits):
-    """(positions, words, places) for each part of the window.
+    """(positions, words, places) for each half of the window, cut at
+    h = n // 2, an empty one dropped.
 
-    The parts are the window's halves, cut at h = n // 2, an empty one
-    dropped; with one color, whose one word leaves a half sum nothing to
-    share, they are its single positions.  positions is the part's slice
-    of the window.  words are the digit columns of the part's own words
-    in product order, or None for a part of one position, whose
-    per-color columns are its chunks as they are.  places[j] is the place
-    among those words of word j's part, the words in the order of digits.
+    positions is the half's slice of the window.  words are the digit
+    columns of the half's own words in product order.  places[j] is the
+    place among those words of word j's half, the words in the order of
+    digits.
     """
     n = len(digits)
-    cuts = (0, n // 2, n) if r > 1 else range(n + 1)
     parts = []
-    for start, stop in zip(cuts, cuts[1:]):
+    for start, stop in ((0, n // 2), (n // 2, n)):
         part = digits[start:stop]
-        if len(part) == 1:
-            parts.append((slice(start, stop), None, part[0]))
-        elif part:
+        if part:
             places = part[0]
             for colors in part[1:]:
                 places = [place * r + color for place, color in zip(places, colors)]
@@ -255,8 +248,7 @@ def _packed(chunk, width: int, translations, parts) -> memoryview:
         columns.append(by_color)
     total = 0
     for positions, words, places in parts:
-        part = columns[positions]
-        chunks = part[0] if words is None else _half_sums(part, words, size * width)
+        chunks = _half_sums(columns[positions], words, size * width)
         total += int.from_bytes(b"".join(map(chunks.__getitem__, places)), "little")
     return memoryview(total.to_bytes(len(places) * size * width, "little"))
 

@@ -401,13 +401,56 @@ class TestPackedWalk:
 
         def swapped(columns, words, size):
             chunks = half_sums(columns, words, size)
-            chunks[a], chunks[b] = chunks[b], chunks[a]
+            if len(columns) == 2:
+                chunks[a], chunks[b] = chunks[b], chunks[a]
             return chunks
 
         monkeypatch.setattr(oracle, "_half_sums", swapped)
         with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3)
         assert str(caught.value) == message
+
+    def test_one_position_half_is_summed_and_checked(self, monkeypatch):
+        # Negative control: in Z_2 wr S_3 the upper half is position 1
+        # alone, and its two chunks, one per color, trade places, so
+        # 1,2,3 holds the figures of 1^1,2,3.  Serial, as above.
+        half_sums = oracle._half_sums
+
+        def swapped(columns, words, size):
+            chunks = half_sums(columns, words, size)
+            if len(columns) == 1:
+                chunks.reverse()
+            return chunks
+
+        monkeypatch.setattr(oracle, "_half_sums", swapped)
+        with pytest.raises(AssertionError) as caught:
+            brute_tables(2, 3)
+        assert str(caught.value) == (
+            "packed slots disagree with summarize at 1,2,3: "
+            "(exc, exc_A, csum) = (1, 0, 0) != (0, 0, 0)"
+        )
+
+    def test_one_color_halves_are_summed_and_checked(self, monkeypatch):
+        # Negative control: in S_4 = Z_1 wr S_4 each half has one word and
+        # one chunk.  _packed sums the upper half, then the lower, of each
+        # field, so every second call is a lower half; its chunk is
+        # zeroed, and 1,2,4,3 loses the excedance at position 3.
+        half_sums = oracle._half_sums
+        calls = itertools.count()
+
+        def zeroed(columns, words, size):
+            chunks = half_sums(columns, words, size)
+            if next(calls) % 2:
+                chunks[0] = bytes(size)
+            return chunks
+
+        monkeypatch.setattr(oracle, "_half_sums", zeroed)
+        with pytest.raises(AssertionError) as caught:
+            brute_tables(1, 4)
+        assert str(caught.value) == (
+            "packed slots disagree with summarize at 1,2,4,3: "
+            "(exc, exc_A, csum) = (0, 0, 0) != (1, 1, 0)"
+        )
 
     def test_excA_below_zero_is_caught(self, monkeypatch):
         # Negative control: position 1 holding 1 with color 1 adds -1 to
