@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 from functools import cache, partial
 from itertools import repeat
 from typing import NamedTuple
@@ -295,7 +294,7 @@ def suite_logconcave(r_max, n_max, report) -> list:
     def check(r, n, row):
         suffix = "" if r <= 2 else "_empirical"
         return [
-            replace(verdict, name=f"excA_{verdict.name}{suffix}")
+            verdict._replace(name=f"excA_{verdict.name}{suffix}")
             for verdict in (
                 properties.is_log_concave(row, r, n),
                 properties.is_unimodal(row, r, n),

@@ -35,12 +35,12 @@ verified by check_eq2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import factorial
+from typing import NamedTuple
 
-from .perm import check_params
+from .perm import check_int, check_params
 
 
 @lru_cache(maxsize=4)
@@ -49,8 +49,7 @@ def stirling_row(n: int) -> tuple[int, ...]:
 
     Built row by row from S(0, 0) = 1 by S(m, j) = j*S(m-1, j) + S(m-1, j-1).
     """
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"set size n must be an integer >= 0, got {n!r}")
+    check_int("set size n", n, 0)
     row = [1]
     for m in range(1, n + 1):
         row = [0] + [j * a + b for j, a, b in zip(range(1, m), row[1:], row)] + [1]
@@ -200,8 +199,7 @@ def d_explicit(r: int, n: int, k: int) -> int:
     returned.
     """
     check_params(r, n)
-    if isinstance(k, bool) or not (isinstance(k, int) and 0 <= k <= n - 1):
-        raise ValueError(f"k must be an integer in 0..{n - 1}, got {k!r}")
+    check_int("k", k, 0, n - 1)
     alternants = _alternants(stirling_row(n))
     total = 0
     binomial = 1  # C(n-1-i, k)
@@ -217,8 +215,7 @@ def d_explicit(r: int, n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Eq2Report:
+class Eq2Report(NamedTuple):
     """Outcome of verifying the derivative recurrence for D_{r,n}.
 
     It passes exactly when there is no failure detail.

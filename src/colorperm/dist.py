@@ -39,11 +39,10 @@ Eulerian numbers as the case r = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .perm import GroupParams, check_params
+from .perm import GroupParams, check_int, check_params
 from .tables import JointTable
 
 
@@ -63,8 +62,7 @@ def eulerian_row(n: int) -> list[int]:
     the row is excA_dist(1, n): the colored recursion at r = 1, as in the
     paper.  n = 0 gives [1] (the empty permutation).
     """
-    if isinstance(n, bool) or not (isinstance(n, int) and n >= 0):
-        raise ValueError(f"degree n must be an integer >= 0, got {n!r}")
+    check_int("degree n", n, 0)
     return excA_dist(1, n) if n else [1]
 
 
@@ -213,8 +211,7 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
     r >= 3 the formula matches the colored-count column only.
     """
     check_params(r, n)
-    if isinstance(i, bool) or not (isinstance(i, int) and i >= 0):
-        raise ValueError(f"statistic value i must be an integer >= 0, got {i!r}")
+    check_int("statistic value i", i, 0)
     if i > n:
         return 0
     sums = [1] + [0] * i  # sums[u]: over the positions so far, u of them t's
@@ -224,8 +221,7 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
     return factorial(i) * (r - 1) ** i * sums[i]
 
 
-@dataclass(frozen=True)
-class InitialConditionDiagnostic:
+class InitialConditionDiagnostic(NamedTuple):
     """Comparison of the k = 0 closed form against brute-force columns."""
 
     r: int

@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass
 from itertools import chain, islice, product, repeat
 from typing import NamedTuple
 
@@ -117,8 +116,7 @@ BLOCK = 256
 BLOCK_SLOTS = 2**18
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Tallies from one full enumeration of Z_r wr S_n."""
 
     r: int

@@ -23,10 +23,8 @@ The minimum letter is 1^{r-1} and the maximum is n with color 0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, NamedTuple
 
@@ -43,22 +41,30 @@ class WindowParseError(ValueError):
         self.token_index = token_index
 
 
+def check_int(label: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless value is an integer in low..high (bool does
+    not count); without high there is no upper bound."""
+    if isinstance(value, bool) or not isinstance(value, int) or not (
+        low <= value and (high is None or value <= high)
+    ):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{label} must be an integer {bound}, got {value!r}")
+
+
 def check_params(r: int, n: int = 1) -> None:
     """Raise ValueError unless r and n are integers >= 1 (bool does not count)."""
-    for label, value in (("number of colors r", r), ("degree n", n)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{label} must be an integer >= 1, got {value!r}")
+    check_int("number of colors r", r, 1)
+    check_int("degree n", n, 1)
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(NamedTuple("GroupParams", [("r", int), ("n", int)])):
     """Parameters (r, n) of the colored permutation group Z_r wr S_n."""
 
-    r: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_params(self.r, self.n)
+    def __new__(cls, r: int, n: int):
+        check_params(r, n)
+        return super().__new__(cls, r, n)
 
     @property
     def size(self) -> int:
@@ -66,10 +72,12 @@ class GroupParams:
         return self.r**self.n * factorial(self.n)
 
 
-@functools.total_ordering
-@dataclass(frozen=True, slots=True)
-class ColoredLetter:
-    """A letter j^b of the extended alphabet: value j with color b."""
+class ColoredLetter(NamedTuple):
+    """A letter j^b of the extended alphabet: value j with color b.
+
+    Letters compare in the letter order, higher color first and then
+    ascending value, not in the tuple order (value, color).
+    """
 
     value: int
     color: int
@@ -79,7 +87,6 @@ class ColoredLetter:
             return f"{self.value}^{self.color}"
         return str(self.value)
 
-    # Order: higher color first, then ascending value.
     def _key(self) -> tuple[int, int]:
         return -self.color, self.value
 
@@ -87,6 +94,21 @@ class ColoredLetter:
         if not isinstance(other, ColoredLetter):
             return NotImplemented
         return self._key() < other._key()
+
+    def __le__(self, other):
+        if not isinstance(other, ColoredLetter):
+            return NotImplemented
+        return self._key() <= other._key()
+
+    def __gt__(self, other):
+        if not isinstance(other, ColoredLetter):
+            return NotImplemented
+        return self._key() > other._key()
+
+    def __ge__(self, other):
+        if not isinstance(other, ColoredLetter):
+            return NotImplemented
+        return self._key() >= other._key()
 
 
 def iter_alphabet(params: GroupParams) -> Iterator[ColoredLetter]:
@@ -123,10 +145,8 @@ class ColoredPermutation(NamedTuple):
 def apply_extended(p: ColoredPermutation, letter: ColoredLetter) -> ColoredLetter:
     """Image of a letter of the extended alphabet under p."""
     v, b = letter.value, letter.color
-    if isinstance(v, bool) or not (isinstance(v, int) and 1 <= v <= p.n):
-        raise ValueError(f"letter value {v!r} is not in 1..{p.n}")
-    if isinstance(b, bool) or not (isinstance(b, int) and 0 <= b < p.r):
-        raise ValueError(f"letter color {b!r} is not in 0..{p.r - 1}")
+    check_int("letter value", v, 1, p.n)
+    check_int("letter color", b, 0, p.r - 1)
     return ColoredLetter(p.values[v - 1], (p.colors[v - 1] + b) % p.r)
 
 

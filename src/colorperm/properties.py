@@ -56,16 +56,15 @@ passes exactly when it carries no counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import stats
 from .perm import ColoredPermutation, check_params, format_window
 from .stats import summarize
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(NamedTuple):
     """Outcome of one property check, with a counterexample on failure."""
 
     name: str

@@ -1,6 +1,10 @@
-"""Every module-level import of the package is used or exported."""
+"""Every module-level import of the package is used or exported, and the
+CLI's start-up imports nothing it does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,25 @@ def test_every_private_name_is_referenced_elsewhere(module):
         )
     ]
     assert orphans == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        # brute_tables imports the pool machinery only when it opens a pool.
+        "concurrent.futures.process",
+        # Every record is a NamedTuple.
+        "dataclasses",
+    ],
+)
+def test_importing_the_cli_leaves_out(module):
+    code = f"import sys, colorperm.cli; print({module!r} in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout == "False\n"

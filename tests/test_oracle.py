@@ -2,18 +2,15 @@
 
 import ast
 import concurrent.futures
-import dataclasses
 import itertools
 import multiprocessing
-import os
-import subprocess
-import sys
 from math import factorial
 from pathlib import Path
 
 import pytest
 
-from colorperm.cli import main
+from colorperm.cli import Skip, main
+from colorperm.closed import check_eq2
 from colorperm.dist import initial_condition_diagnostic, joint_table
 from colorperm.oracle import (
     FEASIBILITY_LIMIT,
@@ -22,7 +19,8 @@ from colorperm.oracle import (
     compare,
 )
 from colorperm import oracle, stats
-from colorperm.perm import GroupParams, enumerate_group
+from colorperm.perm import ColoredLetter, GroupParams, enumerate_group, parse_window
+from colorperm.properties import is_log_concave
 from colorperm.stats import summarize
 from colorperm.tables import JointTable
 
@@ -157,27 +155,32 @@ class TestBruteTables:
     def test_elapsed_recorded(self):
         assert brute_tables(2, 2).elapsed_seconds >= 0.0
 
-    def test_report_is_frozen(self):
-        report = brute_tables(2, 2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            report.exc_row = [0]
 
-    def test_importing_the_cli_imports_no_process_pool(self):
-        # brute_tables imports the pool machinery only when it opens a pool.
-        src = Path(oracle.__file__).resolve().parents[1]
-        code = (
-            "import sys, colorperm.cli; "
-            "print('concurrent.futures.process' in sys.modules)"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert done.stdout == "False\n"
+RECORDS = {
+    "Skip": lambda: Skip("lemma", 9, 9, 10, 5),
+    "TableDiff": lambda: TableDiff(0, 1, 2, 3),
+    "ColoredPermutation": lambda: parse_window("3,1^1,2^2", 3),
+    "StatSummary": lambda: summarize(parse_window("3,1^1,2^2", 3)),
+    "GroupParams": lambda: GroupParams(2, 3),
+    "ColoredLetter": lambda: ColoredLetter(1, 2),
+    "OracleReport": lambda: brute_tables(2, 2),
+    "Eq2Report": lambda: check_eq2(2, 3),
+    "InitialConditionDiagnostic": lambda: initial_condition_diagnostic(
+        2, 2, brute_tables(2, 2)
+    ),
+    "PropertyVerdict": lambda: is_log_concave([1, 2, 1], 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_record_is_a_frozen_named_tuple(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    assert isinstance(record, tuple) and record._fields
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[-1], None)
+    fields = ", ".join(f"{field}={getattr(record, field)!r}" for field in record._fields)
+    assert repr(record) == f"{name}({fields})"
 
 
 class TestFirstValueChunks:
