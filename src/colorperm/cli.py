@@ -39,8 +39,9 @@ from .stats import summarize
 BRUTE_SUITE_CAP = 10**6
 
 # Every cmd_* returns (exit status, JSON object, CSV rows, text); main
-# renders the one that --format asks for.  CSV rows of None mean the text
-# is already CSV.  A ValueError from a cmd_* is a usage error (exit 2).
+# renders the one that --format asks for.  A JSON object given as a str is
+# already rendered, and CSV rows of None mean the text is already CSV.  A
+# ValueError from a cmd_* is a usage error (exit 2).
 
 
 def _key_value(obj: dict):
@@ -109,7 +110,7 @@ def cmd_joint(args):
         table = oracle.brute_tables(args.r, args.n, workers=args.threads).joint_by_csum
     else:
         table = dist.joint_table(args.r, args.n)
-    return 0, table.to_json_obj(), None, table.to_csv()
+    return 0, table.to_json(), None, table.to_csv()
 
 
 def cmd_poly(args):
@@ -270,17 +271,24 @@ def suite_eq2(r_max, n_max, report) -> list:
 
 
 def suite_symmetry(r_max, n_max, report) -> list:
-    """Palindromic exc distribution, plus the involution by its data."""
+    """Palindromic exc distribution, plus the involution by its data.
+
+    The exc rows come from one joint DP run per r; each point unpacks its
+    own table, so a fault there is a FAIL line for that point alone.
+    """
     name = "exc_complement_and_involution"
 
-    def check(r, n):
+    def check(r, n, table):
         return [
-            properties.check_symmetry_dist(dist.exc_dist(r, n), r, n),
+            properties.check_symmetry_dist(dist.exc_row_from_table(table()), r, n),
             properties.check_exc_complement(r, n),
             properties.check_involution(r, n),
         ]
 
-    return _sweep(name, r_max, n_max, check)
+    def streams(r):
+        return [dist.iter_deferred_joint_tables(r, n_max)]
+
+    return _sweep(name, r_max, n_max, check, streams)
 
 
 def suite_logconcave(r_max, n_max, report) -> list:
@@ -474,7 +482,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        text = json.dumps(obj, indent=2) + "\n"
+        text = obj if isinstance(obj, str) else json.dumps(obj, indent=2) + "\n"
     elif args.format == "csv" and rows is not None:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)

@@ -39,8 +39,9 @@ Eulerian numbers as the case r = 1.
 
 from __future__ import annotations
 
+from functools import partial
 from math import factorial
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .perm import GroupParams, check_int, check_params
 from .tables import JointTable
@@ -120,10 +121,24 @@ def _slot_sum(col: int, slots: int, w: int) -> int:
     return col
 
 
+def iter_deferred_joint_tables(
+    r: int, n_max: int
+) -> Iterator[Callable[[], JointTable]]:
+    """Yield, for n = 1, 2, ..., n_max, a call of no arguments that returns
+    the joint (csum, exc_A) table of Z_r wr S_n.
+
+    The DP runs once for the whole stream, but each table is unpacked by
+    its own call, so a fault in the unpacking is raised there and the
+    stream goes on to the next n.
+    """
+    for m, w, cols in _packed_columns(r, n_max):
+        yield partial(_unpack, r, m, w, list(cols))
+
+
 def iter_joint_tables(r: int, n_max: int) -> Iterator[JointTable]:
     """Yield the joint (csum, exc_A) tables for n = 1, 2, ..., n_max."""
-    for m, w, cols in _packed_columns(r, n_max):
-        yield _unpack(r, m, w, cols)
+    for table in iter_deferred_joint_tables(r, n_max):
+        yield table()
 
 
 def iter_joint_d_rows(r: int, n_max: int) -> Iterator[list[int]]:

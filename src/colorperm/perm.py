@@ -66,6 +66,13 @@ class GroupParams(NamedTuple("GroupParams", [("r", int), ("n", int)])):
         check_params(r, n)
         return super().__new__(cls, r, n)
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its result through _make, so both are checked.
+        params = super()._make(iterable)
+        check_params(*params)
+        return params
+
     @property
     def size(self) -> int:
         """Order of the group, r**n * n!."""

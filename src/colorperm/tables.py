@@ -9,17 +9,72 @@ rows; no cell changes afterwards.  Cells outside the box read as 0.
 Serialization: CSV is a dense grid with header ``i\\k``; JSON stores every
 cell count as a decimal string so that consumers without big integers do
 not silently round.
+
+The JSON text is exactly what json.dumps(..., indent=2) gives for
+{"r": r, "n": n, "counts": {"i,k": str(count), ...}}, with the cells in
+row-major order, but it is written without the json module: keys and
+counts are ASCII digits and commas, so nothing needs escaping, and each
+row is one %-format of a template built from per-k key suffixes.
+
+Reading checks all counts at once with C-level string operations, looks
+every key up among the box's own keys, and converts with int().  Only
+when one of these checks fails are the items walked one at a time, to
+raise the error of the first offending item in dict order.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from operator import itemgetter
 
 from .perm import check_params
 
 _CELL = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _canonical_decimals(values: list) -> bool:
+    """Whether every value is a str that _DECIMAL matches in full, by
+    passes over the whole list in C, not a regex per value."""
+    try:
+        digits = "".join(values)
+    except TypeError:  # a value that is not a str
+        return False
+    return not values or (
+        all(values)
+        and digits.isascii()
+        and digits.encode().isdigit()
+        # Every value that starts with 0 is "0" itself.
+        and "".join(map(itemgetter(0), values)).count("0") == values.count("0")
+    )
+
+
+def _box_places(height: int, n: int) -> dict[str, int]:
+    """Map each canonical key "i,k" of the box to its row-major place i*n + k."""
+    ks = [str(k) for k in range(n)]
+    places = {}
+    for i in range(height):
+        places.update(zip(map(f"{i},".__add__, ks), range(i * n, i * n + n)))
+    return places
+
+
+def _raise_first_fault(items, height: int, n: int):
+    """Raise the error of the first item whose key is not a cell "i,k" of
+    the box or whose count is not in canonical ASCII decimal."""
+    for key, count in items:
+        cell = _CELL.fullmatch(key)
+        decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
+        if not (cell and decimal):
+            raise ValueError(f"{key!r}: {count!r} not in nonnegative ASCII decimal")
+        i, k = map(int, cell.groups())
+        if not (i < height and k < n):
+            raise IndexError(
+                f"cell ({i}, {k}) outside box 0..{height - 1} x 0..{n - 1}"
+            )
+        # A count past the int/str digit limit fails here, before any
+        # later item, as it does when the table is read.
+        int(count)
+    raise AssertionError("every item passes, yet the bulk checks failed")
 
 
 class JointTable:
@@ -73,31 +128,35 @@ class JointTable:
             lines.append(str(i) + "," + ",".join(str(c) for c in row))
         return "\n".join(lines) + "\n"
 
-    def to_json_obj(self) -> dict:
-        counts = {}
-        for (i, k), count in self.items():
-            counts[f"{i},{k}"] = str(count)
-        return {"r": self.r, "n": self.n, "counts": counts}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """json.dumps({"r": r, "n": n, "counts": {"i,k": str(count), ...}},
+        indent=2) plus a newline, cells in row-major order."""
+        suffixes = [f'{k}": "%s' for k in range(self.n)]
+        rows = []
+        for i, row in enumerate(self._rows):
+            head = f'    "{i},'
+            rows.append(head + f'",\n{head}'.join(suffixes) % tuple(row))
+        return (
+            f'{{\n  "r": {self.r},\n  "n": {self.n},\n  "counts": {{\n'
+            + '",\n'.join(rows)
+            + '"\n  }\n}\n'
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "JointTable":
-        """Inverse of to_json_obj: keys "i,k" and counts in canonical ASCII
-        decimal (none negative, one key per cell); cells left out are 0."""
+        """Inverse of json.loads(to_json()): keys "i,k" and counts in
+        canonical ASCII decimal (none negative, one key per cell); cells
+        left out are 0."""
         r, n = obj["r"], obj["n"]
         check_params(r, n)
-        rows = [[0] * n for _ in range((r - 1) * n + 1)]
-        for key, count in obj["counts"].items():
-            cell = _CELL.fullmatch(key)
-            decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
-            if not (cell and decimal):
-                raise ValueError(f"{key!r}: {count!r} not in nonnegative ASCII decimal")
-            i, k = map(int, cell.groups())
-            if not (i < len(rows) and k < n):
-                raise IndexError(
-                    f"cell ({i}, {k}) outside box 0..{len(rows) - 1} x 0..{n - 1}"
-                )
-            rows[i][k] = int(count)
-        return cls(r, n, rows)
+        height = (r - 1) * n + 1
+        counts = obj["counts"]
+        items = counts.items()  # first, so that a non-mapping fails as always
+        values = list(counts.values())
+        places = list(map(_box_places(height, n).get, counts))
+        if None in places or not _canonical_decimals(values):
+            _raise_first_fault(items, height, n)
+        cells = [0] * (height * n)
+        for place, count in zip(places, map(int, values)):
+            cells[place] = count
+        return cls(r, n, [cells[at : at + n] for at in range(0, height * n, n)])

@@ -437,6 +437,21 @@ class TestCheck:
         assert code == 0
         assert calls == [(1, 6), (2, 6), (3, 6)]
 
+    def test_symmetry_runs_one_joint_dp_per_r(self, capsys, monkeypatch):
+        calls = []
+        exact = dist._packed_columns
+
+        def counted(r, n_max):
+            calls.append((r, n_max))
+            return exact(r, n_max)
+
+        monkeypatch.setattr(dist, "_packed_columns", counted)
+        code, _, _ = run_cli(
+            capsys, "check", "--r-max", "3", "--n-max", "6", "--suite", "symmetry"
+        )
+        assert code == 0
+        assert calls == [(1, 6), (2, 6), (3, 6)]
+
     @pytest.mark.parametrize(
         "suite, fail, summary",
         [

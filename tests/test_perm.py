@@ -38,6 +38,16 @@ class TestGroupParams:
         with pytest.raises(ValueError):
             GroupParams(r, n)
 
+    def test_replace_and_make_check_params(self):
+        with pytest.raises(ValueError, match="number of colors r"):
+            GroupParams(2, 3)._replace(r=0)
+        with pytest.raises(ValueError, match="number of colors r"):
+            GroupParams._make([0, -1])
+        with pytest.raises(ValueError, match="degree n"):
+            GroupParams(2, 3)._replace(n=True)
+        assert GroupParams(2, 3)._replace(n=4) == GroupParams(2, 4)
+        assert type(GroupParams._make([2, 3])) is GroupParams
+
 
 class TestLetterOrder:
     @pytest.mark.parametrize(

@@ -1,10 +1,55 @@
 """JointTable container and its serialization."""
 
 import json
+import sys
 
 import pytest
 
+from colorperm.dist import joint_table
 from colorperm.tables import JointTable
+
+
+def stdlib_json(table):
+    counts = {f"{i},{k}": str(count) for (i, k), count in table.items()}
+    return json.dumps({"r": table.r, "n": table.n, "counts": counts}, indent=2) + "\n"
+
+
+# Inputs from_json_obj rejects, each with its error's type and message.
+REJECTED = [
+    # Once accepted as a table of total 1010: a negative count, then
+    # overwritten through a second spelling of the same cell.
+    (
+        {"0,0": "-5", "+0,0": "7", "1,٠": "٣", " 1 ,1": "1_000"},
+        ValueError,
+        "'0,0': '-5' not in nonnegative ASCII decimal",
+    ),
+    ({"0,0": "-5"}, ValueError, "'0,0': '-5' not in nonnegative ASCII decimal"),
+    (
+        {"0,0": "1", "+0,0": "7"},
+        ValueError,
+        "'+0,0': '7' not in nonnegative ASCII decimal",
+    ),
+    ({"00,0": "1"}, ValueError, "'00,0': '1' not in nonnegative ASCII decimal"),
+    ({"1,٠": "1"}, ValueError, "'1,٠': '1' not in nonnegative ASCII decimal"),
+    ({" 1 ,1": "1"}, ValueError, "' 1 ,1': '1' not in nonnegative ASCII decimal"),
+    ({"1": "1"}, ValueError, "'1': '1' not in nonnegative ASCII decimal"),
+    ({"0,0,0": "1"}, ValueError, "'0,0,0': '1' not in nonnegative ASCII decimal"),
+    ({"-0,0": "1"}, ValueError, "'-0,0': '1' not in nonnegative ASCII decimal"),
+    ({"0,0\n": "1"}, ValueError, "'0,0\\n': '1' not in nonnegative ASCII decimal"),
+    ({"0,0": "٣"}, ValueError, "'0,0': '٣' not in nonnegative ASCII decimal"),
+    ({"0,0": "1_000"}, ValueError, "'0,0': '1_000' not in nonnegative ASCII decimal"),
+    ({"0,0": " 1"}, ValueError, "'0,0': ' 1' not in nonnegative ASCII decimal"),
+    ({"0,0": "+1"}, ValueError, "'0,0': '+1' not in nonnegative ASCII decimal"),
+    ({"0,0": "01"}, ValueError, "'0,0': '01' not in nonnegative ASCII decimal"),
+    ({"0,0": ""}, ValueError, "'0,0': '' not in nonnegative ASCII decimal"),
+    ({"0,0": 1}, ValueError, "'0,0': 1 not in nonnegative ASCII decimal"),
+    ({"0,0": None}, ValueError, "'0,0': None not in nonnegative ASCII decimal"),
+    ({"1,1": "1\n2"}, ValueError, "'1,1': '1\\n2' not in nonnegative ASCII decimal"),
+    ({"1,1": "5\n"}, ValueError, "'1,1': '5\\n' not in nonnegative ASCII decimal"),
+    ({"3,0": "1"}, IndexError, "cell (3, 0) outside box 0..2 x 0..1"),
+    ({"0,2": "1"}, IndexError, "cell (0, 2) outside box 0..2 x 0..1"),
+    ({"10,10": "1"}, IndexError, "cell (10, 10) outside box 0..2 x 0..1"),
+]
 
 
 def b2_table():
@@ -72,14 +117,19 @@ class TestSerialization:
         assert b2_table().to_csv() == "i\\k,0,1\n0,1,1\n1,3,1\n2,2,0\n"
 
     def test_json_counts_are_decimal_strings(self):
-        obj = b2_table().to_json_obj()
+        obj = json.loads(b2_table().to_json())
         assert obj["r"] == 2 and obj["n"] == 2
         assert obj["counts"]["1,0"] == "3"
         assert all(isinstance(v, str) for v in obj["counts"].values())
 
     def test_json_key_order(self):
-        keys = list(b2_table().to_json_obj()["counts"])
+        keys = list(json.loads(b2_table().to_json())["counts"])
         assert keys == ["0,0", "0,1", "1,0", "1,1", "2,0", "2,1"]
+
+    @pytest.mark.parametrize("r, n", [(1, 1), (2, 2), (1, 9), (5, 40), (3, 100)])
+    def test_json_is_the_stdlib_encoding(self, r, n):
+        table = joint_table(r, n)
+        assert table.to_json() == stdlib_json(table)
 
     def test_json_round_trip(self):
         text = b2_table().to_json()
@@ -87,41 +137,49 @@ class TestSerialization:
 
     def test_big_counts_survive_json(self):
         table = JointTable(1, 1, [[10**40 + 1]])
+        assert table.to_json() == stdlib_json(table)
         restored = JointTable.from_json_obj(json.loads(table.to_json()))
         assert restored.get(0, 0) == 10**40 + 1
 
     def test_cells_left_out_of_json_are_zero(self):
         table = JointTable.from_json_obj({"r": 2, "n": 2, "counts": {"1,0": "3"}})
         assert table == JointTable(2, 2, [[0, 0], [3, 0], [0, 0]])
+        empty = JointTable.from_json_obj({"r": 2, "n": 2, "counts": {}})
+        assert empty == JointTable(2, 2, [[0, 0], [0, 0], [0, 0]])
 
-    @pytest.mark.parametrize("key", ["3,0", "0,2", "10,10"])
-    def test_json_key_outside_box_raises(self, key):
-        with pytest.raises(IndexError, match=r"outside box 0\.\.2 x 0\.\.1"):
-            JointTable.from_json_obj({"r": 2, "n": 2, "counts": {key: "1"}})
+    def test_reordered_and_sparse_json_read_back(self):
+        table = joint_table(3, 12)
+        counts = json.loads(table.to_json())["counts"]
+        reordered = dict(reversed(list(counts.items())))
+        obj = {"r": 3, "n": 12, "counts": reordered}
+        assert JointTable.from_json_obj(obj) == table
+        sparse = {key: count for key, count in reordered.items() if count != "0"}
+        assert len(sparse) < len(counts)
+        obj = {"r": 3, "n": 12, "counts": sparse}
+        assert JointTable.from_json_obj(obj) == table
 
-    @pytest.mark.parametrize(
-        "counts",
-        [
-            # Once accepted as a table of total 1010: a negative count,
-            # then overwritten through a second spelling of the same cell.
-            {"0,0": "-5", "+0,0": "7", "1,٠": "٣", " 1 ,1": "1_000"},
-            {"0,0": "-5"},
-            {"0,0": "1", "+0,0": "7"},
-            {"00,0": "1"},
-            {"1,٠": "1"},
-            {" 1 ,1": "1"},
-            {"1": "1"},
-            {"0,0,0": "1"},
-            {"-0,0": "1"},
-            {"0,0": "٣"},
-            {"0,0": "1_000"},
-            {"0,0": " 1"},
-            {"0,0": "+1"},
-            {"0,0": "01"},
-            {"0,0": ""},
-            {"0,0": 1},
-        ],
+    @pytest.mark.parametrize("planted", [False, True], ids=["alone", "in-full-box"])
+    @pytest.mark.parametrize("counts, error, message", REJECTED)
+    def test_json_accepts_only_what_to_json_writes(
+        self, counts, error, message, planted
+    ):
+        # Planted in an otherwise canonical full box, a bad item reaches
+        # the bulk checks over every count and key, not a lone item; the
+        # error is that of the first bad item in dict order either way.
+        if planted:
+            counts = {**json.loads(b2_table().to_json())["counts"], **counts}
+        with pytest.raises(error) as info:
+            JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="no int/str digit limit",
     )
-    def test_json_accepts_only_what_to_json_writes(self, counts):
-        with pytest.raises(ValueError):
+    def test_count_past_digit_limit_fails_before_later_items(self):
+        # int() refuses the first count, before the bad key after it.
+        huge = "1" * (sys.get_int_max_str_digits() + 1)
+        counts = {"0,0": huge, "9,9": "1"}
+        with pytest.raises(ValueError, match="Exceeds the limit"):
             JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
