@@ -110,7 +110,8 @@ def cmd_joint(args):
         table = oracle.brute_tables(args.r, args.n, workers=args.threads).joint_by_csum
     else:
         table = dist.joint_table(args.r, args.n)
-    return 0, table.to_json(), None, table.to_csv()
+    text = table.to_json() if args.format == "json" else table.to_csv()
+    return 0, text, None, text
 
 
 def cmd_poly(args):
@@ -273,22 +274,20 @@ def suite_eq2(r_max, n_max, report) -> list:
 def suite_symmetry(r_max, n_max, report) -> list:
     """Palindromic exc distribution, plus the involution by its data.
 
-    The exc rows come from one joint DP run per r; each point unpacks its
-    own table, so a fault there is a FAIL line for that point alone.
+    The exc rows come from one joint table stream, so one DP run, per r.
     """
     name = "exc_complement_and_involution"
 
     def check(r, n, table):
         return [
-            properties.check_symmetry_dist(dist.exc_row_from_table(table()), r, n),
+            properties.check_symmetry_dist(dist.exc_row_from_table(table), r, n),
             properties.check_exc_complement(r, n),
             properties.check_involution(r, n),
         ]
 
-    def streams(r):
-        return [dist.iter_deferred_joint_tables(r, n_max)]
-
-    return _sweep(name, r_max, n_max, check, streams)
+    return _sweep(
+        name, r_max, n_max, check, lambda r: [dist.iter_joint_tables(r, n_max)]
+    )
 
 
 def suite_logconcave(r_max, n_max, report) -> list:

@@ -30,6 +30,8 @@ slots with int.from_bytes over slices fixed per table.  It first asserts
 that the column is nonnegative and that the top bit of its top slot is
 clear, so a fault in the insertion weights that drives cells out of their
 slots is an AssertionError, which `check` reports as a FAIL line.
+iter_joint_tables is a plain stream over one run of the DP: it unpacks
+each table as it yields it, so such a fault ends the stream.
 
 From the joint table follow the distribution of exc via
 exc = r*exc_A + csum, the distribution d(r, n, k) of exc_A alone (also
@@ -39,9 +41,8 @@ Eulerian numbers as the case r = 1.
 
 from __future__ import annotations
 
-from functools import partial
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .perm import GroupParams, check_int, check_params
 from .tables import JointTable
@@ -121,24 +122,11 @@ def _slot_sum(col: int, slots: int, w: int) -> int:
     return col
 
 
-def iter_deferred_joint_tables(
-    r: int, n_max: int
-) -> Iterator[Callable[[], JointTable]]:
-    """Yield, for n = 1, 2, ..., n_max, a call of no arguments that returns
-    the joint (csum, exc_A) table of Z_r wr S_n.
-
-    The DP runs once for the whole stream, but each table is unpacked by
-    its own call, so a fault in the unpacking is raised there and the
-    stream goes on to the next n.
-    """
-    for m, w, cols in _packed_columns(r, n_max):
-        yield partial(_unpack, r, m, w, list(cols))
-
-
 def iter_joint_tables(r: int, n_max: int) -> Iterator[JointTable]:
-    """Yield the joint (csum, exc_A) tables for n = 1, 2, ..., n_max."""
-    for table in iter_deferred_joint_tables(r, n_max):
-        yield table()
+    """Yield the joint (csum, exc_A) tables for n = 1, 2, ..., n_max,
+    from one run of the DP."""
+    for m, w, cols in _packed_columns(r, n_max):
+        yield _unpack(r, m, w, cols)
 
 
 def iter_joint_d_rows(r: int, n_max: int) -> Iterator[list[int]]:

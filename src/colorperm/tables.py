@@ -16,37 +16,20 @@ row-major order, but it is written without the json module: keys and
 counts are ASCII digits and commas, so nothing needs escaping, and each
 row is one %-format of a template built from per-k key suffixes.
 
-Reading checks all counts at once with C-level string operations, looks
-every key up among the box's own keys, and converts with int().  Only
-when one of these checks fails are the items walked one at a time, to
-raise the error of the first offending item in dict order.
+Reading makes one pass over the items in dict order: it looks each key
+up among the box's own keys, checks that its count is a canonical ASCII
+decimal string and converts it with int(), so the first offending item
+raises the error.
 """
 
 from __future__ import annotations
 
 import re
-from operator import itemgetter
 
 from .perm import check_params
 
 _CELL = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
-
-
-def _canonical_decimals(values: list) -> bool:
-    """Whether every value is a str that _DECIMAL matches in full, by
-    passes over the whole list in C, not a regex per value."""
-    try:
-        digits = "".join(values)
-    except TypeError:  # a value that is not a str
-        return False
-    return not values or (
-        all(values)
-        and digits.isascii()
-        and digits.encode().isdigit()
-        # Every value that starts with 0 is "0" itself.
-        and "".join(map(itemgetter(0), values)).count("0") == values.count("0")
-    )
 
 
 def _box_places(height: int, n: int) -> dict[str, int]:
@@ -58,25 +41,6 @@ def _box_places(height: int, n: int) -> dict[str, int]:
     return places
 
 
-def _raise_first_fault(items, height: int, n: int):
-    """Raise the error of the first item whose key is not a cell "i,k" of
-    the box or whose count is not in canonical ASCII decimal."""
-    for key, count in items:
-        cell = _CELL.fullmatch(key)
-        decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
-        if not (cell and decimal):
-            raise ValueError(f"{key!r}: {count!r} not in nonnegative ASCII decimal")
-        i, k = map(int, cell.groups())
-        if not (i < height and k < n):
-            raise IndexError(
-                f"cell ({i}, {k}) outside box 0..{height - 1} x 0..{n - 1}"
-            )
-        # A count past the int/str digit limit fails here, before any
-        # later item, as it does when the table is read.
-        int(count)
-    raise AssertionError("every item passes, yet the bulk checks failed")
-
-
 class JointTable:
     __slots__ = ("r", "n", "_rows")
 
@@ -85,6 +49,8 @@ class JointTable:
         rows = [list(row) for row in rows]
         if len(rows) != (r - 1) * n + 1 or any(len(row) != n for row in rows):
             raise ValueError(f"rows must fill the box: {(r - 1) * n + 1} rows of {n}")
+        if not all(type(count) is int and count >= 0 for row in rows for count in row):
+            raise ValueError("cells must be ints >= 0")
         self.r = r
         self.n = n
         self._rows = rows
@@ -150,13 +116,20 @@ class JointTable:
         r, n = obj["r"], obj["n"]
         check_params(r, n)
         height = (r - 1) * n + 1
-        counts = obj["counts"]
-        items = counts.items()  # first, so that a non-mapping fails as always
-        values = list(counts.values())
-        places = list(map(_box_places(height, n).get, counts))
-        if None in places or not _canonical_decimals(values):
-            _raise_first_fault(items, height, n)
+        places = _box_places(height, n)
         cells = [0] * (height * n)
-        for place, count in zip(places, map(int, values)):
-            cells[place] = count
+        for key, count in obj["counts"].items():
+            place = places.get(key)
+            decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
+            if place is None or not decimal:
+                cell = _CELL.fullmatch(key)
+                if not (cell and decimal):
+                    raise ValueError(
+                        f"{key!r}: {count!r} not in nonnegative ASCII decimal"
+                    )
+                i, k = cell.groups()
+                raise IndexError(
+                    f"cell ({i}, {k}) outside box 0..{height - 1} x 0..{n - 1}"
+                )
+            cells[place] = int(count)
         return cls(r, n, [cells[at : at + n] for at in range(0, height * n, n)])

@@ -83,6 +83,15 @@ class TestBoxSemantics:
         with pytest.raises(ValueError, match="fill the box"):
             JointTable(2, 2, rows)
 
+    @pytest.mark.parametrize("cell", [-1, True, 1.0, "1", None])
+    def test_cells_are_ints_at_least_zero(self, cell):
+        # to_json writes any cell it holds, and from_json_obj reads back
+        # only ints >= 0; a table holds nothing else.
+        with pytest.raises(ValueError, match="cells must be ints >= 0"):
+            JointTable(1, 1, [[cell]])
+        with pytest.raises(ValueError, match="cells must be ints >= 0"):
+            JointTable(2, 2, [[1, 1], [3, cell], [2, 0]])
+
     def test_rows_are_copied(self):
         rows = [[1, 1], [3, 1], [2, 0]]
         table = JointTable(2, 2, rows)
@@ -163,11 +172,37 @@ class TestSerialization:
     def test_json_accepts_only_what_to_json_writes(
         self, counts, error, message, planted
     ):
-        # Planted in an otherwise canonical full box, a bad item reaches
-        # the bulk checks over every count and key, not a lone item; the
-        # error is that of the first bad item in dict order either way.
+        # Alone or planted in an otherwise canonical full box, a bad item
+        # raises the same error: the reader checks each item as it reaches
+        # it, and the good items raise nothing.
         if planted:
             counts = {**json.loads(b2_table().to_json())["counts"], **counts}
+        with pytest.raises(error) as info:
+            JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "counts, error, message",
+        [
+            (
+                {"0,0": "01", "9,9": "1"},
+                ValueError,
+                "'0,0': '01' not in nonnegative ASCII decimal",
+            ),
+            (
+                {"9,9": "1", "0,0": "01"},
+                IndexError,
+                "cell (9, 9) outside box 0..2 x 0..1",
+            ),
+            (
+                {"0,0": "1", "0,1": "x", "5,5": "1"},
+                ValueError,
+                "'0,1': 'x' not in nonnegative ASCII decimal",
+            ),
+        ],
+    )
+    def test_first_bad_item_in_dict_order_raises(self, counts, error, message):
         with pytest.raises(error) as info:
             JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
         assert type(info.value) is error
