@@ -17,38 +17,37 @@ The elements are taken a block at a time: up to BLOCK permutations tau,
 each with all r**n color words.  exc and exc_A each get one Python int
 per (csum, colored) class of words, with one fixed-width slot for each
 element of the block whose word is in the class, so csum and colored
-are the class's own.  A slot holds the sum of its element's stored
-entries, built from two half sums.  bytes.translate maps each
-position's values, one byte per tau, to the stored entries of one
-color: one column per position and color.  The window is split at
-h = n // 2, and each half is summed once over its own words, r**h of
-the first h positions and r**(n - h) of the rest: joining a position's
-columns in the order of the half's words gives one integer per
-position, and their sum holds one chunk per word of the half.  Joining
-each word's chunk of the first half in the order of the words gives one
-integer, its chunks of the second half another, and their sum holds
-every slot.
+are the class's own.  A slot holds the sum of its element's entries,
+built from two half sums.  bytes.translate maps each position's values,
+one byte per tau, to the entries of one color: one column per position
+and color.  The window is split at h = n // 2, and each half is summed
+once over its own words, r**h of the first h positions and r**(n - h)
+of the rest: joining a position's columns in the order of the half's
+words gives one integer per position, and their sum holds one chunk per
+word of the half.  Joining each word's chunk of the first half in the
+order of the words gives one integer, its chunks of the second half
+another, and their sum holds every slot.
 
-Why every slot decodes to its own element.  A stored entry is the
-entry plus its field's lift, the least amount that makes every entry of
-the field nonnegative, and a slot is decoded by subtracting the n lifts
-of its positions, the field's bias.  The slot width is whole bytes,
-sized from the actual tables' maxima plus one headroom bit: the largest
-sum of stored entries, both sides of the identity below and every
-threshold lie below the slot's top bit.  So every slot holds a
-nonnegative field below its top bit, no sum carries into the next slot,
-and even a failing element decodes to its own statistics, whatever the
-tables hold.
+Why every slot decodes to its own element.  Every entry of
+stats.contributions counts letters or positions, so each table is first
+checked to hold no negative entry, and a negative one is named by its
+cell before any element is walked.  A slot then holds a plain sum of
+nonnegative entries.  The slot width is whole bytes, sized from the
+actual tables' maxima plus one headroom bit: the largest sum of entries,
+both sides of the identity below and every threshold lie below the
+slot's top bit.  So no sum carries into the next slot, and even a
+failing element of a nonnegative table decodes to its own statistics.
 
 Every slot is checked at once:
 
-* exc = r*exc_A + csum, as E + r*bias_A*ones = r*A + (csum + bias_E)*ones
-  over whole integers, where E and A hold the stored exc and exc_A and
-  ones has a 1 in every slot.  Every slot of both sides is in range, so
-  they are equal exactly when every slot is.
-* 0 <= exc_A <= n - 1 and exc <= r*n - 1 (exc >= 0 follows): adding
-  (top bit - t)*ones sets the top bit of exactly the slots that hold at
-  least t, and int.bit_count of those top bits counts them.
+* exc = r*exc_A + csum, as E = r*A + csum*ones over whole integers,
+  where E and A hold exc and exc_A and ones has a 1 in every slot.
+  Every slot of both sides is in range, so they are equal exactly when
+  every slot is.
+* exc_A <= n - 1 and exc <= r*n - 1 (both are sums of nonnegative
+  entries): adding (top bit - t)*ones sets the top bit of exactly the
+  slots that hold at least t, and int.bit_count of those top bits
+  counts them.
 * The slots of the all-zero word, class (0, 0), must equal the exc and
   exc_A of stats.summarize, which scans all r*n letters of each tau.
 
@@ -151,45 +150,44 @@ def _classes(r: int, n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
 
 
 def _stored_tables(r: int, n: int):
-    """(width, bias_e, bias_a, translations) of the packed slots of Z_r wr S_n.
+    """(width, translations) of the packed slots of Z_r wr S_n.
 
     The fields are exc and exc_A, with entries from stats.contributions.
-    Each entry is stored plus its field's lift, the least amount that
-    makes every entry of the field nonnegative, so a slot holds its
-    element's field plus the bias, n times the lift.  translations[f][i]
-    [c][b] maps the byte v to byte b of the stored entry of position i + 1
-    holding v with color c.
+    Every entry counts letters or positions, so the first negative one,
+    exc before exc_A and then by position, value and color, raises an
+    AssertionError that names its cell, and a slot holds the plain sum
+    of its element's entries.  translations[f][i][c][b] maps the byte v
+    to byte b of the entry of position i + 1 holding v with color c.
     """
     fields = stats.contributions(r, n)
-    lifts = [max(0, -min(min(map(min, rows)) for rows in field)) for field in fields]
-    bias_e, bias_a = (n * lift for lift in lifts)
-    top_e, top_a = (
-        sum(max(map(max, rows)) for rows in field) + n * lift
-        for field, lift in zip(fields, lifts)
-    )
-    # Every stored field, both sides of the identity and every threshold
-    # stay below the slot's top bit.
-    bound = max(
-        top_e + r * bias_a,
-        r * top_a + (r - 1) * n + bias_e,
-        bias_e + r * n,
-        bias_a + n,
-    )
+    for name, field in zip(("exc", "exc_A"), fields):
+        for i, rows in enumerate(field, 1):
+            for v, entries in enumerate(rows, 1):
+                for c, entry in enumerate(entries):
+                    if entry < 0:
+                        raise AssertionError(
+                            f"stats.contributions: negative {name} entry {entry} "
+                            f"at position {i}, value {v}, color {c}"
+                        )
+    top_e, top_a = (sum(max(map(max, rows)) for rows in field) for field in fields)
+    # Every field, both sides of the identity and every threshold stay
+    # below the slot's top bit.
+    bound = max(top_e, r * top_a + (r - 1) * n, r * n)
     width = (bound.bit_length() + 8) // 8
     translations = [
         [
             [
                 [stored[b::width] + bytes(255 - n) for b in range(width)]
                 for stored in (
-                    bytes(width) + _slot_bytes(entries, width, lift)
+                    bytes(width) + _slot_bytes(entries, width)
                     for entries in zip(*rows)
                 )
             ]
             for rows in field
         ]
-        for field, lift in zip(fields, lifts)
+        for field in fields
     ]
-    return width, bias_e, bias_a, translations
+    return width, translations
 
 
 def _parts(r: int, digits):
@@ -227,9 +225,9 @@ def _half_sums(columns, words, size: int) -> list[bytes]:
 def _packed(chunk, width: int, translations, parts) -> memoryview:
     """One field of every element of the chunk, in slots of width bytes.
 
-    Slot j*len(chunk) + t holds the stored field of (chunk[t], word j),
-    the words in the order of the parts' places: the sum over positions
-    of the stored entries, each position's from its values, one byte per
+    Slot j*len(chunk) + t holds the field of (chunk[t], word j), the
+    words in the order of the parts' places: the sum over positions of
+    the entries, each position's from its values, one byte per
     tau, through bytes.translate.  A half's sums are built once per word
     of the half, and joining each word's chunk of a part in the order of
     the words gives one integer per part.
@@ -257,7 +255,7 @@ def _count_slice(r: int, n: int, first_values: range):
     Returns flat lists, the first two of (r-1)*n + 1 rows of n each:
     by_csum[csum*n + exc_A], by_colored[colored*n + exc_A] and exc_row[exc].
     """
-    width, bias_e, bias_a, translations = _stored_tables(r, n)
+    width, translations = _stored_tables(r, n)
     head = 1 << (8 * width - 1)
     classes = _classes(r, n)
     digits = list(zip(*chain.from_iterable(classes.values())))
@@ -266,12 +264,21 @@ def _count_slice(r: int, n: int, first_values: range):
     by_csum = [0] * (((r - 1) * n + 1) * n)
     by_colored = [0] * (((r - 1) * n + 1) * n)
     exc_row = [0] * (r * n)
+    zeros = (0,) * n
     taus = value_words(n, first_values)
     block = max(1, min(BLOCK, BLOCK_SLOTS // len(digits[0])))
     while chunk := list(islice(taus, block)):
         size = len(chunk)
         packed_exc, packed_excA = (
             _packed(chunk, width, field, parts) for field in translations
+        )
+        # The slots of the all-zero word, class (0, 0), must hold the exc,
+        # exc_A and csum of summarize, which scans all r*n letters of each tau.
+        summaries = [summarize(ColoredPermutation(tau, zeros, r)) for tau in chunk]
+        anchor = (
+            int.from_bytes(_slot_bytes([s.exc for s in summaries], width), "little"),
+            int.from_bytes(_slot_bytes([s.exc_A for s in summaries], width), "little"),
+            any(s.csum for s in summaries),
         )
         failures = []
         start = 0
@@ -284,29 +291,22 @@ def _count_slice(r: int, n: int, first_values: range):
                 ones = int.from_bytes(b"\1".ljust(width, b"\0") * slots, "little")
                 ones_of[slots] = ones, head * ones
             ones, heads = ones_of[slots]
-            # The slots of the all-zero word must hold summarize's figures.
-            anchored = csum > 0 or _anchored(
-                r, chunk, exc, excA, width, bias_e, bias_a
-            )
-            # Slots that hold at least a, for exc_A at a = 0..n, and for exc
+            # Slots that hold at least a, for exc_A at a = 1..n, and for exc
             # at r*n: x + (head - threshold) carries into the top bit of a
             # slot exactly when the slot holds at least threshold.
-            excA_at_least = []
-            above = excA + (head - bias_a) * ones
-            for _ in range(n + 1):
-                excA_at_least.append((above & heads).bit_count())
+            excA_at_least = [slots]
+            above = excA + head * ones
+            for _ in range(n):
                 above -= ones
-            exc_too_large = (exc + (head - bias_e - r * n) * ones) & heads
+                excA_at_least.append((above & heads).bit_count())
+            exc_too_large = (exc + (head - r * n) * ones) & heads
             if (
-                not anchored
-                or exc + r * bias_a * ones != r * excA + (csum + bias_e) * ones
-                or excA_at_least[0] != slots
+                not csum and (exc, excA, False) != anchor
+                or exc != r * excA + csum * ones
                 or excA_at_least[n]
                 or exc_too_large
             ):
-                failures += _failures(
-                    r, chunk, words, csum, exc, excA, width, bias_e, bias_a
-                )
+                failures += _failures(r, chunk, words, csum, exc, excA, width)
             else:
                 tallies = [excA_at_least[a] - excA_at_least[a + 1] for a in range(n)]
                 for a, tally in enumerate(tallies):
@@ -322,46 +322,27 @@ def _count_slice(r: int, n: int, first_values: range):
     return by_csum, by_colored, exc_row
 
 
-def _slot_bytes(values, width: int, bias: int) -> bytes:
-    """Each of values plus bias in width bytes, low byte first."""
-    return b"".join(
-        map(int.to_bytes, map(bias.__add__, values), repeat(width), repeat("little"))
-    )
+def _slot_bytes(values, width: int) -> bytes:
+    """Each of values in width bytes, low byte first."""
+    return b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
 
 
-def _decode(x: int, slots: int, width: int, bias: int) -> list[int]:
-    """The fields of the slots of x, less bias, lowest slot first."""
+def _decode(x: int, slots: int, width: int) -> list[int]:
+    """The fields of the slots of x, lowest slot first."""
     data = x.to_bytes(slots * width, "little")
     return [
-        int.from_bytes(data[j : j + width], "little") - bias
-        for j in range(0, len(data), width)
+        int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)
     ]
 
 
-def _anchored(r, chunk, exc, excA, width, bias_e, bias_a) -> bool:
-    """Whether the slots of the all-zero word, one per tau of the chunk,
-    hold the exc and exc_A of summarize, which scans all r*n letters."""
-    zeros = (0,) * len(chunk[0])
-    summaries = [summarize(ColoredPermutation(tau, zeros, r)) for tau in chunk]
-    return (
-        exc.to_bytes(len(chunk) * width, "little")
-        == _slot_bytes([s.exc for s in summaries], width, bias_e)
-        and excA.to_bytes(len(chunk) * width, "little")
-        == _slot_bytes([s.exc_A for s in summaries], width, bias_a)
-        and not any(s.csum for s in summaries)
-    )
-
-
-def _failures(r, chunk, words, csum, exc, excA, width, bias_e, bias_a):
+def _failures(r, chunk, words, csum, exc, excA, width):
     """((tau index, word, kind), message) for each failing slot of one
     class: kind 0 where the all-zero word disagrees with summarize, kind 1
     where exc = r*exc_A + csum or a range bound fails.  Every slot
     decodes to its element's own statistics."""
     n, size = len(chunk[0]), len(chunk)
     slots = size * len(words)
-    decoded = zip(
-        _decode(exc, slots, width, bias_e), _decode(excA, slots, width, bias_a)
-    )
+    decoded = zip(_decode(exc, slots, width), _decode(excA, slots, width))
     found = []
     for j, (e, a) in enumerate(decoded):
         t, word = j % size, words[j // size]
@@ -373,7 +354,7 @@ def _failures(r, chunk, words, csum, exc, excA, width, bias_e, bias_a):
                 f"packed slots disagree with summarize at {p}: "
                 f"(exc, exc_A, csum) = {(e, a, 0)} != {(s.exc, s.exc_A, s.csum)}",
             ))
-        if e != r * a + csum or not (0 <= a <= n - 1 and e <= r * n - 1):
+        if e != r * a + csum or not (a <= n - 1 and e <= r * n - 1):
             found.append((
                 (t, word, 1),
                 f"exc = r*exc_A + csum or a range bound violated for {p}: "

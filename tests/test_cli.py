@@ -736,6 +736,32 @@ class TestCheck:
         assert not any(line.startswith("FAIL symmetry_involution") for line in lines)
         assert lines[-1] == "18 checks, 14 passed, 4 failed"
 
+    def test_diagonal_moved_by_the_table_is_caught_at_the_identity(
+        self, capsys, monkeypatch
+    ):
+        # Negative control for condition (c): every exc entry at position 1
+        # raised by 1.  Each pair term still agrees across colors (a) and
+        # is additive (b), but the diagonal sum is off by one, and
+        # summarize finds the identity and its image sound.
+        build = stats.contributions
+
+        def raised(r, n):
+            exc, excA = build(r, n)
+            exc[0] = [tuple(e + 1 for e in entries) for entries in exc[0]]
+            return exc, excA
+
+        monkeypatch.setattr(stats, "contributions", raised)
+        argv = ("check", "--suite", "symmetry", "--r-max", "2", "--n-max", "3")
+        code, out, err = run_cli(capsys, *argv)
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert lines[0] == (
+            "FAIL exc_complement_and_involution r=1 n=1: "
+            "identity, yet 1 pass elementwise"
+        )
+        assert lines[-1] == "6 checks, 0 passed, 6 failed"
+        assert run_cli(capsys, *argv, "--threads", "2") == (code, out, err)
+
     def test_symmetry_suite_calls_summarize_twice_per_point(self, capsys, monkeypatch):
         # Each passing point anchors the per-position check with the
         # identity and its image, and scans no other element.

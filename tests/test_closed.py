@@ -150,6 +150,10 @@ class TestDClosed:
         assert D_closed(3, 2).coeffs == (15, 3)
         assert D_closed(1, 4).coeffs == (1, 11, 11, 1)
 
+    def test_repr_and_str(self):
+        assert repr(D_closed(2, 2)) == "IntPolynomial((6, 2))"
+        assert str(D_closed(2, 2)) == "6 + 2*t"
+
     def test_one_color_is_eulerian(self):
         for n in range(1, 10):
             assert list(D_closed(1, n).coeffs) == eulerian_row(n)

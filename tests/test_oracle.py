@@ -258,10 +258,17 @@ class TestPackedWalk:
     def test_matches_summarize_tally_on_every_slice(self, r, n):
         assert_every_slice_matches(r, n)
 
-    @pytest.mark.parametrize("r, n", [(70, 2), (1000, 1)])
-    def test_two_byte_slots_match_on_every_slice(self, r, n):
+    @pytest.mark.parametrize(
+        "r, n, width",
+        [(70, 2, 2), (1000, 1, 2), (127, 1, 1), (128, 1, 2), (43, 2, 1), (44, 2, 2)],
+        ids=["70-2", "1000-1", "127-1", "128-1", "43-2", "44-2"],
+    )
+    def test_two_byte_slots_match_on_every_slice(self, r, n, width):
         # exc reaches 2r - 1 = 139 and r - 1 = 999: past one byte with
-        # its headroom bit.
+        # its headroom bit.  The widest of exc, r*exc_A + csum and the
+        # threshold r*n sets the width: r*n = 127 and 128 at n = 1, and
+        # r + 2(r - 1) = 127 and 130 at n = 2, either side of one byte.
+        assert oracle._stored_tables(r, n)[0] == width
         assert_every_slice_matches(r, n)
 
     @pytest.mark.parametrize("r, n", [(6, 3), (10, 3)])
@@ -455,10 +462,11 @@ class TestPackedWalk:
             "(exc, exc_A, csum) = (0, 0, 0) != (1, 1, 0)"
         )
 
-    def test_excA_below_zero_is_caught(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_excA_below_zero_is_caught(self, monkeypatch, pool_every_group, workers):
         # Negative control: position 1 holding 1 with color 1 adds -1 to
-        # exc_A.  The all-zero word is right, so the summarize anchor
-        # cannot see it; the biased slots decode exc_A of 1^1,2,3 to -1.
+        # exc_A.  Every entry counts letters or positions, so the table is
+        # refused by its cell before any element is walked, in each task.
         build = stats.contributions
 
         def wrong(r, n):
@@ -470,10 +478,29 @@ class TestPackedWalk:
 
         monkeypatch.setattr(stats, "contributions", wrong)
         with pytest.raises(AssertionError) as caught:
+            brute_tables(2, 3, workers=workers)
+        assert str(caught.value) == (
+            "stats.contributions: negative exc_A entry -1 at position 1, value 1, "
+            "color 1"
+        )
+
+    def test_first_negative_entry_is_named_exc_before_exc_A(self, monkeypatch):
+        # Negative control: exc_A is negative at position 1 and exc at
+        # position 3; the exc table is checked first.
+        build = stats.contributions
+
+        def wrong(r, n):
+            exc, excA = build(r, n)
+            for field, i in ((exc, 2), (excA, 0)):
+                field[i][0] = (field[i][0][0], -2)
+            return exc, excA
+
+        monkeypatch.setattr(stats, "contributions", wrong)
+        with pytest.raises(AssertionError) as caught:
             brute_tables(2, 3)
         assert str(caught.value) == (
-            "exc = r*exc_A + csum or a range bound violated for 1^1,2,3: "
-            "exc=1, exc_A=-1, csum=1"
+            "stats.contributions: negative exc entry -2 at position 3, value 1, "
+            "color 1"
         )
 
     @pytest.mark.parametrize("workers", [None, 2])

@@ -81,6 +81,20 @@ class TestSummarize:
         assert max(s.exc_A for s in summaries) == 1
         assert max(s.csum for s in summaries) == 2
 
+    @pytest.mark.parametrize(
+        "values, colors, message",
+        [
+            # ColoredPermutation trusts its arguments, so summarize's own
+            # checks are what refuse an element outside the group.
+            ((1,), (-2,), "exc = r*exc_A + csum violated for 1^-2: 1 != 1*0 + -2"),
+            ((1, 2), (-1, 2), "statistic out of range for 1^-1,2^2"),
+        ],
+    )
+    def test_assertions_name_the_element(self, values, colors, message):
+        with pytest.raises(AssertionError) as caught:
+            summarize(ColoredPermutation(values, colors, 1))
+        assert str(caught.value) == message
+
     def test_repr_mentions_counts(self):
         s = summarize(parse_window("3,1^1,2^2", r=3))
         assert "exc=6" in repr(s)
