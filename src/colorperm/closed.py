@@ -235,9 +235,11 @@ def check_eq2(r: int, n_max: int) -> Eq2Report:
     """Verify the derivative recurrence linking D_{r,n} to D_{r,n-1}.
 
     Checks n = 2..n_max with exact arithmetic and reports the first
-    failure, if any.
+    failure, if any.  An n_max below 2 leaves no n to check and raises
+    ValueError, as a bad r does.
     """
-    check_params(r, n_max)
+    check_params(r)
+    check_int("n_max", n_max, 2)
     t_minus_1 = [-1, 1]
     quadratic = _mul(t_minus_1, [r - 1, 1])  # (t-1)(t+r-1)
     prev = D_closed(r, 1)

@@ -14,19 +14,21 @@ entries come from stats.contributions, and the number of nonzero colors
 is called "colored" below.
 
 The elements are taken a block at a time: up to BLOCK permutations tau,
-each with all r**n color words.  exc and exc_A each get one Python int
-per (csum, colored) class of words, with one fixed-width slot for each
-element of the block whose word is in the class, so csum and colored
-are the class's own.  A slot holds the sum of its element's entries,
-built from two half sums.  bytes.translate maps each position's values,
-one byte per tau, to the entries of one color: one column per position
-and color.  The window is split at h = n // 2, and each half is summed
-once over its own words, r**h of the first h positions and r**(n - h)
-of the rest: joining a position's columns in the order of the half's
-words gives one integer per position, and their sum holds one chunk per
-word of the half.  Joining each word's chunk of the first half in the
-order of the words gives one integer, its chunks of the second half
-another, and their sum holds every slot.
+each with all r**n color words.  No word is held whole.  The window is
+split at h = n // 2, and _classes lists the words of each half, r**h of
+the first h positions and r**(n - h) of the rest; a word is the pair of
+its places in the two lists, filed under its (csum, colored) class.
+exc and exc_A each get one Python int per class, with one fixed-width
+slot for each element of the block whose word is in the class, so csum
+and colored are the class's own.  A slot holds the sum of its element's
+entries, built from two half sums.  bytes.translate maps each
+position's values, one byte per tau, to the entries of one color: one
+column per position and color.  Each half is summed once over its own
+words: joining a position's columns in the order of the half's words
+gives one integer per position, and their sum holds one chunk per word
+of the half.  Joining each word's chunk of the first half, the words in
+class order, gives one integer, its chunks of the second half another,
+and their sum holds every slot.
 
 Why every slot decodes to its own element.  Every entry of
 stats.contributions counts letters or positions, so each table is first
@@ -81,7 +83,7 @@ from itertools import chain, islice, product, repeat
 from typing import NamedTuple
 
 from . import stats
-from .perm import ColoredPermutation, GroupParams, value_words
+from .perm import ColoredPermutation, GroupParams, check_int, value_words
 from .stats import summarize
 from .tables import JointTable
 
@@ -136,17 +138,34 @@ class TableDiff(NamedTuple):
     right: int
 
 
-def _classes(r: int, n: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """The r**n color words of Z_r wr S_n, grouped by class.
+def _classes(r: int, n: int):
+    """(halves, classes): the r**n color words of Z_r wr S_n by class.
 
-    Maps each (csum, colored) pair that some word has to the list of its
-    words, each a tuple of n colors, in product order.  The first class
-    is (0, 0), the all-zero word alone.
+    The window is cut at h = n // 2.  halves holds the words of each
+    half, r**h of the first h positions and r**(n - h) of the rest, each
+    a tuple of colors in product order.  classes maps each (csum,
+    colored) pair that some word has to (lows, highs), where word j of
+    the class is halves[0][lows[j]] + halves[1][highs[j]].  The words of
+    a class are in product order and the classes in the order of their
+    first word, so the first class is (0, 0), the all-zero word alone.
     """
-    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for word in product(range(r), repeat=n):
-        classes.setdefault((sum(word), n - word.count(0)), []).append(word)
-    return classes
+    halves = [list(product(range(r), repeat=m)) for m in (n // 2, n - n // 2)]
+    # The words of the second half by their own (csum, colored), each
+    # group in product order.  Under one word of the first half every
+    # group goes to a class of its own, so each class gets its words in
+    # product order.
+    by_high: dict[tuple[int, int], list[int]] = {}
+    for k, word in enumerate(halves[1]):
+        by_high.setdefault((sum(word), len(word) - word.count(0)), []).append(k)
+    classes: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for i, word in enumerate(halves[0]):
+        low_csum, low_colored = sum(word), len(word) - word.count(0)
+        for (csum, colored), group in by_high.items():
+            key = low_csum + csum, low_colored + colored
+            lows, highs = classes.setdefault(key, ([], []))
+            lows.extend(repeat(i, len(group)))
+            highs.extend(group)
+    return halves, classes
 
 
 def _stored_tables(r: int, n: int):
@@ -190,47 +209,25 @@ def _stored_tables(r: int, n: int):
     return width, translations
 
 
-def _parts(r: int, digits):
-    """(positions, words, places) for each half of the window, cut at
-    h = n // 2, an empty one dropped.
-
-    positions is the half's slice of the window.  words are the digit
-    columns of the half's own words in product order.  places[j] is the
-    place among those words of word j's half, the words in the order of
-    digits.
-    """
-    n = len(digits)
-    parts = []
-    for start, stop in ((0, n // 2), (n // 2, n)):
-        part = digits[start:stop]
-        if part:
-            places = part[0]
-            for colors in part[1:]:
-                places = [place * r + color for place, color in zip(places, colors)]
-            words = tuple(zip(*product(range(r), repeat=len(part))))
-            parts.append((slice(start, stop), words, places))
-    return parts
-
-
 def _half_sums(columns, words, size: int) -> list[bytes]:
     """One chunk of size bytes per word of a half, in product order: the
     sum over the half's positions of each word's per-color columns."""
     total = 0
-    for by_color, colors in zip(columns, words):
+    for by_color, colors in zip(columns, zip(*words)):
         total += int.from_bytes(b"".join(map(by_color.__getitem__, colors)), "little")
-    data = total.to_bytes(len(words[0]) * size, "little")
+    data = total.to_bytes(len(words) * size, "little")
     return [data[q : q + size] for q in range(0, len(data), size)]
 
 
-def _packed(chunk, width: int, translations, parts) -> memoryview:
+def _packed(chunk, width: int, translations, halves, places) -> memoryview:
     """One field of every element of the chunk, in slots of width bytes.
 
-    Slot j*len(chunk) + t holds the field of (chunk[t], word j), the
-    words in the order of the parts' places: the sum over positions of
-    the entries, each position's from its values, one byte per
-    tau, through bytes.translate.  A half's sums are built once per word
-    of the half, and joining each word's chunk of a part in the order of
-    the words gives one integer per part.
+    Slot j*len(chunk) + t holds the field of (chunk[t], word j), word j
+    being halves[0][places[0][j]] + halves[1][places[1][j]]: the sum
+    over positions of the entries, each position's from its values, one
+    byte per tau, through bytes.translate.  A half's sums are built once
+    per word of the half, and joining each word's chunk of a half in the
+    order of places gives one integer per half.
     """
     size = len(chunk)
     columns = []
@@ -242,11 +239,12 @@ def _packed(chunk, width: int, translations, parts) -> memoryview:
                 slots[b::width] = values.translate(translation)
             by_color.append(slots)
         columns.append(by_color)
+    h = len(halves[0][0])
     total = 0
-    for positions, words, places in parts:
-        chunks = _half_sums(columns[positions], words, size * width)
-        total += int.from_bytes(b"".join(map(chunks.__getitem__, places)), "little")
-    return memoryview(total.to_bytes(len(places) * size * width, "little"))
+    for part, words, indices in zip((columns[:h], columns[h:]), halves, places):
+        chunks = _half_sums(part, words, size * width)
+        total += int.from_bytes(b"".join(map(chunks.__getitem__, indices)), "little")
+    return memoryview(total.to_bytes(len(indices) * size * width, "little"))
 
 
 def _count_slice(r: int, n: int, first_values: range):
@@ -257,20 +255,20 @@ def _count_slice(r: int, n: int, first_values: range):
     """
     width, translations = _stored_tables(r, n)
     head = 1 << (8 * width - 1)
-    classes = _classes(r, n)
-    digits = list(zip(*chain.from_iterable(classes.values())))
-    parts = _parts(r, digits)
+    halves, classes = _classes(r, n)
+    # Every word's place in each half, the words in the order of classes.
+    places = [list(chain.from_iterable(members)) for members in zip(*classes.values())]
     ones_of: dict[int, tuple[int, int]] = {}
     by_csum = [0] * (((r - 1) * n + 1) * n)
     by_colored = [0] * (((r - 1) * n + 1) * n)
     exc_row = [0] * (r * n)
     zeros = (0,) * n
     taus = value_words(n, first_values)
-    block = max(1, min(BLOCK, BLOCK_SLOTS // len(digits[0])))
+    block = max(1, min(BLOCK, BLOCK_SLOTS // r**n))
     while chunk := list(islice(taus, block)):
         size = len(chunk)
         packed_exc, packed_excA = (
-            _packed(chunk, width, field, parts) for field in translations
+            _packed(chunk, width, field, halves, places) for field in translations
         )
         # The slots of the all-zero word, class (0, 0), must hold the exc,
         # exc_A and csum of summarize, which scans all r*n letters of each tau.
@@ -282,8 +280,8 @@ def _count_slice(r: int, n: int, first_values: range):
         )
         failures = []
         start = 0
-        for (csum, colored), words in classes.items():
-            slots = size * len(words)
+        for (csum, colored), members in classes.items():
+            slots = size * len(members[0])
             stop = start + slots * width
             exc = int.from_bytes(packed_exc[start:stop], "little")
             excA = int.from_bytes(packed_excA[start:stop], "little")
@@ -306,7 +304,7 @@ def _count_slice(r: int, n: int, first_values: range):
                 or excA_at_least[n]
                 or exc_too_large
             ):
-                failures += _failures(r, chunk, words, csum, exc, excA, width)
+                failures += _failures(r, chunk, halves, members, csum, exc, excA, width)
             else:
                 tallies = [excA_at_least[a] - excA_at_least[a + 1] for a in range(n)]
                 for a, tally in enumerate(tallies):
@@ -335,12 +333,14 @@ def _decode(x: int, slots: int, width: int) -> list[int]:
     ]
 
 
-def _failures(r, chunk, words, csum, exc, excA, width):
+def _failures(r, chunk, halves, members, csum, exc, excA, width):
     """((tau index, word, kind), message) for each failing slot of one
-    class: kind 0 where the all-zero word disagrees with summarize, kind 1
-    where exc = r*exc_A + csum or a range bound fails.  Every slot
-    decodes to its element's own statistics."""
+    class, its words rebuilt from the halves as in _classes: kind 0 where
+    the all-zero word disagrees with summarize, kind 1 where exc =
+    r*exc_A + csum or a range bound fails.  Every slot decodes to its
+    element's own statistics."""
     n, size = len(chunk[0]), len(chunk)
+    words = [halves[0][i] + halves[1][k] for i, k in zip(*members)]
     slots = size * len(words)
     decoded = zip(_decode(exc, slots, width), _decode(excA, slots, width))
     found = []
@@ -373,9 +373,11 @@ def first_value_chunks(r: int, n: int, workers: int) -> list[range]:
     of Z_r wr S_n: at most min(workers, n) runs, or the single run
     range(1, n + 1) when the group has fewer than POOL_MIN elements, on
     which starting a pool costs more than the walk.  A walk goes to a
-    pool exactly when it has more than one run."""
+    pool exactly when it has more than one run.  workers must be an
+    integer >= 1, or ValueError is raised."""
+    check_int("workers", workers, 1)
     runs = min(workers, n) if GroupParams(r, n).size >= POOL_MIN else 1
-    size = -(-n // max(1, runs))
+    size = -(-n // runs)
     return [range(v, min(v + size, n + 1)) for v in range(1, n + 1, size)]
 
 
@@ -393,9 +395,12 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     replacing _count_slice with a closure runs inline only; to reach the
     workers, patch a function it calls, such as stats.contributions.
     Emits a RuntimeWarning when the group order exceeds
-    FEASIBILITY_LIMIT, then proceeds.
+    FEASIBILITY_LIMIT, then proceeds.  None stands for one worker; any
+    other ``workers`` must be an integer >= 1, or ValueError is raised
+    before the warning.
     """
     size = GroupParams(r, n).size
+    chunks = first_value_chunks(r, n, 1 if workers is None else workers)
     if size > FEASIBILITY_LIMIT:
         warnings.warn(
             f"enumerating Z_{r} wr S_{n} means {size} elements, "
@@ -404,7 +409,6 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
             stacklevel=2,
         )
     started = time.perf_counter()
-    chunks = first_value_chunks(r, n, workers or 1)
     if len(chunks) == 1:
         slices = [_count_slice(r, n, chunks[0])]
     else:

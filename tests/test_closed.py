@@ -235,6 +235,16 @@ class TestEq2:
             assert report.passed
             assert report.first_failure_n is None and report.detail is None
 
+    @pytest.mark.parametrize("n_max", [1, 0, True, 2.5])
+    def test_a_sweep_with_no_n_to_check_is_refused(self, n_max):
+        # n = 2..n_max is empty at n_max = 1, so a pass would check nothing.
+        with pytest.raises(ValueError, match="n_max must be an integer >= 2"):
+            check_eq2(2, n_max)
+
+    def test_bad_r_is_refused(self):
+        with pytest.raises(ValueError, match="number of colors r"):
+            check_eq2(0, 3)
+
     def test_factor_products(self):
         # Eq. 2's factors (t-1)(t+r-1) = (1-r) + (r-2)t + t^2, the middle
         # sign included, and (rn + (n-1)(t-1)) times a polynomial.

@@ -138,6 +138,16 @@ class TestBruteTables:
         assert all(tasks == size for size, tasks in opened)
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [0, -1, True, 2.5])
+    def test_bad_workers_are_refused(self, workers):
+        with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+            brute_tables(2, 2, workers=workers)
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_good_workers_are_accepted(self, workers):
+        report = brute_tables(2, 3, workers=workers)
+        assert report.exc_row == brute_tables(2, 3).exc_row == [1, 7, 16, 16, 7, 1]
+
     def test_feasibility_warning(self, monkeypatch):
         monkeypatch.setattr(oracle, "FEASIBILITY_LIMIT", 5)
         with pytest.warns(RuntimeWarning, match="feasibility"):
@@ -223,29 +233,38 @@ def assert_every_slice_matches(r, n):
 
 
 class TestClasses:
-    @pytest.mark.parametrize("r, n", [(1, 4), (2, 3), (3, 3), (10, 3), (70, 2)])
+    @pytest.mark.parametrize(
+        "r, n", [(1, 4), (2, 3), (3, 3), (10, 3), (70, 2), (5, 1)]
+    )
     def test_every_word_once_under_its_own_class_in_product_order(self, r, n):
-        classes = oracle._classes(r, n)
-        words = list(itertools.product(range(r), repeat=n))
-        for (csum, colored), members in classes.items():
+        # At (5, 1) the first half is empty: its one word is ().
+        halves, classes = oracle._classes(r, n)
+        assert [len(half) for half in halves] == [r ** (n // 2), r ** (n - n // 2)]
+        rebuilt = []
+        for (csum, colored), (lows, highs) in classes.items():
+            assert len(lows) == len(highs)
+            members = [halves[0][i] + halves[1][k] for i, k in zip(lows, highs)]
             assert all(
                 (sum(word), n - word.count(0)) == (csum, colored) for word in members
             )
             assert members == sorted(members)
-        assert sorted(itertools.chain.from_iterable(classes.values())) == words
+            rebuilt += members
+        assert sorted(rebuilt) == list(itertools.product(range(r), repeat=n))
 
 
 def misfile(monkeypatch, csum_by, colored_by):
     """Patch oracle._classes to file the first word of class (1, 1), in
-    product order, under (1 + csum_by, 1 + colored_by).  _count_slice
-    looks _classes up as a module global, so forked workers see it too."""
-    classes = oracle._classes
+    product order, under (1 + csum_by, 1 + colored_by): its (low, high)
+    pair moves to the end of that class.  _count_slice looks _classes up
+    as a module global, so forked workers see it too."""
+    classes_of = oracle._classes
 
     def misfiled(r, n):
-        found = classes(r, n)
-        word = found[1, 1].pop(0)
-        found.setdefault((1 + csum_by, 1 + colored_by), []).append(word)
-        return found
+        halves, classes = classes_of(r, n)
+        target = classes.setdefault((1 + csum_by, 1 + colored_by), ([], []))
+        for source, places in zip(classes[1, 1], target):
+            places.append(source.pop(0))
+        return halves, classes
 
     monkeypatch.setattr(oracle, "_classes", misfiled)
 
