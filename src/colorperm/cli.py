@@ -499,6 +499,9 @@ def main(argv=None) -> int:
 
 
 def run():
+    """Console entry point: counts of any length print in full."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

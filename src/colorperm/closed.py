@@ -22,8 +22,8 @@ depends on the Stirling row of n only, not on r or k:
 
 so a coefficient costs O(n) once the row A of n is known.  The two routes
 share only the Stirling row S(n, 0..n) from stirling_row.  It and A
-(_alternants, keyed on that row object) each keep their last four rows,
-so a whole d_explicit row over k builds each of them once.
+(_alternants) each keep their last four rows, keyed by n and by the
+row's values, so a whole d_explicit row over k builds each of them once.
 
 D_{r,n} also satisfies a first-order recurrence in n involving the
 derivative,
@@ -156,34 +156,22 @@ def D_closed(r: int, n: int) -> IntPolynomial:
     return IntPolynomial(horner)
 
 
-#: _alternants' last four results, keyed on id(row): (row, A).
-_ALTERNANTS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-
+@lru_cache(maxsize=4)
 def _alternants(row: tuple[int, ...]) -> tuple[int, ...]:
     """A_i = sum_{j>i} (-1)^j j! S(n, j) C(j-1, i) for i = 0..n-1.
 
     A_i is the coefficient of x^i in sum_j (-1)^j j! S(n, j) (1 + x)^(j-1),
     evaluated by Horner's rule in (1 + x), so the binomials come from
-    Pascal's rule: additions only.  ``row`` is stirling_row(n), which
-    hands back the same object while it holds the row.  The memo is keyed
-    on the row object, not on n or on its values, so a lookup costs no
-    hash of the row; it holds the row, so no other object can take its
-    id while the entry lasts, and a changed row is never answered from it.
+    Pascal's rule: additions only.  ``row`` is stirling_row(n).
     """
-    entry = _ALTERNANTS.get(id(row))
-    if entry is None:
-        n = len(row) - 1
-        signed = [(-1 if j % 2 else 1) * factorial(j) * row[j] for j in range(n + 1)]
-        horner = [signed[n]]
-        for j in range(n - 1, 0, -1):
-            # horner <- horner * (1 + x) + signed[j]
-            horner = [a + b for a, b in zip(horner + [0], [0] + horner)]
-            horner[0] += signed[j]
-        if len(_ALTERNANTS) >= 4:
-            del _ALTERNANTS[next(iter(_ALTERNANTS))]
-        entry = _ALTERNANTS[id(row)] = row, tuple(horner)
-    return entry[1]
+    n = len(row) - 1
+    signed = [(-1 if j % 2 else 1) * factorial(j) * row[j] for j in range(n + 1)]
+    horner = [signed[n]]
+    for j in range(n - 1, 0, -1):
+        # horner <- horner * (1 + x) + signed[j]
+        horner = [a + b for a, b in zip(horner + [0], [0] + horner)]
+        horner[0] += signed[j]
+    return tuple(horner)
 
 
 def d_explicit(r: int, n: int, k: int) -> int:
@@ -193,10 +181,9 @@ def d_explicit(r: int, n: int, k: int) -> int:
     d(r, n, k) = r * sum_i (-1)^(k-1-i) r^i A_i C(n-1-i, k),
     summed from i = n-1-k down to 0 so that C(m, k), m = n-1-i, steps
     from C(k, k) = 1 by C(m+1, k) = C(m, k) (m+1) / (m+1-k), an exact
-    integer division.  A comes from _alternants on the cached
-    stirling_row(n), so a whole row over k builds both once.  The sum has
-    massive cancellation; the result is asserted nonnegative before being
-    returned.
+    integer division.  A comes from _alternants(stirling_row(n)).  The sum
+    has massive cancellation; the result is asserted nonnegative before
+    being returned.
     """
     check_params(r, n)
     check_int("k", k, 0, n - 1)

@@ -207,6 +207,9 @@ def initial_condition_formula(r: int, n: int, i: int) -> int:
     gives 1.  The sum is evaluated over positions 1..n in turn: a
     position that is no t_u, with u of the t's before it, contributes
     the factor u + 1, so O(n * i) steps replace the C(n, i) terms.
+    That step is Stirling's recurrence
+    S(m + 1, u + 1) = (u + 1) S(m, u + 1) + S(m, u), so sums[u] ends as
+    S(n + 1, u + 1) and the value is i! (r-1)^i S(n + 1, i + 1).
 
     Which k = 0 column the formula reproduces, by color sum or by number
     of nonzero colors, is an empirical question answered by

@@ -2,6 +2,9 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,6 +213,38 @@ class TestJointAndPoly:
             capsys, "poly", "--r", "1", "--n", "4", "--format", "json"
         )
         assert json.loads(out)["coefficients"] == ["1", "11", "11", "1"]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="the interpreter has no int/str digit limit",
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_console_prints_counts_past_the_digit_limit(self, fmt):
+        # Each coefficient has about 4,400 digits; str() refuses it under
+        # the default limit, which the console entry point lifts.
+        r = 10**2200 + 7
+        exact = list(closed.D_closed(r, 2).coeffs)
+        done = subprocess.run(
+            [sys.executable, "-m", "colorperm.cli", "poly", "--r", str(r),
+             "--n", "2", "--format", fmt],
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if fmt == "text":
+                printed = done.stdout.replace("*t", "").split(" + ")
+            elif fmt == "json":
+                printed = json.loads(done.stdout)["coefficients"]
+            else:
+                printed = [line.split(",")[1] for line in done.stdout.split()[1:]]
+            assert [int(c) for c in printed] == exact
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestBijection:

@@ -73,11 +73,19 @@ class TestStirling:
         [d_explicit(3, 30, k) for k in range(30)]
         assert stirling_row.cache_info().misses == 1
 
+    def test_d_explicit_row_builds_the_alternants_once(self):
+        closed._alternants.cache_clear()
+        [d_explicit(3, 30, k) for k in range(30)]
+        assert closed._alternants.cache_info().misses == 1
+
     def test_closed_has_no_unbounded_cache_and_no_recursion(self):
         tree = ast.parse(Path(closed.__file__).read_text())
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             assert "cache" not in (name, getattr(node, "name", None)), ast.unparse(node)
+            # Caches are keyed by value: an id() key outlives its object.
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id != "id", ast.unparse(node)
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
                 "lru_cache"
             ):
@@ -206,18 +214,31 @@ class TestDExplicit:
         )
         assert closed._alternants(row) == expected
 
-    def test_alternant_memo_is_keyed_on_the_row_object(self):
+    def test_alternant_cache_is_keyed_by_the_row_values(self):
         row = stirling_row(7)
         first = closed._alternants(row)
-        assert closed._alternants(row) is first
-        # An equal row that is another object is computed afresh; a
-        # changed row never matches a held one.
+        # An equal row that is another object is answered from the cache.
         copy = tuple(list(row))
         assert copy is not row
-        again = closed._alternants(copy)
-        assert again == first and again is not first
+        hits = closed._alternants.cache_info().hits
+        assert closed._alternants(copy) == first
+        assert closed._alternants.cache_info().hits == hits + 1
+        # A row with one entry changed is another key.
         changed = row[:2] + (row[2] + 1,) + row[3:]
         assert closed._alternants(changed) != first
+
+    def test_a_changed_stirling_row_is_never_answered_from_the_cache(
+        self, monkeypatch
+    ):
+        clean = [d_explicit(3, 7, k) for k in range(7)]
+        row = stirling_row(7)
+        off = row[:3] + (row[3] + 1,) + row[4:]
+        monkeypatch.setattr(closed, "stirling_row", lambda n: off)
+        warm = [d_explicit(3, 7, k) for k in range(7)]
+        closed._alternants.cache_clear()
+        cold = [d_explicit(3, 7, k) for k in range(7)]
+        assert warm == cold
+        assert warm != clean
 
     def test_rejects_out_of_range_k(self):
         with pytest.raises(ValueError):

@@ -236,8 +236,9 @@ class TestInitialCondition:
     def test_large_point_is_a_stirling_number(self):
         # (r - 1)^i N(n, i, 0) = i! (r - 1)^i S(n + 1, i + 1); a loop over
         # the C(24, 12) subsets takes seconds here.
-        expected = factorial(12) * closed.stirling_row(25)[13]
-        assert initial_condition_formula(2, 24, 12) == expected
+        for r, n, i in [(2, 24, 12), (3, 30, 7), (4, 40, 20), (5, 14, 14), (6, 60, 1)]:
+            expected = factorial(i) * (r - 1) ** i * closed.stirling_row(n + 1)[i + 1]
+            assert initial_condition_formula(r, n, i) == expected, (r, n, i)
 
     def test_matches_two_color_k0_column(self):
         # For two colors the color sum counts the colored positions, so
