@@ -151,7 +151,7 @@ def _run_points(name: str, points, check) -> list:
     """Concatenate check(r, n, *rest) over the points (r, n, *rest).
 
     An AssertionError or ValueError is an invariant violated inside the
-    code under test (cmd_check has validated the sweep's bounds already);
+    code under test (run_suites has validated the sweep's bounds already);
     it becomes a FAIL verdict named ``name`` for that point, with the
     message as the counterexample, and the sweep goes on.
     """
@@ -168,13 +168,14 @@ def _sweep(name: str, r_max: int, n_max: int, check, streams=lambda r: ()) -> li
     """Concatenate check(r, n, *items) over r = 1..r_max and n = 1..n_max,
     with one item per n from each of the iterables streams(r).
 
-    Each r is also a point of its own: a stream that raises is one FAIL
-    line for its r, in place of that r's verdicts.
+    Each r is also a point of its own: a stream that raises, or that
+    does not hold exactly one item per n, is one FAIL line for its r, in
+    place of that r's verdicts.
     """
 
     def per_r(r, _):
-        points = zip(repeat(r), range(1, n_max + 1), *streams(r))
-        return _run_points(name, points, check)
+        points = zip(range(1, n_max + 1), *streams(r), strict=True)
+        return _run_points(name, ((r, *point) for point in points), check)
 
     return _run_points(name, zip(range(1, r_max + 1), repeat(None)), per_r)
 
@@ -332,7 +333,9 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     again and raises the same message.  Every suite but `eq2` walks its
     points through _sweep; `lemma` and `recursion` wrap their per-point
     check in _capped, which skips the groups above BRUTE_SUITE_CAP.
+    r_max and n_max must be integers >= 1, or ValueError is raised.
     """
+    check_params(r_max, n_max)
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = cache(partial(oracle.brute_tables, workers=workers))
     return [entry for name in names for entry in _SUITES[name](r_max, n_max, report)]
@@ -350,7 +353,6 @@ def _entry_line(e) -> str:
 
 
 def cmd_check(args):
-    check_params(args.r_max, args.n_max)
     entries = run_suites(args.suite, args.r_max, args.n_max, workers=args.threads)
     verdicts = [e for e in entries if not isinstance(e, Skip)]
     skips = [e for e in entries if isinstance(e, Skip)]

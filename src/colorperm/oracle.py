@@ -17,7 +17,7 @@ The elements are taken a block at a time: up to BLOCK permutations tau,
 each with all r**n color words.  No word is held whole.  The window is
 split at h = n // 2, and _classes lists the words of each half, r**h of
 the first h positions and r**(n - h) of the rest; a word is the pair of
-its places in the two lists, filed under its (csum, colored) class.
+its indices in the two lists, filed under its (csum, colored) class.
 exc and exc_A each get one Python int per class, with one fixed-width
 slot for each element of the block whose word is in the class, so csum
 and colored are the class's own.  A slot holds the sum of its element's
@@ -26,9 +26,10 @@ position's values, one byte per tau, to the entries of one color: one
 column per position and color.  Each half is summed once over its own
 words: joining a position's columns in the order of the half's words
 gives one integer per position, and their sum holds one chunk per word
-of the half.  Joining each word's chunk of the first half, the words in
-class order, gives one integer, its chunks of the second half another,
-and their sum holds every slot.
+of the half.  A class's int is built straight from the two halves:
+joining the first half's chunk of each of its words, in the class's
+order, gives one integer, joining their second half's chunks another,
+and their sum holds the class's slots.
 
 Why every slot decodes to its own element.  Every entry of
 stats.contributions counts letters or positions, so each table is first
@@ -79,7 +80,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from itertools import chain, islice, product, repeat
+from itertools import islice, product, repeat
 from typing import NamedTuple
 
 from . import stats
@@ -219,15 +220,17 @@ def _half_sums(columns, words, size: int) -> list[bytes]:
     return [data[q : q + size] for q in range(0, len(data), size)]
 
 
-def _packed(chunk, width: int, translations, halves, places) -> memoryview:
-    """One field of every element of the chunk, in slots of width bytes.
+def _packed(chunk, width: int, translations, halves, classes) -> list[int]:
+    """One field of every element of the chunk, one int per class of
+    classes, in its order, with slots of width bytes.
 
-    Slot j*len(chunk) + t holds the field of (chunk[t], word j), word j
-    being halves[0][places[0][j]] + halves[1][places[1][j]]: the sum
-    over positions of the entries, each position's from its values, one
-    byte per tau, through bytes.translate.  A half's sums are built once
-    per word of the half, and joining each word's chunk of a half in the
-    order of places gives one integer per half.
+    Slot j*len(chunk) + t of class (lows, highs) holds the field of
+    (chunk[t], word j), word j being halves[0][lows[j]] +
+    halves[1][highs[j]]: the sum over positions of the entries, each
+    position's from its values, one byte per tau, through
+    bytes.translate.  A half's sums are built once per word of the half,
+    first half first; the class's int is the first half's chunks joined
+    in lows order plus the second half's joined in highs order.
     """
     size = len(chunk)
     columns = []
@@ -240,11 +243,13 @@ def _packed(chunk, width: int, translations, halves, places) -> memoryview:
             by_color.append(slots)
         columns.append(by_color)
     h = len(halves[0][0])
-    total = 0
-    for part, words, indices in zip((columns[:h], columns[h:]), halves, places):
-        chunks = _half_sums(part, words, size * width)
-        total += int.from_bytes(b"".join(map(chunks.__getitem__, indices)), "little")
-    return memoryview(total.to_bytes(len(indices) * size * width, "little"))
+    low = _half_sums(columns[:h], halves[0], size * width)
+    high = _half_sums(columns[h:], halves[1], size * width)
+    return [
+        int.from_bytes(b"".join(map(low.__getitem__, lows)), "little")
+        + int.from_bytes(b"".join(map(high.__getitem__, highs)), "little")
+        for lows, highs in classes.values()
+    ]
 
 
 def _count_slice(r: int, n: int, first_values: range):
@@ -256,8 +261,6 @@ def _count_slice(r: int, n: int, first_values: range):
     width, translations = _stored_tables(r, n)
     head = 1 << (8 * width - 1)
     halves, classes = _classes(r, n)
-    # Every word's place in each half, the words in the order of classes.
-    places = [list(chain.from_iterable(members)) for members in zip(*classes.values())]
     ones_of: dict[int, tuple[int, int]] = {}
     by_csum = [0] * (((r - 1) * n + 1) * n)
     by_colored = [0] * (((r - 1) * n + 1) * n)
@@ -268,7 +271,7 @@ def _count_slice(r: int, n: int, first_values: range):
     while chunk := list(islice(taus, block)):
         size = len(chunk)
         packed_exc, packed_excA = (
-            _packed(chunk, width, field, halves, places) for field in translations
+            _packed(chunk, width, field, halves, classes) for field in translations
         )
         # The slots of the all-zero word, class (0, 0), must hold the exc,
         # exc_A and csum of summarize, which scans all r*n letters of each tau.
@@ -279,12 +282,10 @@ def _count_slice(r: int, n: int, first_values: range):
             any(s.csum for s in summaries),
         )
         failures = []
-        start = 0
-        for (csum, colored), members in classes.items():
+        for ((csum, colored), members), exc, excA in zip(
+            classes.items(), packed_exc, packed_excA
+        ):
             slots = size * len(members[0])
-            stop = start + slots * width
-            exc = int.from_bytes(packed_exc[start:stop], "little")
-            excA = int.from_bytes(packed_excA[start:stop], "little")
             if slots not in ones_of:
                 ones = int.from_bytes(b"\1".ljust(width, b"\0") * slots, "little")
                 ones_of[slots] = ones, head * ones
@@ -313,7 +314,6 @@ def _count_slice(r: int, n: int, first_values: range):
                 # Every slot of exc_A a holds exc r*a + csum, below r*n.
                 for level, tally in zip(range(csum, r * n, r), tallies):
                     exc_row[level] += tally
-            start = stop
         if failures:
             # The first failing element in enumerate_group order.
             raise AssertionError(min(failures)[1])

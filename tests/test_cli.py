@@ -33,6 +33,22 @@ def _stirling_row_off_at_3_2(n):
     return tuple(row)
 
 
+def _raise_at_third(rows):
+    """The first two rows, then an AssertionError in place of the third."""
+    yield from rows[:2]
+    raise AssertionError("injected at (2, 3)")
+
+
+def _two_short(rows):
+    """All rows but the last two: a stream that ends early."""
+    return rows[:-2]
+
+
+def _one_long(rows):
+    """Every row and the last one again: a stream that runs long."""
+    return rows + rows[-1:]
+
+
 def _negative_weights(m, k):
     """keeping = -1 at k = 0: cell (0, 0) is -1 from n = 2 on."""
     return m - k, k - 1
@@ -505,36 +521,76 @@ class TestCheck:
         assert calls == [(1, 6), (2, 6), (3, 6)]
 
     @pytest.mark.parametrize(
-        "suite, fail, summary",
+        "suite, stream, fault, fail, summary",
         [
             (
                 "closed",
+                "iter_excA_rows",
+                _raise_at_third,
                 "FAIL excA_distribution_agreement r=2: injected at (2, 3)",
                 "9 checks, 8 passed, 1 failed",
             ),
             (
                 "logconcave",
+                "iter_excA_rows",
+                _raise_at_third,
                 "FAIL excA_shape r=2: injected at (2, 3)",
                 "17 checks, 16 passed, 1 failed",
             ),
+            (
+                "closed",
+                "iter_excA_rows",
+                _two_short,
+                "FAIL excA_distribution_agreement r=2: "
+                "zip() argument 2 is shorter than argument 1",
+                "9 checks, 8 passed, 1 failed",
+            ),
+            (
+                "logconcave",
+                "iter_excA_rows",
+                _two_short,
+                "FAIL excA_shape r=2: zip() argument 2 is shorter than argument 1",
+                "17 checks, 16 passed, 1 failed",
+            ),
+            (
+                "symmetry",
+                "iter_joint_tables",
+                _two_short,
+                "FAIL exc_complement_and_involution r=2: "
+                "zip() argument 2 is shorter than argument 1",
+                "25 checks, 24 passed, 1 failed",
+            ),
+            (
+                "logconcave",
+                "iter_excA_rows",
+                _one_long,
+                "FAIL excA_shape r=2: zip() argument 2 is longer than argument 1",
+                "17 checks, 16 passed, 1 failed",
+            ),
         ],
-        ids=["closed", "logconcave"],
+        ids=[
+            "closed",
+            "logconcave",
+            "closed-short",
+            "logconcave-short",
+            "symmetry-short",
+            "logconcave-long",
+        ],
     )
     def test_stream_fault_is_one_fail_line_for_its_r(
-        self, capsys, monkeypatch, suite, fail, summary
+        self, capsys, monkeypatch, suite, stream, fault, fail, summary
     ):
-        # A row stream that raises is one FAIL line that names only its
-        # r; the PASS lines of that r before the fault are dropped, and
-        # the sweep goes on to the next r.
-        exact = dist.iter_excA_rows
+        # A row stream that raises, or that ends early or runs long, at
+        # r = 2 is one FAIL line that names only its r; the PASS lines of
+        # that r before the fault are dropped, and the sweep goes on to
+        # the next r.
+        exact = getattr(dist, stream)
 
         def faulty(r, n_max):
-            for n, row in enumerate(exact(r, n_max), 1):
-                if (r, n) == (2, 3):
-                    raise AssertionError("injected at (2, 3)")
-                yield row
+            rows = list(exact(r, n_max))
+            yield from fault(rows) if r == 2 else rows
 
-        monkeypatch.setattr(dist, "iter_excA_rows", faulty)
+        monkeypatch.setattr(dist, stream, faulty)
         code, out, err = run_cli(
             capsys, "check", "--r-max", "3", "--n-max", "4", "--suite", suite
         )
@@ -1091,6 +1147,20 @@ class TestCheck:
         code, out, err = run_cli(capsys, "check", flag, "0")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "suite, r_max, n_max, message",
+        [
+            ("lemma", 0, 5, "number of colors r must be an integer >= 1, got 0"),
+            ("all", 3, 0, "degree n must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_run_suites_refuses_an_empty_sweep(self, suite, r_max, n_max, message):
+        # The library entry point checks its own bounds: an empty sweep
+        # returned no verdicts, or eq2's alone, and so read as a pass.
+        with pytest.raises(ValueError) as caught:
+            cli.run_suites(suite, r_max, n_max)
+        assert str(caught.value) == message
 
     def test_threads_flag_accepted(self, capsys, pool_every_group):
         code, out, _ = run_cli(

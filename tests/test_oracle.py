@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import itertools
 import multiprocessing
+import tracemalloc
 from math import factorial
 from pathlib import Path
 
@@ -315,6 +316,26 @@ class TestPackedWalk:
         monkeypatch.setattr(stats, "contributions", counted)
         oracle._count_slice(2, 4, range(1, 5))
         assert built == [(2, 4)]
+
+    def test_slice_peak_is_a_small_multiple_of_the_word_index(self):
+        # At (60, 3) a slice of one first value is 2 permutations, a
+        # block each, with 216,000 words over many classes.  Each class's
+        # int is joined straight from the two halves' chunks, so no join
+        # spans the whole block, and the walk's peak stays within three
+        # times the bytes of the word index that _classes holds (about
+        # 1.5 times here).
+        tracemalloc.start()
+        try:
+            held = oracle._classes(60, 3)
+            index = tracemalloc.get_traced_memory()[0]
+            del held
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            oracle._count_slice(60, 3, range(1, 2))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * index
 
     def test_summarize_assertion_propagates(self, monkeypatch):
         def broken(p):
