@@ -9,10 +9,11 @@ and its coefficients have an explicit alternating double sum (d_explicit).
 Both are computed exactly over the integers, in O(n^2) coefficient
 operations per polynomial or per row of coefficients.
 
-D_closed evaluates the expansion by Horner's rule in (t + r - 1): with
-w_j = r j! S(n, j), start from H = w_n and set
-H <- H (t + r - 1) + w_j (1 - t)^(n-j) for j = n-1 down to 1, carrying
-(1 - t)^(n-j) along one factor at a time.
+D_closed evaluates the expansion in powers of v = 1 - t, where
+t + r - 1 = r - v: with w_j = r j! S(n, j), it starts from H = w_n and
+sets H <- H (r - v) + w_j v^(n-j) for j = n-1 down to 1, so each weight
+lands in one coefficient.  One Horner pass in (1 - t) then takes H back
+to powers of t, by subtractions only.
 
 d_explicit sums the alternating double sum over j first; that inner sum
 depends on the Stirling row of n only, not on r or k:
@@ -139,21 +140,22 @@ def _mul(a, b) -> list[int]:
 def D_closed(r: int, n: int) -> IntPolynomial:
     """Generating polynomial of exc_A over Z_r wr S_n, by the Stirling form.
 
-    Horner's rule in (t + r - 1), from j = n down to 1.
+    Horner's rule in (t + r - 1) = (r - v), from j = n down to 1, in
+    powers of v = 1 - t; then Horner's rule in v back to powers of t.
     """
     check_params(r, n)
     row = stirling_row(n)
-    horner = [r * factorial(n) * row[n]]
-    down = [1]  # (1 - t)^(n-j)
+    horner = [r * factorial(n) * row[n]]  # ascending powers of v
     for j in range(n - 1, 0, -1):
-        down = [a - b for a, b in zip(down + [0], [0] + down)]
-        weight = r * factorial(j) * row[j]
-        # horner <- horner * (t + r - 1) + weight * (1 - t)^(n-j)
-        horner = [
-            (r - 1) * a + b + weight * c
-            for a, b, c in zip(horner + [0], [0] + horner, down)
-        ]
-    return IntPolynomial(horner)
+        # horner <- horner * (r - v) + w_j v^(n-j)
+        horner = [r * a - b for a, b in zip(horner + [0], [0] + horner)]
+        horner[n - j] += r * factorial(j) * row[j]
+    coeffs = [horner.pop()]  # ascending powers of t
+    while horner:
+        # coeffs <- coeffs * (1 - t) + the next lower coefficient in v
+        coeffs = [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        coeffs[0] += horner.pop()
+    return IntPolynomial(coeffs)
 
 
 @lru_cache(maxsize=4)

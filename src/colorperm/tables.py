@@ -14,12 +14,17 @@ The JSON text is exactly what json.dumps(..., indent=2) gives for
 {"r": r, "n": n, "counts": {"i,k": str(count), ...}}, with the cells in
 row-major order, but it is written without the json module: keys and
 counts are ASCII digits and commas, so nothing needs escaping, and each
-row is one %-format of a template built from per-k key suffixes.
+row is one %-format of a template built from per-k key suffixes.  Each
+writer collects its header, rows, separators and footer in one list and
+joins it once, so the text is built once.
 
-Reading makes one pass over the items in dict order: it looks each key
-up among the box's own keys, checks that its count is a canonical ASCII
-decimal string and converts it with int(), so the first offending item
-raises the error.
+Reading makes one pass over the items in dict order: it splits each key
+once at its first comma and looks the halves up among the box's row
+labels "0".."(r-1)n" and column labels "0".."n-1", so a key places a cell
+exactly when it is a canonical in-box "i,k".  It checks that the count
+is a canonical ASCII decimal string and converts it with int(), so the
+first offending item raises the error.  Anything but an object with
+"r", "n" and an object "counts" raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,15 +35,6 @@ from .perm import check_params
 
 _CELL = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
-
-
-def _box_places(height: int, n: int) -> dict[str, int]:
-    """Map each canonical key "i,k" of the box to its row-major place i*n + k."""
-    ks = [str(k) for k in range(n)]
-    places = {}
-    for i in range(height):
-        places.update(zip(map(f"{i},".__add__, ks), range(i * n, i * n + n)))
-    return places
 
 
 class JointTable:
@@ -88,41 +84,43 @@ class JointTable:
         return f"JointTable(r={self.r}, n={self.n}, total={self.total})"
 
     def to_csv(self) -> str:
-        header = "i\\k," + ",".join(str(k) for k in range(self.n))
-        lines = [header]
+        pieces = ["i\\k,", ",".join(map(str, range(self.n))), "\n"]
         for i, row in enumerate(self._rows):
-            lines.append(str(i) + "," + ",".join(str(c) for c in row))
-        return "\n".join(lines) + "\n"
+            pieces += (f"{i},", ",".join(map(str, row)), "\n")
+        return "".join(pieces)
 
     def to_json(self) -> str:
         """json.dumps({"r": r, "n": n, "counts": {"i,k": str(count), ...}},
         indent=2) plus a newline, cells in row-major order."""
         suffixes = [f'{k}": "%s' for k in range(self.n)]
-        rows = []
+        pieces = [f'{{\n  "r": {self.r},\n  "n": {self.n},\n  "counts": {{\n']
         for i, row in enumerate(self._rows):
             head = f'    "{i},'
-            rows.append(head + f'",\n{head}'.join(suffixes) % tuple(row))
-        return (
-            f'{{\n  "r": {self.r},\n  "n": {self.n},\n  "counts": {{\n'
-            + '",\n'.join(rows)
-            + '"\n  }\n}\n'
-        )
+            pieces += (head, f'",\n{head}'.join(suffixes) % tuple(row), '",\n')
+        pieces[-1] = '"\n  }\n}\n'
+        return "".join(pieces)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "JointTable":
         """Inverse of json.loads(to_json()): keys "i,k" and counts in
         canonical ASCII decimal (none negative, one key per cell); cells
         left out are 0."""
-        r, n = obj["r"], obj["n"]
+        if not isinstance(obj, dict) or not obj.keys() >= {"r", "n", "counts"}:
+            raise ValueError('table JSON must be an object with "r", "n" and "counts"')
+        r, n, counts = obj["r"], obj["n"], obj["counts"]
         check_params(r, n)
+        if not isinstance(counts, dict):
+            raise ValueError('table JSON "counts" must be an object')
         height = (r - 1) * n + 1
-        places = _box_places(height, n)
+        rows = {str(i): i * n for i in range(height)}
+        columns = {str(k): k for k in range(n)}
         cells = [0] * (height * n)
-        for key, count in obj["counts"].items():
-            place = places.get(key)
+        for key, count in counts.items():
+            i, _, k = key.partition(",") if isinstance(key, str) else ("", "", "")
+            row, column = rows.get(i), columns.get(k)
             decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
-            if place is None or not decimal:
-                cell = _CELL.fullmatch(key)
+            if row is None or column is None or not decimal:
+                cell = isinstance(key, str) and _CELL.fullmatch(key)
                 if not (cell and decimal):
                     raise ValueError(
                         f"{key!r}: {count!r} not in nonnegative ASCII decimal"
@@ -131,5 +129,5 @@ class JointTable:
                 raise IndexError(
                     f"cell ({i}, {k}) outside box 0..{height - 1} x 0..{n - 1}"
                 )
-            cells[place] = int(count)
+            cells[row + column] = int(count)
         return cls(r, n, [cells[at : at + n] for at in range(0, height * n, n)])

@@ -182,8 +182,9 @@ class TestDClosed:
             for n in range(1, 11):
                 assert sum(D_closed(r, n).coeffs) == r**n * factorial(n)
 
-    def test_matches_recursions_at_large_n(self):
-        assert list(D_closed(3, 200).coeffs) == excA_dist(3, 200)
+    @pytest.mark.parametrize("r, n", [(3, 200), (7, 60)])
+    def test_matches_recursions_at_large_n(self, r, n):
+        assert list(D_closed(r, n).coeffs) == excA_dist(r, n)
 
 
 class TestDExplicit:

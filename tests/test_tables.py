@@ -1,7 +1,10 @@
 """JointTable container and its serialization."""
 
+import csv
+import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -12,6 +15,27 @@ from colorperm.tables import JointTable
 def stdlib_json(table):
     counts = {f"{i},{k}": str(count) for (i, k), count in table.items()}
     return json.dumps({"r": table.r, "n": table.n, "counts": counts}, indent=2) + "\n"
+
+
+def stdlib_csv(table):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["i\\k", *range(table.n)])
+    for i in range(table.i_max + 1):
+        writer.writerow([i, *(table.get(i, k) for k in range(table.n))])
+    return out.getvalue()
+
+
+def traced(call):
+    """call()'s result, and the bytes it allocated that are still held and
+    at their peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
 
 
 # Inputs from_json_obj rejects, each with its error's type and message.
@@ -49,6 +73,26 @@ REJECTED = [
     ({"3,0": "1"}, IndexError, "cell (3, 0) outside box 0..2 x 0..1"),
     ({"0,2": "1"}, IndexError, "cell (0, 2) outside box 0..2 x 0..1"),
     ({"10,10": "1"}, IndexError, "cell (10, 10) outside box 0..2 x 0..1"),
+    # Keys that are not strings, as a dict built by hand may hold.
+    ({0: "1"}, ValueError, "0: '1' not in nonnegative ASCII decimal"),
+    ({(0, 0): "1"}, ValueError, "(0, 0): '1' not in nonnegative ASCII decimal"),
+    ({b"0,0": "1"}, ValueError, "b'0,0': '1' not in nonnegative ASCII decimal"),
+    ({None: "1"}, ValueError, "None: '1' not in nonnegative ASCII decimal"),
+]
+
+# Objects that are no table at all, each with from_json_obj's message.
+NOT_A_TABLE = 'table JSON must be an object with "r", "n" and "counts"'
+COUNTS_NOT_AN_OBJECT = 'table JSON "counts" must be an object'
+MALFORMED = [
+    ([2, 2, {}], NOT_A_TABLE),
+    ("table", NOT_A_TABLE),
+    (None, NOT_A_TABLE),
+    ({"n": 2, "counts": {}}, NOT_A_TABLE),
+    ({"r": 2, "counts": {}}, NOT_A_TABLE),
+    ({"r": 2, "n": 2}, NOT_A_TABLE),
+    ({"r": 2, "n": 2, "counts": [["0,0", "1"]]}, COUNTS_NOT_AN_OBJECT),
+    ({"r": 2, "n": 2, "counts": "0,0"}, COUNTS_NOT_AN_OBJECT),
+    ({"r": 2, "n": 2, "counts": None}, COUNTS_NOT_AN_OBJECT),
 ]
 
 
@@ -140,6 +184,11 @@ class TestSerialization:
         table = joint_table(r, n)
         assert table.to_json() == stdlib_json(table)
 
+    @pytest.mark.parametrize("r, n", [(1, 1), (2, 2), (1, 9), (5, 40), (3, 100)])
+    def test_csv_is_the_stdlib_writer(self, r, n):
+        table = joint_table(r, n)
+        assert table.to_csv() == stdlib_csv(table)
+
     def test_json_round_trip(self):
         text = b2_table().to_json()
         assert JointTable.from_json_obj(json.loads(text)) == b2_table()
@@ -200,12 +249,29 @@ class TestSerialization:
                 ValueError,
                 "'0,1': 'x' not in nonnegative ASCII decimal",
             ),
+            (
+                {"0,0": "1", 5: "1", "9,9": "1"},
+                ValueError,
+                "5: '1' not in nonnegative ASCII decimal",
+            ),
+            (
+                {"9,9": "1", 5: "1"},
+                IndexError,
+                "cell (9, 9) outside box 0..2 x 0..1",
+            ),
         ],
     )
     def test_first_bad_item_in_dict_order_raises(self, counts, error, message):
         with pytest.raises(error) as info:
             JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
         assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("obj, message", MALFORMED)
+    def test_malformed_shapes_raise_value_error(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            JointTable.from_json_obj(obj)
+        assert type(info.value) is ValueError
         assert str(info.value) == message
 
     @pytest.mark.skipif(
@@ -218,3 +284,21 @@ class TestSerialization:
         counts = {"0,0": huge, "9,9": "1"}
         with pytest.raises(ValueError, match="Exceeds the limit"):
             JointTable.from_json_obj({"r": 2, "n": 2, "counts": counts})
+
+
+@pytest.mark.skipif(tracemalloc.is_tracing(), reason="tracemalloc already running")
+class TestMemory:
+    # At (3, 100) a writer need hold only its pieces and the text joined
+    # from them, and the reader the cells it places and the table built
+    # from them: no second copy of the text, and no per-cell key index.
+    @pytest.mark.parametrize("writer", ["to_json", "to_csv"])
+    def test_writer_peak_is_at_most_two_and_a_half_texts(self, writer):
+        table = joint_table(3, 100)
+        text, _, peak = traced(getattr(table, writer))
+        assert peak <= 2.5 * len(text)
+
+    def test_reader_peak_is_at_most_twice_the_table(self):
+        obj = json.loads(joint_table(3, 100).to_json())
+        table, kept, peak = traced(lambda: JointTable.from_json_obj(obj))
+        assert table == joint_table(3, 100)
+        assert peak <= 2 * kept
