@@ -333,9 +333,13 @@ def run_suites(suite: str, r_max: int, n_max: int, workers=None) -> list:
     again and raises the same message.  Every suite but `eq2` walks its
     points through _sweep; `lemma` and `recursion` wrap their per-point
     check in _capped, which skips the groups above BRUTE_SUITE_CAP.
-    r_max and n_max must be integers >= 1, or ValueError is raised.
+    r_max and n_max must be integers >= 1, and suite one of SUITE_NAMES
+    or "all", or ValueError is raised.
     """
     check_params(r_max, n_max)
+    if suite not in (*SUITE_NAMES, "all"):
+        known = ", ".join(SUITE_NAMES)
+        raise ValueError(f"suite must be one of {known} or all, got {suite!r}")
     names = SUITE_NAMES if suite == "all" else (suite,)
     report = cache(partial(oracle.brute_tables, workers=workers))
     return [entry for name in names for entry in _SUITES[name](r_max, n_max, report)]

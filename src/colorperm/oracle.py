@@ -54,26 +54,29 @@ Every slot is checked at once:
 * The slots of the all-zero word, class (0, 0), must equal the exc and
   exc_A of stats.summarize, which scans all r*n letters of each tau.
 
-The same counts give exact Python-int tallies: the difference of the
-counts at a and a + 1 is the number of slots of exc_A a, and each of
-them is counted at a in both joint tables and at r*a + csum in the exc
-row.  That row is exact, because a class is tallied only when all of
-its slots pass: then each slot's own exc equals r*a + csum, and the
-threshold at r*n, which the identity and the exc_A bounds do not imply,
-puts that value inside the row.  A block with a failing slot is decoded
-slot by slot, and an AssertionError names the first failing element in
-enumerate_group order and its statistics; where an element breaks both
-the anchor and the identity, the anchor is named.
+The same counts give exact Python-int tallies, one list of n per class:
+the difference of the counts at a and a + 1 is the number of slots of
+exc_A a, and a passing class adds it at a into its own list.  The walk
+knows neither table's shape.  brute_tables counts a class's elements
+of exc_A a at (csum, a) in one joint table, at (colored, a) in the
+other and at r*a + csum in the exc row.  That row is exact, because a
+class is tallied only when all of its slots pass: then each slot's own
+exc equals r*a + csum, and the threshold at r*n, which the identity and
+the exc_A bounds do not imply, puts that value inside the row.  A block
+with a failing slot is decoded slot by slot, and an AssertionError
+names the first failing element in enumerate_group order and its
+statistics; where an element breaks both the anchor and the identity,
+the anchor is named.
 
 The unit of work is a slice: the elements whose window starts with a
 value in a run of consecutive first values.  Slices of disjoint runs are
 disjoint, the runs of first_value_chunks cover the group, and slices
-merge by plain addition (_add).  A group with fewer than POOL_MIN
-elements is one run, range(1, n + 1), whatever the workers, as is every
-serial call.  brute_tables is the one driver of the walk: it runs the
-tasks of a group on a pool of its own when there is more than one and
-inline otherwise, and merges them.  `dist`, `joint` and `check`'s
-`lemma` and `recursion` suites all read a group through it.
+merge by adding their lists class by class.  A group with fewer than
+POOL_MIN elements is one run, range(1, n + 1), whatever the workers, as
+is every serial call.  brute_tables is the one driver of the walk: it
+runs the tasks of a group on a pool of its own when there is more than
+one and inline otherwise, and merges them.  `dist`, `joint` and
+`check`'s `lemma` and `recursion` suites all read a group through it.
 """
 
 from __future__ import annotations
@@ -255,16 +258,15 @@ def _packed(chunk, width: int, translations, halves, classes) -> list[int]:
 def _count_slice(r: int, n: int, first_values: range):
     """Tally every element whose window starts with a value in first_values.
 
-    Returns flat lists, the first two of (r-1)*n + 1 rows of n each:
-    by_csum[csum*n + exc_A], by_colored[colored*n + exc_A] and exc_row[exc].
+    Returns {(csum, colored): counts} with one entry per class of
+    _classes(r, n), in its order: counts[a] is the number of the slice's
+    elements of the class with exc_A a, for a = 0..n-1.
     """
     width, translations = _stored_tables(r, n)
     head = 1 << (8 * width - 1)
     halves, classes = _classes(r, n)
     ones_of: dict[int, tuple[int, int]] = {}
-    by_csum = [0] * (((r - 1) * n + 1) * n)
-    by_colored = [0] * (((r - 1) * n + 1) * n)
-    exc_row = [0] * (r * n)
+    tallies = {key: [0] * n for key in classes}
     zeros = (0,) * n
     taus = value_words(n, first_values)
     block = max(1, min(BLOCK, BLOCK_SLOTS // r**n))
@@ -282,8 +284,8 @@ def _count_slice(r: int, n: int, first_values: range):
             any(s.csum for s in summaries),
         )
         failures = []
-        for ((csum, colored), members), exc, excA in zip(
-            classes.items(), packed_exc, packed_excA
+        for ((csum, _), members), counts, exc, excA in zip(
+            classes.items(), tallies.values(), packed_exc, packed_excA
         ):
             slots = size * len(members[0])
             if slots not in ones_of:
@@ -307,17 +309,12 @@ def _count_slice(r: int, n: int, first_values: range):
             ):
                 failures += _failures(r, chunk, halves, members, csum, exc, excA, width)
             else:
-                tallies = [excA_at_least[a] - excA_at_least[a + 1] for a in range(n)]
-                for a, tally in enumerate(tallies):
-                    by_csum[csum * n + a] += tally
-                    by_colored[colored * n + a] += tally
-                # Every slot of exc_A a holds exc r*a + csum, below r*n.
-                for level, tally in zip(range(csum, r * n, r), tallies):
-                    exc_row[level] += tally
+                for a in range(n):
+                    counts[a] += excA_at_least[a] - excA_at_least[a + 1]
         if failures:
             # The first failing element in enumerate_group order.
             raise AssertionError(min(failures)[1])
-    return by_csum, by_colored, exc_row
+    return tallies
 
 
 def _slot_bytes(values, width: int) -> bytes:
@@ -363,11 +360,6 @@ def _failures(r, chunk, halves, members, csum, exc, excA, width):
     return found
 
 
-def _add(slices) -> list[list[int]]:
-    """Cellwise sums of slice tallies, each a triple of flat lists."""
-    return [[sum(counts) for counts in zip(*parts)] for parts in zip(*slices)]
-
-
 def first_value_chunks(r: int, n: int, workers: int) -> list[range]:
     """1..n cut into runs of consecutive values, one per task of a walk
     of Z_r wr S_n: at most min(workers, n) runs, or the single run
@@ -383,6 +375,11 @@ def first_value_chunks(r: int, n: int, workers: int) -> list[range]:
 
 def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
     """Enumerate Z_r wr S_n and tally all three distributions.
+
+    One pass over the slices' class lists, added by class key, fills the
+    rows of both joint tables and the exc row: class (csum, colored) adds
+    its count at exc_A a to cells (csum, a) and (colored, a) and to exc
+    r*a + csum.
 
     The slices of first_value_chunks(r, n, workers) run on a pool of one
     process each when there is more than one, and inline otherwise, as
@@ -416,13 +413,20 @@ def brute_tables(r: int, n: int, workers: int | None = None) -> OracleReport:
 
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             slices = list(pool.map(_count_slice, repeat(r), repeat(n), chunks))
-    by_csum, by_colored, exc_row = _add(slices)
+    by_csum = [[0] * n for _ in range((r - 1) * n + 1)]
+    by_colored = [row[:] for row in by_csum]
+    exc_row = [0] * (r * n)
+    for tally in slices:
+        for (csum, colored), counts in tally.items():
+            for a, count in enumerate(counts):
+                by_csum[csum][a] += count
+                by_colored[colored][a] += count
+            # Every element of exc_A a in the class has exc r*a + csum, below r*n.
+            for level, count in zip(range(csum, r * n, r), counts):
+                exc_row[level] += count
     elapsed = time.perf_counter() - started
-    table_csum, table_colored = (
-        JointTable(r, n, [flat[i : i + n] for i in range(0, len(flat), n)])
-        for flat in (by_csum, by_colored)
-    )
-    return OracleReport(r, n, size, table_csum, table_colored, exc_row, elapsed)
+    tables = [JointTable(r, n, rows) for rows in (by_csum, by_colored)]
+    return OracleReport(r, n, size, *tables, exc_row, elapsed)
 
 
 def compare(left: JointTable, right: JointTable) -> list[TableDiff]:

@@ -33,7 +33,6 @@ import re
 
 from .perm import check_params
 
-_CELL = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 
 
@@ -120,12 +119,12 @@ class JointTable:
             row, column = rows.get(i), columns.get(k)
             decimal = isinstance(count, str) and _DECIMAL.fullmatch(count)
             if row is None or column is None or not decimal:
-                cell = isinstance(key, str) and _CELL.fullmatch(key)
-                if not (cell and decimal):
+                # A key is a cell exactly when both halves are decimals;
+                # a key with no comma has an empty second half.
+                if not (decimal and _DECIMAL.fullmatch(i) and _DECIMAL.fullmatch(k)):
                     raise ValueError(
                         f"{key!r}: {count!r} not in nonnegative ASCII decimal"
                     )
-                i, k = cell.groups()
                 raise IndexError(
                     f"cell ({i}, {k}) outside box 0..{height - 1} x 0..{n - 1}"
                 )

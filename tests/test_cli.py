@@ -1162,6 +1162,17 @@ class TestCheck:
             cli.run_suites(suite, r_max, n_max)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("suite", ["nope", "All", ""])
+    def test_run_suites_refuses_an_unknown_suite(self, suite):
+        # The library entry point names the suites; the CLI's argparse
+        # choices never let such a name through.
+        with pytest.raises(ValueError) as caught:
+            cli.run_suites(suite, 2, 2)
+        assert str(caught.value) == (
+            "suite must be one of lemma, recursion, closed, eq2, symmetry, "
+            f"logconcave or all, got {suite!r}"
+        )
+
     def test_threads_flag_accepted(self, capsys, pool_every_group):
         code, out, _ = run_cli(
             capsys,

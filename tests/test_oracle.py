@@ -1,6 +1,7 @@
 """Brute-force enumeration tallies and table comparison."""
 
 import ast
+import collections
 import concurrent.futures
 import itertools
 import multiprocessing
@@ -26,19 +27,19 @@ from colorperm.stats import summarize
 from colorperm.tables import JointTable
 
 
-def reference_slice(r, n, first_values):
-    """_count_slice's flat tallies, built from enumerate_group and summarize."""
-    by_csum = [0] * (((r - 1) * n + 1) * n)
-    by_colored = [0] * (((r - 1) * n + 1) * n)
+def reference_tallies(r, n):
+    """(singles, exc_row) from enumerate_group and summarize: singles[v - 1]
+    holds _count_slice's class tallies of the slice range(v, v + 1), its
+    classes in the order of their first word, and exc_row the group's
+    tally of exc, the letter scan."""
+    singles = [{} for _ in range(n)]
     exc_row = [0] * (r * n)
     for p in enumerate_group(GroupParams(r, n)):
-        if p.values[0] not in first_values:
-            continue
         s = summarize(p)
-        by_csum[s.csum * n + s.exc_A] += 1
-        by_colored[(n - p.colors.count(0)) * n + s.exc_A] += 1
+        key = s.csum, n - p.colors.count(0)
+        singles[p.values[0] - 1].setdefault(key, [0] * n)[s.exc_A] += 1
         exc_row[s.exc] += 1
-    return by_csum, by_colored, exc_row
+    return singles, exc_row
 
 
 class TestBruteTables:
@@ -224,13 +225,21 @@ class TestFirstValueChunks:
 
 
 def assert_every_slice_matches(r, n):
-    """_count_slice equals reference_slice on every run of consecutive
-    first values, the whole range included."""
-    singles = [reference_slice(r, n, range(v, v + 1)) for v in range(1, n + 1)]
+    """_count_slice equals the reference on every run of consecutive
+    first values, the whole range included, class by class and in order;
+    and brute_tables' exc row, filled from the class tallies, equals the
+    reference's."""
+    singles, exc_row = reference_tallies(r, n)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 2):
-            expected = tuple(oracle._add(singles[a - 1 : b - 1]))
-            assert oracle._count_slice(r, n, range(a, b)) == expected
+            run = singles[a - 1 : b - 1]
+            expected = {
+                key: [sum(counts) for counts in zip(*(single[key] for single in run))]
+                for key in run[0]
+            }
+            tallies = oracle._count_slice(r, n, range(a, b))
+            assert list(tallies.items()) == list(expected.items())
+    assert brute_tables(r, n).exc_row == exc_row
 
 
 class TestClasses:
@@ -304,6 +313,21 @@ class TestPackedWalk:
         # (3, 4) both halves of the window have two positions.
         monkeypatch.setattr(oracle, "BLOCK", 2)
         assert_every_slice_matches(r, n)
+
+    @pytest.mark.parametrize("r, n", [(1, 5), (2, 4), (3, 3), (5, 2), (4, 3)])
+    def test_class_lists_sum_to_permutations_times_words(self, r, n):
+        # Every slice holds every color word of each of its permutations.
+        words = collections.Counter(
+            (sum(word), n - word.count(0))
+            for word in itertools.product(range(r), repeat=n)
+        )
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 2):
+                tallies = oracle._count_slice(r, n, range(a, b))
+                permutations = (b - a) * factorial(n - 1)
+                assert {key: sum(counts) for key, counts in tallies.items()} == {
+                    key: permutations * count for key, count in words.items()
+                }
 
     def test_one_call_builds_the_tables_once(self, monkeypatch):
         built = []
@@ -582,12 +606,15 @@ class TestTallyMiscount:
         count_slice = oracle._count_slice
 
         def moved(r, n, first_values):
-            by_csum, by_colored, exc_row = count_slice(r, n, first_values)
+            tallies = count_slice(r, n, first_values)
             if r > 1 and n > 1:
-                for flat in (by_csum, by_colored):
-                    flat[n] -= 1  # cell (1, 0)
-                    flat[n + 1] += 1  # cell (1, 1)
-            return by_csum, by_colored, exc_row
+                # Class (1, 1) holds every word of csum 1: cell (1, 0) of
+                # both joint tables loses one count to cell (1, 1), and
+                # exc 1 of the exc row one to exc r + 1.
+                counts = tallies[1, 1]
+                counts[0] -= 1
+                counts[1] += 1
+            return tallies
 
         monkeypatch.setattr(oracle, "_count_slice", moved)
 
